@@ -14,13 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CellppError,
-    ConfigError,
-    ConvergenceError,
-    DataError,
-    TruncationError,
-)
+from .errors import CellppError, ConfigError, DataError, NumericalError
 from .estimators import RadiusGrid, clark_evans_index, write_curves_csv
 from .fitting import (
     FAMILY_NAMES,
@@ -221,10 +215,8 @@ def _cmd_stats(args) -> int:
 def _cmd_fit(args) -> int:
     pattern, _ = _pattern_from_args(args)
     result = fit(pattern, args.family, _cspec_from_args(args),
-                 stream=RngStreamSpec(args.seed),
-                 replicates=args.replicates,
-                 model_test_points=args.model_test_points,
-                 max_evaluations=args.max_evaluations)
+                 max_evaluations=args.max_evaluations,
+                 estimator_seed=RngStreamSpec(args.seed))
     text = json.dumps(result.to_dict(), sort_keys=True, indent=2)
     if args.output is not None:
         Path(args.output).write_text(text + "\n")
@@ -344,10 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pattern_args(p)
     p.add_argument("--family", choices=FAMILY_NAMES, required=True)
     _add_contrast_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicates", type=int, default=200,
-                   help="simulated model-curve replicates")
-    p.add_argument("--model-test-points", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the F test locations")
     p.add_argument("--max-evaluations", type=int, default=500)
     p.add_argument("--output", default=None, help="also write JSON here")
     p.set_defaults(func=_cmd_fit)
@@ -393,19 +383,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConvergenceError, TruncationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        stage = getattr(exc, "stage", None)
-        where = f" [{stage}]" if stage else ""
-        print(f"data error{where}: {exc}", file=sys.stderr)
-        return 3
     except CellppError as exc:
         stage = getattr(exc, "stage", None)
         where = f" [{stage}]" if stage else ""
-        print(f"config error{where}: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, NumericalError):
+            label, code = "numerical failure", 4
+        elif isinstance(exc, DataError):
+            label, code = "data error", 3
+        else:
+            label, code = "config error", 2
+        print(f"{label}{where}: {exc}", file=sys.stderr)
+        return code
     except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -70,7 +70,11 @@ class ExistenceViolation(ConfigError):
         self.margin = margin
 
 
-class TruncationError(CellppError):
+class NumericalError(CellppError):
+    """A numerical routine could not finish within its budget."""
+
+
+class TruncationError(NumericalError):
     """A spectral truncation budget was exceeded.
 
     ``required`` is the number of basis elements the request would
@@ -84,7 +88,7 @@ class TruncationError(CellppError):
         self.budget = budget
 
 
-class ConvergenceError(CellppError):
+class ConvergenceError(NumericalError):
     """An optimizer stopped without meeting its tolerance.
 
     ``trace`` holds the evaluated (parameter, objective) pairs.
@@ -93,3 +97,8 @@ class ConvergenceError(CellppError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace or []
+
+
+class SamplerStallError(NumericalError):
+    """A sequential sampler drew its proposal budget for one point
+    without accepting any; the proposal features are degenerate."""

@@ -28,7 +28,7 @@ from .geom import PointPattern, Window
 from .rng import as_stream
 
 CURVE_KINDS = ("K", "F", "G", "J")
-CURVE_ORIGINS = ("empirical", "theoretical", "simulated")
+CURVE_ORIGINS = ("empirical", "theoretical")
 
 #: below this many points the border-corrected curves get noisy
 SMALL_PATTERN_WARN = 80
@@ -81,7 +81,7 @@ class SummaryCurve:
     """Values of one summary statistic on a radius grid.
 
     ``kind`` is one of K/F/G/J, ``origin`` records whether the values
-    are empirical, closed-form, or Monte-Carlo averages.  NaN marks
+    are empirical estimates or exact model values.  NaN marks
     radii where the estimator is undefined.
     """
 

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     ConfigError,
@@ -40,13 +39,10 @@ from .models import (
     GaussDpp,
     ModelSpec,
     Poisson,
-    _needs_simulation,
-    _simulated_mean_curves,
     check_valid,
     model_to_dict,
     theoretical_curve,
 )
-from .rng import as_stream
 from .samplers import spectral_mode_count
 
 FAMILY_NAMES = ("poisson", "beta-ginibre", "gauss-dpp", "cauchy-dpp")
@@ -61,12 +57,11 @@ BETA_SEARCH_MIN = 0.01
 SCALE_FRACTION_MIN = 1e-3
 CAUCHY_SHAPE_BOUNDS = (0.05, 50.0)
 
-# Spectral mode counts grow like (window extent / kernel scale)^2, so
-# on large windows the near-Poisson end of the scale box is not
-# simulatable.  The search is clipped to scales the sampler can afford
-# under this budget (kept below the sampler default so the fitted
-# model stays affordable for later envelope replicates); below the
-# clip the model is within Monte-Carlo noise of Poisson anyway.
+# Spectral mode counts grow like (window extent / kernel scale)^2: at
+# the near-Poisson end of the scale box a 13 km window would need ~1e9
+# modes.  The search is clipped to scales the sampler can afford under
+# this budget (kept below the sampler default) so that the fitted
+# model can be sampled for its envelope replicates.
 FIT_MODE_BUDGET = 1_500_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -197,39 +192,6 @@ def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
     return {"K": k, "F": f, "G": g, "J": j}
 
 
-def _model_curves(spec: ModelSpec, grid: RadiusGrid, kinds,
-                  window: Window | None, replicates: int, stream,
-                  n_test: int) -> dict:
-    """Model curves for the requested kinds, sharing one simulation
-    pass when the family has no closed forms."""
-    out = {}
-    want_sim = _needs_simulation(spec) and any(k != "K" for k in kinds)
-    sim = None
-    if want_sim:
-        if window is None:
-            raise ConfigError(f"{spec.name} needs a window to simulate "
-                              f"its F/G/J curves")
-        sim = _simulated_mean_curves(spec, window, grid,
-                                     replicates, stream, n_test)
-    for kind in kinds:
-        if kind == "K" or not _needs_simulation(spec):
-            out[kind] = theoretical_curve(kind, spec, grid)
-            continue
-        if kind == "F":
-            values = sim["F"]
-        elif kind == "G":
-            values = sim["G"]
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                values = np.where(sim["F"] < 1.0 - 1e-6,
-                                  (1.0 - sim["G"]) / (1.0 - sim["F"]),
-                                  np.nan)
-        out[kind] = SummaryCurve(grid=grid, values=values, kind=kind,
-                                 origin="simulated",
-                                 meta=model_to_dict(spec))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fit result
 # ---------------------------------------------------------------------------
@@ -314,7 +276,6 @@ def _golden_minimize(fn, lo: float, hi: float, rel_tol: float,
 def fit(pattern: PointPattern, family: str,
         cspec: ContrastSpec | None = None, *,
         curves: dict | None = None, grid: RadiusGrid | None = None,
-        stream=0, replicates: int = 200, model_test_points: int = 2000,
         max_evaluations: int = 500, rel_tol: float = 1e-6,
         estimator_seed=0) -> FitResult:
     """Fit one family to a pattern by minimum contrast.
@@ -331,12 +292,6 @@ def fit(pattern: PointPattern, family: str,
     curves : dict, optional
         Precomputed empirical curves keyed by kind (all four); computed
         here when omitted.
-    stream : seed or RngStreamSpec
-        Drives the model-curve simulations of the Gauss/Cauchy
-        families.  Frozen across candidate parameters so the objective
-        is a deterministic function of the parameter.
-    replicates, model_test_points : int
-        Monte-Carlo effort for simulated model curves.
 
     Notes
     -----
@@ -367,13 +322,18 @@ def fit(pattern: PointPattern, family: str,
     spec = (cspec or ContrastSpec()).resolved(emp_grid, window)
     emp = curves[spec.statistic]
 
-    base_stream = as_stream(stream)
-    sim_kwargs = dict(window=window, replicates=replicates,
-                      stream=base_stream, n_test=model_test_points)
+    # The contrast reads radii up to r_max only, so the search evaluates
+    # model curves there and leaves them undefined beyond.
+    n_fit = max(2, int(np.searchsorted(emp_grid.r, spec.r_max,
+                                       side="right")))
+    fit_grid = RadiusGrid(emp_grid.r[:n_fit])
 
     def objective_for(model: ModelSpec) -> float:
-        mc = _model_curves(model, emp_grid, (spec.statistic,),
-                           **sim_kwargs)[spec.statistic]
+        values = np.full(emp_grid.size, np.nan)
+        values[:n_fit] = theoretical_curve(spec.statistic, model,
+                                           fit_grid).values
+        mc = SummaryCurve(grid=emp_grid, values=values, kind=spec.statistic,
+                          origin="theoretical")
         return contrast(emp, mc, spec)
 
     poisson_value = objective_for(Poisson(lam))
@@ -406,6 +366,8 @@ def fit(pattern: PointPattern, family: str,
         model = GaussDpp(intensity=lam, scale=scale)
         pinned_low = scale <= lo * (1.0 + 10.0 * rel_tol)
     else:
+        from scipy import optimize
+
         # Cauchy: search (scale fraction of the existence bound,
         # log shape); the box maps onto the admissible wedge.
         lo_w, hi_w = (math.log(CAUCHY_SHAPE_BOUNDS[0]),
@@ -460,7 +422,8 @@ def fit(pattern: PointPattern, family: str,
     near_poisson = (isinstance(model, Poisson) or pinned_low
                     or value >= 0.95 * poisson_value)
 
-    model_all = _model_curves(model, emp_grid, CURVE_KINDS, **sim_kwargs)
+    model_all = {kind: theoretical_curve(kind, model, emp_grid)
+                 for kind in CURVE_KINDS}
     cross = {}
     for kind in CURVE_KINDS:
         try:

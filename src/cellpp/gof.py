@@ -41,7 +41,6 @@ RECOMMENDED_REPLICATES = 39
 # replicate sets for smaller M are prefixes of larger ones, so bands
 # can only widen as M grows on a shared stream.
 _REPLICATE_STRIDE = 10
-_REFERENCE_OFFSET = 999_999_937
 
 
 @dataclass
@@ -187,20 +186,16 @@ def global_envelope(spec: ModelSpec, window: Window, statistic: str,
                     grid: RadiusGrid | None = None, stream=0,
                     n_test: int | None = None, correction: str = "border",
                     replicate_values: np.ndarray | None = None,
-                    reference: SummaryCurve | None = None,
-                    reference_replicates: int = 200,
-                    model_test_points: int = 2000) -> EnvelopeBand:
+                    reference: SummaryCurve | None = None) -> EnvelopeBand:
     """Model curve plus/minus the largest replicate deviation.
 
-    The band is centred on the model curve (closed form where the
-    family has one, an independently seeded simulated mean otherwise)
+    The band is centred on the exact model curve (or ``reference``)
     and has half-width D = max over replicates and radii of the
     absolute deviation; significance 1/(replicates+1).
     """
     _check_m(replicates)
     if grid is None:
         grid = RadiusGrid.default(window)
-    base = as_stream(stream)
     if replicate_values is None:
         replicate_values = replicate_curves(
             spec, window, replicates, grid, stream=stream,
@@ -211,11 +206,7 @@ def global_envelope(spec: ModelSpec, window: Window, statistic: str,
             f"replicate values have shape {values.shape}, "
             f"expected {(replicates, grid.size)}")
     if reference is None:
-        reference = theoretical_curve(
-            statistic, spec, grid, window=window,
-            replicates=reference_replicates,
-            stream=base.substream(_REFERENCE_OFFSET),
-            n_test=model_test_points)
+        reference = theoretical_curve(statistic, spec, grid)
     elif not reference.grid.matches(grid):
         raise GridMismatchError("reference curve is on a different grid")
     ref = reference.values

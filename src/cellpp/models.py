@@ -5,7 +5,7 @@ baseline, and three repulsive determinantal families (a Cauchy-kernel
 and a Gaussian-kernel process, plus the thinned-and-rescaled Ginibre
 family indexed by a repulsion strength ``beta``).  Each family exposes
 closed-form K everywhere; F, G and J are closed-form for Poisson and
-the Ginibre family and Monte-Carlo averages for the other two.
+the Ginibre family and Fredholm determinants for the other two.
 
 Determinantal families exist only on part of the parameter space: the
 kernel's spectrum must stay within [0, 1].  ``validate`` reports the
@@ -15,16 +15,15 @@ boundary as a value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, kv
 
 from .errors import ConfigError, ExistenceViolation
-from .estimators import RadiusGrid, SummaryCurve, estimate_F, estimate_G
-from .geom import Window
-from .rng import as_stream
+from .estimators import RadiusGrid, SummaryCurve
 
 
 @dataclass(frozen=True)
@@ -191,6 +190,213 @@ def _bg_survival(x: float, beta: float, first_k: int,
 
 
 # ---------------------------------------------------------------------------
+# Fredholm determinants of the Gaussian and Cauchy families
+# ---------------------------------------------------------------------------
+#
+# The void probability of a determinantal process on a ball B is
+# det(I - K_B), and its reduced Palm process is determinantal with
+# kernel K(x - y) - K(x) K(y) / intensity, so F(r) and G(r) are both
+# Fredholm determinants on the centred disk of radius r.  Nystrom
+# quadrature with Gauss-Legendre radial and equispaced angular nodes
+# (Bornemann 2010, Math. Comp. 79) makes the matrix block-circulant in
+# the angle: a DFT over the angle splits it into one radial block per
+# angular frequency, and the determinant is the product of the block
+# determinants.  The Palm correction does not depend on the angle, so
+# it only changes the frequency-0 block.
+
+# Below this void probability 1 - P already rounds to exactly 1.0.
+_LOG_VOID_FLOOR = -54.0 * math.log(2.0)
+# Node counts a + b * s for a disk s kernel widths in radius, measured
+# to keep the determinant within 1e-11 of its converged value.
+_RADIAL_NODES = (10.0, 2.6)
+_ANGULAR_NODES = (16.0, 10.75)
+# Beyond this many kernel widths the disk is not resolved at an
+# affordable node count; there the kernel is weak and a trace
+# expansion takes over (see _weak_kernel_log_void).
+_RESOLVED_WIDTHS = 24.0
+
+
+def _kernel_profile(spec: ModelSpec):
+    """(kernel as a function of squared distance, resolution width) of
+    a Gaussian or Cauchy family member."""
+    lam, a2 = spec.intensity, spec.scale ** 2
+    if isinstance(spec, GaussDpp):
+        return (lambda d2: lam * np.exp(-d2 / a2)), spec.scale
+    power = -(spec.shape + 1.0)
+    # same curvature at 0 as a Gaussian of width scale / sqrt(shape+1);
+    # the heavier tail of small shapes needs up to 60% more nodes
+    width = spec.scale / (math.sqrt(spec.shape + 1.0)
+                          * (1.0 + 0.65 * (spec.shape + 1.0) ** -0.6))
+    return (lambda d2: lam * (1.0 + d2 / a2) ** power), width
+
+
+def _spectral_density(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
+    """Fourier transform of the kernel at radial frequency ``rho``."""
+    lam, alpha = spec.intensity, spec.scale
+    if isinstance(spec, GaussDpp):
+        return lam * math.pi * alpha ** 2 * np.exp(
+            -(math.pi * alpha) ** 2 * rho * rho)
+    nu = spec.shape
+    z = 2.0 * math.pi * alpha * rho
+    out = np.empty_like(np.asarray(rho, dtype=float))
+    small = z < 1e-8
+    out[small] = lam * math.pi * alpha ** 2 / nu
+    zb = z[~small]
+    out[~small] = (lam * alpha ** 2 * 2.0 * math.pi
+                   * (0.5 * zb) ** nu * kv(nu, zb) / math.gamma(nu + 1.0))
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre_01(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _disk_log_void(kernel, radius: float, n_radial: int, n_angular: int,
+                   palm_intensity: float | None = None) -> float:
+    """log det(I - K_B) on the centred disk B of the given radius.
+
+    ``kernel(rho_a, rho_b, theta)`` is the kernel between the points
+    ``rho_a * exp(i theta)`` and ``rho_b`` of the complex plane
+    (broadcasting).  It must be Hermitian, rotation-invariant and
+    symmetric in ``rho_a, rho_b``, which makes every angular block real
+    symmetric.  With ``palm_intensity`` the kernel is replaced by its
+    reduced Palm kernel at the origin.  ``n_angular`` must be even.
+    """
+    t, v = _gauss_legendre_01(n_radial)
+    half = n_angular // 2
+    theta = (2.0 * math.pi / n_angular) * np.arange(half + 1)
+    rho = radius * t
+    sqrt_w = radius * np.sqrt(t * v * (2.0 * math.pi / n_angular))
+    table = kernel(rho[:, None], rho[None, :], theta[:, None, None])
+    table *= sqrt_w[:, None] * sqrt_w[None, :]
+    # The other half circle is the complex conjugate, so the DFT over
+    # the angle is a cosine (and, for complex kernels, sine) sum over
+    # the first half.  A real kernel has equal blocks at frequencies m
+    # and -m, counted twice.
+    weight = np.full(half + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    if np.iscomplexobj(table):
+        freq, mult = np.arange(n_angular), np.ones(n_angular)
+    else:
+        freq, mult = np.arange(half + 1), weight
+    phase = np.outer(freq, theta)
+    flat = table.reshape(half + 1, -1)
+    blocks = (weight * np.cos(phase)) @ flat.real
+    if np.iscomplexobj(table):
+        blocks += (weight * np.sin(phase)) @ flat.imag
+    # I - B_m for every frequency, in place
+    np.negative(blocks, out=blocks)
+    blocks[:, ::n_radial + 1] += 1.0
+    blocks = blocks.reshape(freq.size, n_radial, n_radial)
+    if palm_intensity is not None:
+        u = sqrt_w * kernel(rho, 0.0, 0.0).real / math.sqrt(palm_intensity)
+        blocks[0] += n_angular * np.outer(u, u)
+    try:
+        diag = np.diagonal(np.linalg.cholesky(blocks), axis1=-2, axis2=-1)
+        logdet = 2.0 * np.log(diag).sum(axis=-1)
+    except np.linalg.LinAlgError:
+        # a block too close to singular: the void probability is at
+        # rounding level, where the sign test below reports it
+        sign, logdet = np.linalg.slogdet(blocks)
+        logdet = np.where(sign > 0.0, logdet, -np.inf)
+    return float(logdet @ mult)
+
+
+def _lens_area(r: float, t: np.ndarray) -> np.ndarray:
+    """Area of the intersection of two disks of radius r at distance t."""
+    u = np.clip(t / (2.0 * r), 0.0, 1.0)
+    return 2.0 * r * r * (np.arccos(u) - u * np.sqrt(1.0 - u * u))
+
+
+def _weak_kernel_log_void(spec: ModelSpec, r: float, palm: bool) -> float:
+    """log P for a disk many kernel widths across, by the trace
+    expansion log det(I - K_B) = -sum_k tr(K_B^k) / k.
+
+    tr K_B is the expected count, tr K_B^2 the integral of K^2 against
+    the lens area (both exact); tr K_B^3 takes its bulk value, the disk
+    area times the integral of the cubed spectral density.  Where this
+    routine is used, P > 2^-54 forces the spectral maximum q below
+    37.4 / 24^2 times a family constant, and the dropped boundary part
+    of tr K_B^3 and higher orders keep P within ~1.5e-8 of the
+    determinant for the Gaussian kernel and ~6e-7 (shape 0.5) to ~3e-6
+    (shape 0.05) for the Cauchy kernel, falling like (width / r)^5 as
+    the disk grows.  The Palm kernel's
+    rank-one term multiplies P by 1 + <u, u> + <u, K u> + ..., with
+    u = K(., 0) / sqrt(intensity): <u, u> is exact, <u, K u> takes its
+    plane value, the same cubed-spectrum integral over the intensity.
+    """
+    profile, width = _kernel_profile(spec)
+    lam = spec.intensity
+    t, v = _gauss_legendre_01(24)
+
+    def panels(edges):
+        lo, span = edges[:-1, None], np.diff(edges)[:, None]
+        return (lo + span * t).ravel(), (span * v).ravel()
+
+    # panels doubling in length from a sixty-fourth of the width
+    octaves = 2.0 ** np.arange(-6, 60)
+    dist, dist_w = panels(np.unique(np.minimum(
+        np.concatenate([[0.0, r], width * octaves]), 2.0 * r)))
+    k2 = dist_w * profile(dist * dist) ** 2 * dist
+    tr2 = 2.0 * math.pi * float(np.sum(k2 * _lens_area(r, dist)))
+    # integral of the cubed spectral density over the plane; it is
+    # negligible beyond a hundred times the inverse width
+    freq, freq_w = panels(np.concatenate([[0.0], octaves[:14] / width]))
+    cube = 2.0 * math.pi * float(np.sum(
+        freq_w * _spectral_density(spec, freq) ** 3 * freq))
+    out = -lam * math.pi * r * r - 0.5 * tr2 - math.pi * r * r * cube / 3.0
+    if palm:
+        # determinant lemma: P0 / P = 1 + <u, (I - K_B)^-1 u> with
+        # u = K(., 0) / sqrt(intensity), to first order in K
+        u_norm = 2.0 * math.pi / lam * float(np.sum(k2[dist <= r]))
+        out += math.log1p(u_norm + cube / lam)
+    return out
+
+
+def _dpp_log_void(spec: ModelSpec, radii, palm: bool,
+                  refine: int = 1) -> np.ndarray:
+    """log void probability of the centred disks of the given
+    (increasing) radii, for the Palm process when ``palm``.
+
+    ``refine`` multiplies the Nystrom node counts, for convergence
+    checks.  Results are cached: F, G and J of one model share them.
+    """
+    r = np.asarray(radii, dtype=float)
+    return _cached_log_void(spec, r.tobytes(), palm, refine).copy()
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_log_void(spec: ModelSpec, radii: bytes, palm: bool,
+                     refine: int) -> np.ndarray:
+    profile, width = _kernel_profile(spec)
+
+    def kernel(rho_a, rho_b, theta):
+        return profile(rho_a * rho_a + rho_b * rho_b
+                       - 2.0 * rho_a * rho_b * np.cos(theta))
+
+    r = np.frombuffer(radii)
+    out = np.zeros(r.size)
+    palm_intensity = spec.intensity if palm else None
+    for i in np.nonzero(r > 0.0)[0]:
+        n_widths = r[i] / width
+        if n_widths > _RESOLVED_WIDTHS:
+            out[i] = _weak_kernel_log_void(spec, r[i], palm)
+        else:
+            n = refine * math.ceil(_RADIAL_NODES[0]
+                                   + _RADIAL_NODES[1] * n_widths)
+            m = refine * 8 * math.ceil((_ANGULAR_NODES[0]
+                                        + _ANGULAR_NODES[1] * n_widths) / 8)
+            out[i] = _disk_log_void(kernel, r[i], n, m, palm_intensity)
+        if out[i] < _LOG_VOID_FLOOR:
+            # void probabilities only fall as the disk grows
+            out[i:] = -np.inf
+            break
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Exact curves
 # ---------------------------------------------------------------------------
 
@@ -216,145 +422,72 @@ def theoretical_K(spec: ModelSpec, grid: RadiusGrid) -> SummaryCurve:
                         origin="theoretical", meta=model_to_dict(spec))
 
 
-def _simulated_mean_curves(spec: ModelSpec, window: Window, grid: RadiusGrid,
-                           replicates: int, stream, n_test: int,
-                           correction: str = "border") -> dict:
-    """Monte-Carlo mean F and G of a family, border-corrected like the
-    empirical curves they will be compared against."""
-    from .samplers import sample  # runtime import, samplers builds on us
-
-    if replicates < 10:
-        raise ConfigError(f"simulated model curves need at least 10 "
-                          f"replicates, got {replicates}")
-    base = as_stream(stream)
-    sums = {"F": np.zeros(grid.size), "G": np.zeros(grid.size)}
-    counts = {"F": np.zeros(grid.size), "G": np.zeros(grid.size)}
-    used = 0
-    for i in range(int(replicates)):
-        pattern = sample(spec, window, base.substream(2 * i))
-        if pattern.n < 2:
-            continue
-        used += 1
-        f = estimate_F(pattern, grid, n_test=n_test,
-                       seed=base.substream(2 * i + 1),
-                       correction=correction)
-        g = estimate_G(pattern, grid, correction=correction)
-        for kind, curve in (("F", f), ("G", g)):
-            ok = np.isfinite(curve.values)
-            sums[kind][ok] += curve.values[ok]
-            counts[kind][ok] += 1.0
-    if used == 0:
-        raise ConfigError("all simulated replicates were degenerate; "
-                          "window too small for this intensity")
-    out = {}
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for kind in ("F", "G"):
-            out[kind] = np.where(counts[kind] > 0,
-                                 sums[kind] / counts[kind], np.nan)
-    out["replicates_used"] = used
-    return out
-
-
-def _needs_simulation(spec: ModelSpec) -> bool:
-    return isinstance(spec, (GaussDpp, CauchyDpp))
+def _void_curve(spec: ModelSpec, grid: RadiusGrid, palm: bool,
+                k_terms: int | None) -> SummaryCurve:
+    """1 - P(no point within r): F, or G for the reduced Palm process."""
+    check_valid(spec)
+    r = grid.r
+    if isinstance(spec, Poisson):
+        values = 1.0 - np.exp(-spec.intensity * np.pi * r * r)
+    elif isinstance(spec, BetaGinibre):
+        x = spec.intensity * np.pi * r * r / spec.beta
+        first_k = 2 if palm else 1
+        values = np.array([1.0 - _bg_survival(xi, spec.beta, first_k,
+                                              k_terms) for xi in x])
+    else:
+        values = -np.expm1(_dpp_log_void(spec, r, palm))
+    return SummaryCurve(grid=grid, values=values, kind="G" if palm else "F",
+                        origin="theoretical", meta=model_to_dict(spec))
 
 
 def theoretical_F(spec: ModelSpec, grid: RadiusGrid,
-                  window: Window | None = None, replicates: int = 200,
-                  stream=0, n_test: int = 2000,
                   k_terms: int | None = None) -> SummaryCurve:
-    """Model F curve: exact where the family admits it, otherwise the
-    mean empirical F over ``replicates`` simulated realizations on
-    ``window`` (required in that case)."""
-    check_valid(spec)
-    r = grid.r
-    if isinstance(spec, Poisson):
-        values = 1.0 - np.exp(-spec.intensity * np.pi * r * r)
-        origin = "theoretical"
-    elif isinstance(spec, BetaGinibre):
-        x = spec.intensity * np.pi * r * r / spec.beta
-        values = np.array([1.0 - _bg_survival(xi, spec.beta, 1, k_terms)
-                           for xi in x])
-        origin = "theoretical"
-    else:
-        if window is None:
-            raise ConfigError(f"{spec.name} has no closed-form F; "
-                              f"a window is required to simulate it")
-        sim = _simulated_mean_curves(spec, window, grid, replicates, stream,
-                                     n_test)
-        values, origin = sim["F"], "simulated"
-    return SummaryCurve(grid=grid, values=values, kind="F", origin=origin,
-                        meta=model_to_dict(spec))
+    """Exact model F curve: closed form for Poisson and the Ginibre
+    family, a Fredholm determinant for the Gaussian and Cauchy
+    families.  ``k_terms`` fixes the Ginibre product length."""
+    return _void_curve(spec, grid, False, k_terms)
 
 
 def theoretical_G(spec: ModelSpec, grid: RadiusGrid,
-                  window: Window | None = None, replicates: int = 200,
-                  stream=0, n_test: int = 2000,
                   k_terms: int | None = None) -> SummaryCurve:
-    """Model G curve; see :func:`theoretical_F`."""
-    check_valid(spec)
-    r = grid.r
-    if isinstance(spec, Poisson):
-        values = 1.0 - np.exp(-spec.intensity * np.pi * r * r)
-        origin = "theoretical"
-    elif isinstance(spec, BetaGinibre):
-        x = spec.intensity * np.pi * r * r / spec.beta
-        values = np.array([1.0 - _bg_survival(xi, spec.beta, 2, k_terms)
-                           for xi in x])
-        origin = "theoretical"
-    else:
-        if window is None:
-            raise ConfigError(f"{spec.name} has no closed-form G; "
-                              f"a window is required to simulate it")
-        sim = _simulated_mean_curves(spec, window, grid, replicates, stream,
-                                     n_test)
-        values, origin = sim["G"], "simulated"
-    return SummaryCurve(grid=grid, values=values, kind="G", origin=origin,
-                        meta=model_to_dict(spec))
+    """Exact model G curve; the Gaussian and Cauchy families use the
+    Fredholm determinant of the reduced Palm kernel."""
+    return _void_curve(spec, grid, True, k_terms)
 
 
 def theoretical_J(spec: ModelSpec, grid: RadiusGrid,
-                  window: Window | None = None, replicates: int = 200,
-                  stream=0, n_test: int = 2000,
                   f_saturation: float = 1e-6) -> SummaryCurve:
-    """Model J curve.
+    """Exact model J curve.
 
     Poisson is identically 1; the Ginibre family has the closed form
     ``1 / (1 - beta + beta * exp(-intensity*pi*r^2/beta))``; the other
-    determinantal families use the ratio of simulated mean curves.
+    determinantal families use the ratio (1 - G) / (1 - F) of their
+    void probabilities, undefined (NaN) where F is within
+    ``f_saturation`` of 1.
     """
     check_valid(spec)
     r = grid.r
     if isinstance(spec, Poisson):
         values = np.ones_like(r)
-        origin = "theoretical"
     elif isinstance(spec, BetaGinibre):
         x = spec.intensity * np.pi * r * r / spec.beta
         values = 1.0 / ((1.0 - spec.beta) + spec.beta * np.exp(-x))
-        origin = "theoretical"
     else:
-        if window is None:
-            raise ConfigError(f"{spec.name} has no closed-form J; "
-                              f"a window is required to simulate it")
-        sim = _simulated_mean_curves(spec, window, grid, replicates, stream,
-                                     n_test)
-        f, g = sim["F"], sim["G"]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(f < 1.0 - f_saturation, (1.0 - g) / (1.0 - f),
-                              np.nan)
-        origin = "simulated"
-    return SummaryCurve(grid=grid, values=values, kind="J", origin=origin,
-                        meta=model_to_dict(spec))
+        log_f = _dpp_log_void(spec, r, palm=False)
+        log_g = _dpp_log_void(spec, r, palm=True)
+        with np.errstate(invalid="ignore"):
+            values = np.where(-np.expm1(log_f) < 1.0 - f_saturation,
+                              np.exp(log_g - log_f), np.nan)
+    return SummaryCurve(grid=grid, values=values, kind="J",
+                        origin="theoretical", meta=model_to_dict(spec))
 
 
-def theoretical_curve(kind: str, spec: ModelSpec, grid: RadiusGrid,
-                      **kwargs) -> SummaryCurve:
+def theoretical_curve(kind: str, spec: ModelSpec,
+                      grid: RadiusGrid) -> SummaryCurve:
     """Dispatch on the statistic kind."""
     fn = {"K": theoretical_K, "F": theoretical_F, "G": theoretical_G,
           "J": theoretical_J}[kind]
-    if kind == "K":
-        return fn(spec, grid)
-    return fn(spec, grid, **kwargs)
+    return fn(spec, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,6 @@ REFERENCE_RETENTION = {
 # Stream-id layout under the master seed.  Families use fixed offsets
 # (not list positions) so reordering the config cannot change results.
 _STREAM_TEST_POINTS = 1
-_STREAM_FIT = {"poisson": 1_000, "beta-ginibre": 2_000,
-               "gauss-dpp": 3_000, "cauchy-dpp": 4_000}
 _STREAM_GOF = {"poisson": 1_000_000, "beta-ginibre": 2_000_000,
                "gauss-dpp": 3_000_000, "cauchy-dpp": 4_000_000}
 
@@ -147,6 +145,8 @@ class PipelineConfig:
     contrast: dict = field(default_factory=dict)
     envelope: dict = field(default_factory=dict)
     grid_points: int = 512
+    # Accepted for old config files and echoed in the report; model
+    # curves are exact, so nothing reads them.
     fit_replicates: int = 200
     model_test_points: int = 2000
     max_evaluations: int = 500
@@ -450,9 +450,6 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
     for family in config.families:
         with _stage(f"fit:{family}"):
             res = fit(pattern, family, cspec, curves=curves,
-                      stream=base.substream(_STREAM_FIT[family]),
-                      replicates=config.fit_replicates,
-                      model_test_points=config.model_test_points,
                       max_evaluations=config.max_evaluations)
             fit_results[family] = res
         with _stage(f"gof:{family}"):

@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, kv
 
-from .errors import ConfigError, TruncationError
+from .errors import ConfigError, SamplerStallError, TruncationError
 from .geom import PointPattern, Rectangle, Window
 from .models import (
     BetaGinibre,
@@ -28,6 +28,7 @@ from .models import (
     GaussDpp,
     ModelSpec,
     Poisson,
+    _spectral_density,
     check_valid,
 )
 from .rng import as_stream
@@ -45,6 +46,13 @@ def sample_poisson(intensity: float, window: Window, stream) -> PointPattern:
 # Sequential sampling of a projection determinantal process
 # ---------------------------------------------------------------------------
 
+# Proposals per point, times n, before a step counts as stalled.  With
+# orthonormal features each proposal is accepted with probability at
+# least 1/n, so a valid draw exceeds the budget with probability below
+# exp(-1000): the bound never changes a draw, it only stops a hang.
+_PROPOSALS_PER_POINT = 1000
+
+
 def _projection_sample(propose, n: int, rng: np.random.Generator,
                        dim: int = 2) -> np.ndarray:
     """Draw the n points of a projection process with orthonormal
@@ -56,14 +64,27 @@ def _projection_sample(propose, n: int, rng: np.random.Generator,
     accepted point removes one dimension from the active subspace; the
     acceptance ratio is the squared residual of the feature vector
     against the span of the previously accepted ones.
+
+    Raises
+    ------
+    SamplerStallError
+        If a step draws ``_PROPOSALS_PER_POINT * n`` proposals without
+        accepting one (degenerate features).
     """
+    limit = _PROPOSALS_PER_POINT * n
     out = np.empty((n, dim))
     basis = np.empty((n, n), dtype=complex)
     basis_c = np.empty((n, n), dtype=complex)
     used = 0
     for step in range(n):
         batch = 8
+        drawn = 0
         while True:
+            if drawn >= limit:
+                raise SamplerStallError(
+                    f"sampler stalled at point {step}: no proposal "
+                    f"accepted in {drawn} draws")
+            drawn += batch
             pts, feats = propose(batch)
             norm2 = np.einsum("ij,ij->i", feats.conj(), feats).real
             if used:
@@ -161,23 +182,6 @@ def sample_beta_ginibre(intensity: float, beta: float, window: Window,
 # ---------------------------------------------------------------------------
 # Gaussian / Cauchy families on a rectangle, Fourier side
 # ---------------------------------------------------------------------------
-
-def _spectral_density(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
-    """Fourier transform of the kernel at radial frequency ``rho``."""
-    lam, alpha = spec.intensity, spec.scale
-    if isinstance(spec, GaussDpp):
-        return lam * math.pi * alpha ** 2 * np.exp(
-            -(math.pi * alpha) ** 2 * rho * rho)
-    nu = spec.shape
-    z = 2.0 * math.pi * alpha * rho
-    out = np.empty_like(np.asarray(rho, dtype=float))
-    small = z < 1e-8
-    out[small] = lam * math.pi * alpha ** 2 / nu
-    zb = z[~small]
-    out[~small] = (lam * alpha ** 2 * 2.0 * math.pi
-                   * (0.5 * zb) ** nu * kv(nu, zb) / math.gamma(nu + 1.0))
-    return out
-
 
 def _spectral_cutoff(spec: ModelSpec, tail_eps: float) -> float:
     """Radial frequency beyond which the discarded spectral mass is

@@ -237,6 +237,32 @@ def test_pipeline_determinism(tmp_path):
     _report("pipeline determinism", t0)
 
 
+def test_default_four_family_pipeline(tmp_path):
+    """The CLI-default pipeline (F contrast, all four families, 512
+    radii, 39 envelope replicates) on the 13 km thinned-Ginibre pattern
+    finishes inside 45 s with exact model curves for every family."""
+    t0 = time.perf_counter()
+    data = tmp_path / "synthetic.csv"
+    pat = sample_beta_ginibre(0.7e-6, 0.9, KM13, RngStreamSpec(11))
+    write_points_csv(data, pat.points)
+    config = PipelineConfig(
+        input=str(data), planar=True,
+        window={"kind": "rectangle", "x_min": 0.0, "x_max": 13000.0,
+                "y_min": 0.0, "y_max": 13000.0},
+        master_seed=11)
+    report = run_pipeline(config, out_dir=tmp_path / "out")
+    assert list(report.families) == ["poisson", "beta-ginibre",
+                                     "gauss-dpp", "cauchy-dpp"]
+    assert report.dataset["grid_points"] == 512
+    for res in report.fit_results.values():
+        assert res.cspec.statistic == "F"
+        assert res.diagnostics["converged"]
+        assert all(c.origin == "theoretical"
+                   for c in res.model_curves.values())
+    assert report.winner is not None
+    assert _report("default four-family pipeline", t0, 45.0) < 45.0
+
+
 @pytest.mark.skipif(not os.environ.get("CELLPP_LIEGE_CSV"),
                     reason="set CELLPP_LIEGE_CSV to a registry export of "
                            "the Liege GSM-900 sites to run the published "
@@ -254,6 +280,5 @@ def test_liege_gsm900_regression():
     assert abs(beta - 0.91) <= 0.05
     pattern, _ = load_pattern(config)
     raw = fit(pattern, "beta-ginibre",
-              ContrastSpec(statistic="F", step_weighted=False),
-              stream=RngStreamSpec(0))
+              ContrastSpec(statistic="F", step_weighted=False))
     assert abs(raw.contrast_value - 9.36e-3) <= 0.2 * 9.36e-3

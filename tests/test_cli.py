@@ -6,11 +6,15 @@ stdout/stderr are captured by pytest and exit codes are the returned ints.
 
 import json
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cellpp
 from cellpp.cli import main
 from cellpp.geom import Rectangle
 from cellpp.models import Poisson
@@ -174,8 +178,7 @@ class TestFit:
         path, _ = pp_csv
         rc = main(["fit", "--input", path, "--window", WINDOW_FLAG,
                    "--family", "beta-ginibre", "--statistic", "K",
-                   "--seed", "3", "--replicates", "10",
-                   "--model-test-points", "200"])
+                   "--seed", "3"])
         assert rc == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["model"] == "beta-ginibre"
@@ -336,6 +339,19 @@ class TestPipeline:
         assert list(report["families"]) == ["poisson"]
         assert report["config"]["master_seed"] == 11
 
+    def test_numerical_failure_names_stage(self, pp_csv, capsys):
+        path, _ = pp_csv
+        config = {"families": ["beta-ginibre"], "grid_points": 128,
+                  "max_evaluations": 5,
+                  "window": {"kind": "rectangle", "x_min": 0.0,
+                             "x_max": 1000.0, "y_min": 0.0,
+                             "y_max": 1000.0}}
+        rc = main(["pipeline", "--config", json.dumps(config),
+                   "--input", path, "--planar"])
+        assert rc == 4
+        assert ("numerical failure [fit:beta-ginibre]"
+                in capsys.readouterr().err)
+
     def test_missing_input_exits_2(self, capsys):
         rc = main(["pipeline", "--families", "poisson"])
         assert rc == 2
@@ -346,3 +362,18 @@ class TestPipeline:
         with pytest.raises(SystemExit) as err:
             main(["fit", "--input", path, "--family", "bogus"])
         assert err.value.code == 2
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # every command pays the import; scipy.stats, scipy.integrate and
+    # scipy.optimize are loaded only by the code paths that call them
+    src = str(Path(cellpp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, cellpp.cli; print(sorted(m for m in "
+            "('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

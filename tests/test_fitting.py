@@ -185,12 +185,11 @@ def bg_pattern():
 
 
 class TestFitSpectralFamilies:
-    # the K statistic has closed forms for every family, which keeps
-    # these fits off the Monte-Carlo path during the search
+    # K-contrast fits: the search runs on closed forms, the cross
+    # distances on the exact F/G/J
 
     def test_gauss_fit_respects_mode_budget(self, bg_pattern):
-        res = fit(bg_pattern, "gauss-dpp", ContrastSpec(statistic="K"),
-                  replicates=30, model_test_points=600)
+        res = fit(bg_pattern, "gauss-dpp", ContrastSpec(statistic="K"))
         lam = res.diagnostics["intensity"]
         assert res.model.scale <= 1.0 / math.sqrt(math.pi * lam) + 1e-12
         assert spectral_mode_count(res.model, KM13) <= FIT_MODE_BUDGET
@@ -200,8 +199,7 @@ class TestFitSpectralFamilies:
         assert sorted(res.cross_distances) == ["F", "G", "J", "K"]
 
     def test_cauchy_fit_is_admissible(self, bg_pattern):
-        res = fit(bg_pattern, "cauchy-dpp", ContrastSpec(statistic="K"),
-                  replicates=30, model_test_points=600)
+        res = fit(bg_pattern, "cauchy-dpp", ContrastSpec(statistic="K"))
         lam = res.diagnostics["intensity"]
         bound = math.sqrt(res.model.shape / (math.pi * lam))
         assert 0.0 < res.model.scale <= bound + 1e-9
@@ -213,10 +211,8 @@ class TestFitSpectralFamilies:
         scaled = PointPattern(points=pat.points / 1000.0,
                               window=Rectangle(0.0, 13.0, 0.0, 13.0))
         kc = ContrastSpec(statistic="K")
-        s1 = fit(pat, "gauss-dpp", kc,
-                 replicates=10, model_test_points=200).model.scale
-        s2 = fit(scaled, "gauss-dpp", kc,
-                 replicates=10, model_test_points=200).model.scale
+        s1 = fit(pat, "gauss-dpp", kc).model.scale
+        s2 = fit(scaled, "gauss-dpp", kc).model.scale
         assert s1 / s2 == pytest.approx(1000.0, rel=1e-9)
 
 

@@ -11,13 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from cellpp.errors import ConfigError, ExistenceViolation, TruncationError
+from cellpp.errors import (ConfigError, ExistenceViolation,
+                           NumericalError, SamplerStallError,
+                           TruncationError)
 from cellpp.estimators import RadiusGrid, estimate_G, estimate_K
 from cellpp.geom import Disk, PointPattern, Rectangle
 from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp, theoretical_K
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import (sample_beta_ginibre, sample_dpp_spectral,
-                             sample_poisson, spectral_mode_count)
+from cellpp.samplers import (_projection_sample, sample_beta_ginibre,
+                             sample_dpp_spectral, sample_poisson,
+                             spectral_mode_count)
 
 from conftest import UNIT_SQUARE
 
@@ -330,3 +333,28 @@ class TestSharedInvariants:
                 acc += estimate_G(draw(i), grid, correction="none").values
             mean_g = acc / 30
             assert (mean_g[sel] < g_pois[sel]).all(), name
+
+
+class TestProjectionSampler:
+    @pytest.mark.parametrize("degenerate", ["zero", "in_span"])
+    def test_degenerate_features_raise_instead_of_hanging(self, degenerate):
+        # every proposal after the first point carries the accepted
+        # point's feature vector (or none at all): nothing is ever
+        # accepted again, and the step budget ends the loop
+        calls = []
+
+        def propose(m):
+            calls.append(m)
+            feats = np.zeros((m, 3), dtype=complex)
+            if degenerate == "in_span":
+                feats[:, 0] = 1.0
+            return np.zeros((m, 2)), feats
+
+        rng = np.random.default_rng(0)
+        with pytest.raises(SamplerStallError) as err:
+            _projection_sample(propose, 3, rng)
+        assert isinstance(err.value, NumericalError)
+        step = 0 if degenerate == "zero" else 1
+        assert f"stalled at point {step}:" in str(err.value)
+        # the bound is 1000 proposals per point, checked per batch
+        assert 3 * 1000 <= sum(calls) <= 3 * 1000 + 512 + 8
