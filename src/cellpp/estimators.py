@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import DegeneratePatternError, GridMismatchError
 from .geom import PointPattern, Window
@@ -130,13 +129,83 @@ def read_curves_csv(path) -> list[SummaryCurve]:
 
 
 # ---------------------------------------------------------------------------
-# Border bookkeeping
+# Reduced-sample counting
 # ---------------------------------------------------------------------------
 
-def _retained(bdist: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    # (n_points, n_radii) mask: point counts at radius r iff its
-    # boundary distance is at least r
-    return bdist[:, None] >= radii[None, :]
+# Rows of the pattern whose pairs estimate_K holds at once: its peak
+# memory is about this many rows times the neighbours within the
+# largest radius.
+_K_BLOCK_ROWS = 256
+
+
+def _retention_stop(window: Window, locations: np.ndarray,
+                    radii: np.ndarray, correction: str) -> np.ndarray:
+    """Per unit, the number of radii at which it is retained.
+
+    Under ``border`` a unit counts at radius ``r`` iff its boundary
+    distance is at least ``r``; under ``none`` it counts at every
+    radius.
+    """
+    if correction == "border":
+        return np.searchsorted(radii, window.boundary_distance(locations),
+                               side="right")
+    if correction == "none":
+        return np.full(len(locations), radii.size)
+    raise ValueError("correction must be 'border' or 'none'")
+
+
+def _event_index(radii: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    # first radius whose closed ball reaches the distance
+    return np.searchsorted(radii, distances, side="left")
+
+
+def _live_counts(first: np.ndarray, stop: np.ndarray,
+                 size: int) -> np.ndarray:
+    """Number of units live at each of ``size`` radius indices, unit
+    ``u`` being live on the index interval ``[first[u], stop[u])``.
+
+    With ``first`` from :func:`_event_index` and ``stop`` from
+    :func:`_retention_stop` this counts the units whose event distance
+    is at most ``r`` and that are retained at ``r``; with ``first`` all
+    zero it counts the retained units.  Exact integer counts.
+    """
+    ends = np.maximum(first, stop)
+    edges = (np.bincount(first, minlength=size + 1)
+             - np.bincount(ends, minlength=size + 1))
+    return np.cumsum(edges[:size])
+
+
+def _reduced_sample_fraction(event: np.ndarray, stop: np.ndarray,
+                             radii: np.ndarray) -> np.ndarray:
+    """Share of the retained units whose event distance is at most r;
+    NaN where no unit is retained."""
+    num = _live_counts(_event_index(radii, event), stop, radii.size)
+    m = _live_counts(np.zeros_like(stop), stop, radii.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(m > 0, num / m, np.nan)
+
+
+def _close_pairs(points: np.ndarray, reach: float):
+    """Unordered pairs ``i < j`` within ``reach`` of each other, as
+    ``(i, j, distance)`` arrays, ``_K_BLOCK_ROWS`` rows of ``i`` at a
+    time."""
+    x = np.ascontiguousarray(points[:, 0])
+    y = np.ascontiguousarray(points[:, 1])
+    for start in range(0, len(points), _K_BLOCK_ROWS):
+        rows = cKDTree(points[start:start + _K_BLOCK_ROWS])
+        pairs = rows.sparse_distance_matrix(cKDTree(points[start:]), reach,
+                                            output_type="ndarray")
+        later = pairs["j"] > pairs["i"]
+        i = pairs["i"][later] + start
+        j = pairs["j"][later] + start
+        del pairs, later
+        # sqrt(dx*dx + dy*dy): the bits of scipy's euclidean distances
+        dx = x[i] - x[j]
+        dy = y[i] - y[j]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        yield i, j, np.sqrt(dx, out=dx)
 
 
 def _check_size(pattern: PointPattern, minimum: int, what: str) -> None:
@@ -161,7 +230,9 @@ def estimate_K(pattern: PointPattern, grid: RadiusGrid | None = None,
 
     ``K(r)`` is the mean number of further points within distance
     ``r`` of a typical point, scaled by the inverse intensity; for a
-    homogeneous Poisson process it equals ``pi r^2``.
+    homogeneous Poisson process it equals ``pi r^2``.  Only pairs
+    within the largest radius are visited, a fixed block of points at
+    a time; no n x n distance matrix is built.
 
     Parameters
     ----------
@@ -178,24 +249,23 @@ def estimate_K(pattern: PointPattern, grid: RadiusGrid | None = None,
     n = pattern.n
     area = pattern.window.area()
 
-    dmat = cdist(pts, pts)
-    np.fill_diagonal(dmat, np.inf)
-    dmat.sort(axis=1)
-    # closed-ball neighbour counts for every point at every radius
-    counts = np.empty((n, radii.size))
-    for i in range(n):
-        counts[i] = np.searchsorted(dmat[i], radii, side="right")
+    stop = _retention_stop(pattern.window, pts, radii, correction)
+    # ordered pairs (i, j), i retained, within each radius: every
+    # unordered pair counts once from each end
+    num = np.zeros(radii.size, dtype=np.int64)
+    # one ulp past the last radius: the tree compares squared distances,
+    # which must not drop a pair whose distance is exactly radii[-1]
+    for i, j, d in _close_pairs(pts, np.nextafter(radii[-1], np.inf)):
+        first = _event_index(radii, d)
+        num += _live_counts(first, stop[i], radii.size)
+        num += _live_counts(first, stop[j], radii.size)
 
     if correction == "border":
-        keep = _retained(pattern.window.boundary_distance(pts), radii)
-        m = keep.sum(axis=0).astype(float)
-        num = (counts * keep).sum(axis=0)
+        m = _live_counts(np.zeros_like(stop), stop, radii.size)
         with np.errstate(invalid="ignore", divide="ignore"):
             values = np.where(m > 0, area / (n - 1) * num / m, np.nan)
-    elif correction == "none":
-        values = area / ((n - 1) * n) * counts.sum(axis=0)
     else:
-        raise ValueError("correction must be 'border' or 'none'")
+        values = area / ((n - 1) * n) * num
     return SummaryCurve(grid=grid, values=values, kind="K",
                         origin="empirical",
                         meta={"n": n, "correction": correction})
@@ -228,20 +298,10 @@ def estimate_F(pattern: PointPattern, grid: RadiusGrid | None = None,
     else:
         test_points = np.asarray(test_points, dtype=float).reshape(-1, 2)
         n_test = test_points.shape[0]
-    radii = grid.r
 
+    stop = _retention_stop(pattern.window, test_points, grid.r, correction)
     dmin = cKDTree(pattern.points).query(test_points)[0]
-    hits = dmin[:, None] <= radii[None, :]
-
-    if correction == "border":
-        keep = _retained(pattern.window.boundary_distance(test_points), radii)
-        m = keep.sum(axis=0).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(m > 0, (hits & keep).sum(axis=0) / m, np.nan)
-    elif correction == "none":
-        values = hits.mean(axis=0)
-    else:
-        raise ValueError("correction must be 'border' or 'none'")
+    values = _reduced_sample_fraction(dmin, stop, grid.r)
     return SummaryCurve(grid=grid, values=values, kind="F",
                         origin="empirical",
                         meta={"n": pattern.n, "n_test": int(n_test),
@@ -255,21 +315,11 @@ def estimate_G(pattern: PointPattern, grid: RadiusGrid | None = None,
     _check_size(pattern, 2, "G estimate")
     if grid is None:
         grid = RadiusGrid.default(pattern.window)
-    radii = grid.r
 
+    stop = _retention_stop(pattern.window, pattern.points, grid.r,
+                           correction)
     nn = cKDTree(pattern.points).query(pattern.points, k=2)[0][:, 1]
-    hits = nn[:, None] <= radii[None, :]
-
-    if correction == "border":
-        keep = _retained(pattern.window.boundary_distance(pattern.points),
-                         radii)
-        m = keep.sum(axis=0).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(m > 0, (hits & keep).sum(axis=0) / m, np.nan)
-    elif correction == "none":
-        values = hits.mean(axis=0)
-    else:
-        raise ValueError("correction must be 'border' or 'none'")
+    values = _reduced_sample_fraction(nn, stop, grid.r)
     return SummaryCurve(grid=grid, values=values, kind="G",
                         origin="empirical",
                         meta={"n": pattern.n, "correction": correction})
@@ -294,6 +344,20 @@ def estimate_J(f_curve: SummaryCurve, g_curve: SummaryCurve,
               else "empirical")
     return SummaryCurve(grid=grid, values=values, kind="J", origin=origin,
                         meta={"f_saturation": f_saturation})
+
+
+def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
+                     seed=0, n_test: int | None = None,
+                     correction: str = "border") -> dict:
+    """All four empirical statistics of one pattern on a shared grid."""
+    if grid is None:
+        grid = RadiusGrid.default(pattern.window)
+    k = estimate_K(pattern, grid, correction=correction)
+    f = estimate_F(pattern, grid, n_test=n_test, seed=seed,
+                   correction=correction)
+    g = estimate_G(pattern, grid, correction=correction)
+    j = estimate_J(f, g)
+    return {"K": k, "F": f, "G": g, "J": j}
 
 
 def j_second_order_approx(k_curve: SummaryCurve,

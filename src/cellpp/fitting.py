@@ -26,10 +26,7 @@ from .estimators import (
     SMALL_PATTERN_WARN,
     RadiusGrid,
     SummaryCurve,
-    estimate_F,
-    estimate_G,
-    estimate_J,
-    estimate_K,
+    empirical_curves,
     require_same_grid,
 )
 from .geom import PointPattern, Rectangle, Window, intensity_estimate
@@ -172,24 +169,6 @@ def contrast(empirical: SummaryCurve, model_curve: SummaryCurve,
     if spec.step_weighted:
         terms = terms * grid.spacing()[usable]
     return float(terms.sum() / span)
-
-
-# ---------------------------------------------------------------------------
-# Empirical curve bundle
-# ---------------------------------------------------------------------------
-
-def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
-                     seed=0, n_test: int | None = None,
-                     correction: str = "border") -> dict:
-    """All four empirical statistics of one pattern on a shared grid."""
-    if grid is None:
-        grid = RadiusGrid.default(pattern.window)
-    k = estimate_K(pattern, grid, correction=correction)
-    f = estimate_F(pattern, grid, n_test=n_test, seed=seed,
-                   correction=correction)
-    g = estimate_G(pattern, grid, correction=correction)
-    j = estimate_J(f, g)
-    return {"K": k, "F": f, "G": g, "J": j}
 
 
 # ---------------------------------------------------------------------------

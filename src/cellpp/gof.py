@@ -24,10 +24,7 @@ from .estimators import (
     CURVE_KINDS,
     RadiusGrid,
     SummaryCurve,
-    estimate_F,
-    estimate_G,
-    estimate_J,
-    estimate_K,
+    empirical_curves,
 )
 from .geom import Window
 from .models import ModelSpec, check_valid, model_to_dict, theoretical_curve
@@ -135,13 +132,11 @@ def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
             raise DegeneratePatternError(
                 f"envelope replicate {i} of {spec.name} drew "
                 f"{pattern.n} points; window too small for this model")
-        k = estimate_K(pattern, grid, correction=correction)
-        f = estimate_F(pattern, grid, n_test=n_test,
-                       seed=base.substream(_REPLICATE_STRIDE * i + 1),
-                       correction=correction)
-        g = estimate_G(pattern, grid, correction=correction)
-        j = estimate_J(f, g)
-        for kind, curve in (("K", k), ("F", f), ("G", g), ("J", j)):
+        curves = empirical_curves(
+            pattern, grid, n_test=n_test,
+            seed=base.substream(_REPLICATE_STRIDE * i + 1),
+            correction=correction)
+        for kind, curve in curves.items():
             out[kind][i] = curve.values
     return out
 

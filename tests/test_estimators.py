@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,52 @@ def test_estimators_match_naive_loops(window, n, rng):
             g = estimate_G(pat, grid, correction=corr).values
             want = naive_G(pts, window, grid.r, correction=corr)
             np.testing.assert_allclose(g, want, atol=1e-12, rtol=0.0)
+
+
+# Integer points in a 3-4-5 layout: nearest-neighbour distances 1, 2
+# and 5, and the pair (10, 10)-(4, 2) at exactly the last radius, 10.
+# Boundary distances are integers in both windows, and so are many
+# distances from the integer test locations.
+TIE_POINTS = np.array([[10.0, 10.0], [13.0, 14.0], [14.0, 14.0],
+                       [16.0, 14.0], [4.0, 2.0], [7.0, 6.0], [7.0, 7.0]])
+
+
+@pytest.mark.parametrize("window", [Rectangle(0.0, 20.0, 0.0, 20.0),
+                                    Disk(10.0, 10.0, 10.0)])
+def test_closed_ball_ties_on_grid_radii(window):
+    grid = RadiusGrid(np.arange(11.0))
+    pat = PointPattern(TIE_POINTS, window)
+    lattice = np.stack(np.meshgrid(np.arange(21.0), np.arange(21.0)),
+                       axis=-1).reshape(-1, 2)
+    tp = lattice[window.boundary_distance(lattice) >= 0]
+    diff = TIE_POINTS[:, None, :] - TIE_POINTS[None, :, :]
+    pair_d = np.hypot(diff[..., 0], diff[..., 1])
+    assert np.all(np.isin([1.0, 2.0, 5.0, grid.r[-1]], pair_d))
+    with pytest.warns(UserWarning, match="pattern has"):
+        for corr in ("border", "none"):
+            np.testing.assert_array_equal(
+                estimate_K(pat, grid, correction=corr).values,
+                naive_K(TIE_POINTS, window, grid.r, correction=corr))
+            np.testing.assert_array_equal(
+                estimate_F(pat, grid, test_points=tp,
+                           correction=corr).values,
+                naive_F(TIE_POINTS, window, grid.r, tp, correction=corr))
+            np.testing.assert_array_equal(
+                estimate_G(pat, grid, correction=corr).values,
+                naive_G(TIE_POINTS, window, grid.r, correction=corr))
+
+
+def test_K_memory_stays_linear(rng):
+    window = Rectangle(0.0, 13000.0, 0.0, 13000.0)
+    pat = PointPattern(window.sample_uniform(5000, rng), window)
+    tracemalloc.start()
+    try:
+        estimate_K(pat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 5000 x 5000 float64 distance matrix alone is 200 MB
+    assert peak < 64e6
 
 
 class TestPoissonMonteCarlo:
