@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CellppError, ConfigError, DataError, NumericalError
-from .estimators import RadiusGrid, clark_evans_index, write_curves_csv
-from .fitting import (
-    FAMILY_NAMES,
-    ContrastSpec,
+from .estimators import (
+    CURVE_KINDS,
+    RadiusGrid,
+    clark_evans_index,
     empirical_curves,
-    fit,
+    write_curves_csv,
 )
+from .fitting import FAMILY_NAMES, ContrastSpec, fit
 from .geom import (
     Disk,
     ProjectionSpec,
@@ -102,6 +103,13 @@ def _pattern_from_args(args):
         window = auto_window(points, args.min_points)
     pattern = clip(points, window, on_duplicates=args.duplicates)
     return pattern, rejects
+
+
+def _grid_from_args(args, window) -> RadiusGrid:
+    try:
+        return RadiusGrid.default(window, args.grid_points)
+    except ValueError as exc:
+        raise ConfigError(f"--grid-points {args.grid_points}: {exc}") from exc
 
 
 def _add_pattern_args(p: argparse.ArgumentParser) -> None:
@@ -193,7 +201,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_stats(args) -> int:
     pattern, _ = _pattern_from_args(args)
-    grid = RadiusGrid.default(pattern.window, args.grid_points)
+    grid = _grid_from_args(args, pattern.window)
     curves = empirical_curves(pattern, grid,
                               seed=RngStreamSpec(args.seed))
     write_curves_csv(args.output, [curves[k] for k in ("K", "F", "G", "J")])
@@ -225,19 +233,21 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gof(args) -> int:
+    kinds = [kind.strip() for kind in args.statistics.split(",")]
+    if not set(kinds) <= set(CURVE_KINDS):
+        raise ConfigError(f"--statistics {args.statistics!r}: expected a "
+                          f"comma-separated subset of {','.join(CURVE_KINDS)}")
     pattern, _ = _pattern_from_args(args)
     spec = _model_from_args(args)
-    grid = RadiusGrid.default(pattern.window, args.grid_points)
+    grid = _grid_from_args(args, pattern.window)
     curves = empirical_curves(pattern, grid, seed=RngStreamSpec(args.seed))
     reps = replicate_curves(spec, pattern.window, args.replicates, grid,
                             stream=RngStreamSpec(args.seed, 1))
     out = {}
-    for kind in args.statistics.split(","):
-        kind = kind.strip()
+    for kind in kinds:
         if args.mode == "global":
             band = global_envelope(spec, pattern.window, kind,
                                    args.replicates, grid=grid,
-                                   stream=RngStreamSpec(args.seed, 1),
                                    replicate_values=reps[kind])
         else:
             band = pointwise_envelope(spec, pattern.window, kind,

@@ -32,6 +32,10 @@ CURVE_ORIGINS = ("empirical", "theoretical")
 #: below this many points the border-corrected curves get noisy
 SMALL_PATTERN_WARN = 80
 
+#: J is undefined (NaN) where F is within this of 1, for the empirical
+#: ratio and the exact model curves alike
+J_F_SATURATION = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class RadiusGrid:
@@ -325,11 +329,10 @@ def estimate_G(pattern: PointPattern, grid: RadiusGrid | None = None,
                         meta={"n": pattern.n, "correction": correction})
 
 
-def estimate_J(f_curve: SummaryCurve, g_curve: SummaryCurve,
-               f_saturation: float = 1e-6) -> SummaryCurve:
+def estimate_J(f_curve: SummaryCurve, g_curve: SummaryCurve) -> SummaryCurve:
     """Interaction ratio ``J = (1 - G) / (1 - F)``.
 
-    Radii where F saturates (``F >= 1 - f_saturation``) give NaN, as do
+    Radii where F saturates (``F >= 1 - J_F_SATURATION``) give NaN, as do
     radii where either input is NaN.  Values above 1 indicate
     regularity, below 1 clustering, 1 is the Poisson reference.
     """
@@ -338,12 +341,12 @@ def estimate_J(f_curve: SummaryCurve, g_curve: SummaryCurve,
     grid = require_same_grid(f_curve, g_curve)
     f, g = f_curve.values, g_curve.values
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.where(f < 1.0 - f_saturation, (1.0 - g) / (1.0 - f),
+        values = np.where(f < 1.0 - J_F_SATURATION, (1.0 - g) / (1.0 - f),
                           np.nan)
     origin = (f_curve.origin if f_curve.origin == g_curve.origin
               else "empirical")
     return SummaryCurve(grid=grid, values=values, kind="J", origin=origin,
-                        meta={"f_saturation": f_saturation})
+                        meta={"f_saturation": J_F_SATURATION})
 
 
 def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
@@ -358,23 +361,6 @@ def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
     g = estimate_G(pattern, grid, correction=correction)
     j = estimate_J(f, g)
     return {"K": k, "F": f, "G": g, "J": j}
-
-
-def j_second_order_approx(k_curve: SummaryCurve,
-                          intensity: float) -> SummaryCurve:
-    """Second-order approximation ``J(r) ~ 1 - intensity*(K(r) - pi r^2)``.
-
-    Useful as a cross-check: for weakly interacting processes it tracks
-    the exact J closely.
-    """
-    if k_curve.kind != "K":
-        raise ValueError("j_second_order_approx expects a K curve")
-    r = k_curve.grid.r
-    values = 1.0 - float(intensity) * (k_curve.values - np.pi * r * r)
-    return SummaryCurve(grid=k_curve.grid, values=values, kind="J",
-                        origin=k_curve.origin,
-                        meta={"approx": "second-order",
-                              "intensity": float(intensity)})
 
 
 def clark_evans_index(pattern: PointPattern) -> float:

@@ -101,16 +101,6 @@ class GofVerdict:
                 "r_max": self.r_max}
 
 
-def _check_m(replicates: int) -> None:
-    if replicates < MIN_REPLICATES:
-        raise ConfigError(f"envelope needs at least {MIN_REPLICATES} "
-                          f"replicates, got {replicates}")
-    if replicates < RECOMMENDED_REPLICATES:
-        warnings.warn(f"{replicates} replicates gives a weak test; "
-                      f"{RECOMMENDED_REPLICATES} is the usual choice",
-                      stacklevel=3)
-
-
 def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
                      grid: RadiusGrid, *, stream=0,
                      n_test: int | None = None,
@@ -141,6 +131,34 @@ def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
     return out
 
 
+def _envelope_values(spec: ModelSpec, window: Window, statistic: str,
+                     replicates: int, grid: RadiusGrid | None, stream,
+                     n_test: int | None, correction: str,
+                     replicate_values: np.ndarray | None):
+    """The steps both bands share: check M, default the grid, draw the
+    replicates unless given, check their shape.  Returns (grid, values).
+    """
+    if replicates < MIN_REPLICATES:
+        raise ConfigError(f"envelope needs at least {MIN_REPLICATES} "
+                          f"replicates, got {replicates}")
+    if replicates < RECOMMENDED_REPLICATES:
+        warnings.warn(f"{replicates} replicates gives a weak test; "
+                      f"{RECOMMENDED_REPLICATES} is the usual choice",
+                      stacklevel=3)
+    if grid is None:
+        grid = RadiusGrid.default(window)
+    if replicate_values is None:
+        replicate_values = replicate_curves(
+            spec, window, replicates, grid, stream=stream,
+            n_test=n_test, correction=correction)[statistic]
+    values = np.asarray(replicate_values, dtype=float)
+    if values.shape != (replicates, grid.size):
+        raise GridMismatchError(
+            f"replicate values have shape {values.shape}, "
+            f"expected {(replicates, grid.size)}")
+    return grid, values
+
+
 def pointwise_envelope(spec: ModelSpec, window: Window, statistic: str,
                        replicates: int = RECOMMENDED_REPLICATES, *,
                        grid: RadiusGrid | None = None, stream=0,
@@ -154,18 +172,9 @@ def pointwise_envelope(spec: ModelSpec, window: Window, statistic: str,
     significance 2/(replicates+1).  ``replicate_values`` lets several
     bands share one set of realizations.
     """
-    _check_m(replicates)
-    if grid is None:
-        grid = RadiusGrid.default(window)
-    if replicate_values is None:
-        replicate_values = replicate_curves(
-            spec, window, replicates, grid, stream=stream,
-            n_test=n_test, correction=correction)[statistic]
-    values = np.asarray(replicate_values, dtype=float)
-    if values.shape != (replicates, grid.size):
-        raise GridMismatchError(
-            f"replicate values have shape {values.shape}, "
-            f"expected {(replicates, grid.size)}")
+    grid, values = _envelope_values(spec, window, statistic, replicates,
+                                    grid, stream, n_test, correction,
+                                    replicate_values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         lower = np.nanmin(values, axis=0)
@@ -184,24 +193,19 @@ def global_envelope(spec: ModelSpec, window: Window, statistic: str,
                     reference: SummaryCurve | None = None) -> EnvelopeBand:
     """Model curve plus/minus the largest replicate deviation.
 
-    The band is centred on the exact model curve (or ``reference``)
-    and has half-width D = max over replicates and radii of the
-    absolute deviation; significance 1/(replicates+1).
+    The band is centred on the exact model curve (or ``reference``, a
+    curve of the same statistic) and has half-width D = max over
+    replicates and radii of the absolute deviation; significance
+    1/(replicates+1).
     """
-    _check_m(replicates)
-    if grid is None:
-        grid = RadiusGrid.default(window)
-    if replicate_values is None:
-        replicate_values = replicate_curves(
-            spec, window, replicates, grid, stream=stream,
-            n_test=n_test, correction=correction)[statistic]
-    values = np.asarray(replicate_values, dtype=float)
-    if values.shape != (replicates, grid.size):
-        raise GridMismatchError(
-            f"replicate values have shape {values.shape}, "
-            f"expected {(replicates, grid.size)}")
+    grid, values = _envelope_values(spec, window, statistic, replicates,
+                                    grid, stream, n_test, correction,
+                                    replicate_values)
     if reference is None:
         reference = theoretical_curve(statistic, spec, grid)
+    elif reference.kind != statistic:
+        raise ConfigError(f"reference curve is {reference.kind}, band is "
+                          f"for {statistic}")
     elif not reference.grid.matches(grid):
         raise GridMismatchError("reference curve is on a different grid")
     ref = reference.values

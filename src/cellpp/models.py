@@ -23,7 +23,8 @@ import numpy as np
 from scipy.special import gammainc, gammaln, kv
 
 from .errors import ConfigError, ExistenceViolation
-from .estimators import RadiusGrid, SummaryCurve
+from .estimators import (CURVE_KINDS, J_F_SATURATION, RadiusGrid,
+                         SummaryCurve)
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,9 @@ def _bg_log_factors(x: float, beta: float, k_hi: int) -> np.ndarray:
 
 def _bg_survival(x: float, beta: float, first_k: int,
                  k_terms: int | None = None) -> float:
-    """prod_{k >= first_k} (1 - beta * P(k, x)) for scalar x >= 0."""
+    """prod_{k >= first_k} (1 - beta * P(k, x)) for scalar x >= 0.
+
+    ``k_terms`` fixes the product length, for convergence checks."""
     if x == 0.0:
         return 1.0
     k_hi = _bg_term_count(x) if k_terms is None else int(k_terms)
@@ -400,132 +403,58 @@ def _cached_log_void(spec: ModelSpec, radii: bytes, palm: bool,
 # Exact curves
 # ---------------------------------------------------------------------------
 
-def theoretical_K(spec: ModelSpec, grid: RadiusGrid) -> SummaryCurve:
-    """Closed-form K curve of the family on the given grid."""
-    check_valid(spec)
-    r = grid.r
-    base = np.pi * r * r
-    if isinstance(spec, Poisson):
-        values = base
-    elif isinstance(spec, GaussDpp):
-        a2 = spec.scale ** 2
-        values = base - (np.pi * a2 / 2.0) * (1.0 - np.exp(-2.0 * r * r / a2))
-    elif isinstance(spec, CauchyDpp):
-        a2 = spec.scale ** 2
-        e = 2.0 * spec.shape + 1.0
-        values = base - (np.pi * a2 / e) * (1.0 - (1.0 + r * r / a2) ** -e)
-    else:
-        lam, beta = spec.intensity, spec.beta
-        values = base - (beta / lam) * (1.0 - np.exp(-lam * np.pi * r * r
-                                                     / beta))
-    return SummaryCurve(grid=grid, values=values, kind="K",
-                        origin="theoretical", meta=model_to_dict(spec))
-
-
-def _void_curve(spec: ModelSpec, grid: RadiusGrid, palm: bool,
-                k_terms: int | None) -> SummaryCurve:
-    """1 - P(no point within r): F, or G for the reduced Palm process."""
-    check_valid(spec)
-    r = grid.r
-    if isinstance(spec, Poisson):
-        values = 1.0 - np.exp(-spec.intensity * np.pi * r * r)
-    elif isinstance(spec, BetaGinibre):
-        x = spec.intensity * np.pi * r * r / spec.beta
-        first_k = 2 if palm else 1
-        values = np.array([1.0 - _bg_survival(xi, spec.beta, first_k,
-                                              k_terms) for xi in x])
-    else:
-        values = -np.expm1(_dpp_log_void(spec, r, palm))
-    return SummaryCurve(grid=grid, values=values, kind="G" if palm else "F",
-                        origin="theoretical", meta=model_to_dict(spec))
-
-
-def theoretical_F(spec: ModelSpec, grid: RadiusGrid,
-                  k_terms: int | None = None) -> SummaryCurve:
-    """Exact model F curve: closed form for Poisson and the Ginibre
-    family, a Fredholm determinant for the Gaussian and Cauchy
-    families.  ``k_terms`` fixes the Ginibre product length."""
-    return _void_curve(spec, grid, False, k_terms)
-
-
-def theoretical_G(spec: ModelSpec, grid: RadiusGrid,
-                  k_terms: int | None = None) -> SummaryCurve:
-    """Exact model G curve; the Gaussian and Cauchy families use the
-    Fredholm determinant of the reduced Palm kernel."""
-    return _void_curve(spec, grid, True, k_terms)
-
-
-def theoretical_J(spec: ModelSpec, grid: RadiusGrid,
-                  f_saturation: float = 1e-6) -> SummaryCurve:
-    """Exact model J curve.
-
-    Poisson is identically 1; the Ginibre family has the closed form
-    ``1 / (1 - beta + beta * exp(-intensity*pi*r^2/beta))``; the other
-    determinantal families use the ratio (1 - G) / (1 - F) of their
-    void probabilities, undefined (NaN) where F is within
-    ``f_saturation`` of 1.
-    """
-    check_valid(spec)
-    r = grid.r
-    if isinstance(spec, Poisson):
-        values = np.ones_like(r)
-    elif isinstance(spec, BetaGinibre):
-        x = spec.intensity * np.pi * r * r / spec.beta
-        values = 1.0 / ((1.0 - spec.beta) + spec.beta * np.exp(-x))
-    else:
-        log_f = _dpp_log_void(spec, r, palm=False)
-        log_g = _dpp_log_void(spec, r, palm=True)
-        with np.errstate(invalid="ignore"):
-            values = np.where(-np.expm1(log_f) < 1.0 - f_saturation,
-                              np.exp(log_g - log_f), np.nan)
-    return SummaryCurve(grid=grid, values=values, kind="J",
-                        origin="theoretical", meta=model_to_dict(spec))
-
-
 def theoretical_curve(kind: str, spec: ModelSpec,
                       grid: RadiusGrid) -> SummaryCurve:
-    """Dispatch on the statistic kind."""
-    fn = {"K": theoretical_K, "F": theoretical_F, "G": theoretical_G,
-          "J": theoretical_J}[kind]
-    return fn(spec, grid)
+    """Exact model curve of the given kind (K, F, G or J) on the grid.
 
-
-# ---------------------------------------------------------------------------
-# Kernel determinants
-# ---------------------------------------------------------------------------
-
-def dpp_determinant_check(spec: ModelSpec, points) -> float:
-    """Joint correlation density of a small configuration: the
-    determinant of the kernel Gram matrix.
-
-    Intended for hand-checkable sizes (n <= 6).  Must be non-negative
-    and vanish when two points coincide; useful as an independent probe
-    of the kernel against the closed-form curves.
+    K is closed-form for every family.  F is one minus the void
+    probability of the disk of radius r, G the same for the reduced
+    Palm process: closed forms for Poisson and the Ginibre family,
+    Fredholm determinants for the Gaussian and Cauchy families.  J is
+    1 for Poisson and
+    ``1 / (1 - beta + beta * exp(-intensity*pi*r^2/beta))`` for the
+    Ginibre family; the other two take the ratio (1 - G) / (1 - F) from
+    the log void probabilities, NaN where F is within
+    ``J_F_SATURATION`` of 1, as for the empirical J.  Unknown kinds
+    raise KeyError.
     """
+    if kind not in CURVE_KINDS:
+        raise KeyError(kind)
     check_valid(spec)
-    if isinstance(spec, Poisson):
-        raise ConfigError("the Poisson family has no repulsion kernel; "
-                          "determinant check applies to determinantal "
-                          "families")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    if not 1 <= n <= 6:
-        raise ValueError("determinant check is meant for 1 <= n <= 6 points")
-
+    r = grid.r
     if isinstance(spec, BetaGinibre):
-        z = pts[:, 0] + 1j * pts[:, 1]
-        c = spec.intensity * np.pi / spec.beta
-        sq = np.abs(z) ** 2
-        gram = (spec.intensity
-                * np.exp(-0.5 * c * (sq[:, None] + sq[None, :]))
-                * np.exp(c * z[:, None] * np.conj(z)[None, :]))
-        det = np.linalg.det(gram)
-        return float(det.real)
-
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-    if isinstance(spec, GaussDpp):
-        gram = spec.intensity * np.exp(-d2 / spec.scale ** 2)
+        x = spec.intensity * np.pi * r * r / spec.beta
+    if kind == "K":
+        values = np.pi * r * r
+        if isinstance(spec, GaussDpp):
+            a2 = spec.scale ** 2
+            values = values - (np.pi * a2 / 2.0) * (
+                1.0 - np.exp(-2.0 * r * r / a2))
+        elif isinstance(spec, CauchyDpp):
+            a2, e = spec.scale ** 2, 2.0 * spec.shape + 1.0
+            values = values - (np.pi * a2 / e) * (
+                1.0 - (1.0 + r * r / a2) ** -e)
+        elif isinstance(spec, BetaGinibre):
+            values = values - (spec.beta / spec.intensity) * (
+                1.0 - np.exp(-x))
+    elif kind == "J":
+        if isinstance(spec, Poisson):
+            values = np.ones_like(r)
+        elif isinstance(spec, BetaGinibre):
+            values = 1.0 / ((1.0 - spec.beta) + spec.beta * np.exp(-x))
+        else:
+            log_f = _dpp_log_void(spec, r, palm=False)
+            log_g = _dpp_log_void(spec, r, palm=True)
+            with np.errstate(invalid="ignore"):
+                values = np.where(-np.expm1(log_f) < 1.0 - J_F_SATURATION,
+                                  np.exp(log_g - log_f), np.nan)
+    elif isinstance(spec, Poisson):
+        values = 1.0 - np.exp(-spec.intensity * np.pi * r * r)
+    elif isinstance(spec, BetaGinibre):
+        first_k = 2 if kind == "G" else 1
+        values = np.array([1.0 - _bg_survival(xi, spec.beta, first_k)
+                           for xi in x])
     else:
-        gram = spec.intensity * (1.0 + d2 / spec.scale ** 2) ** -(spec.shape
-                                                                  + 1.0)
-    return float(np.linalg.det(gram))
+        values = -np.expm1(_dpp_log_void(spec, r, palm=kind == "G"))
+    return SummaryCurve(grid=grid, values=values, kind=kind,
+                        origin="theoretical", meta=model_to_dict(spec))

@@ -35,9 +35,10 @@ from .estimators import (
     CURVE_KINDS,
     RadiusGrid,
     default_test_point_count,
+    empirical_curves,
     write_curves_csv,
 )
-from .fitting import FAMILY_NAMES, ContrastSpec, FitResult, empirical_curves, fit
+from .fitting import FAMILY_NAMES, ContrastSpec, FitResult, fit
 from .geom import (
     PointPattern,
     ProjectionSpec,
@@ -394,7 +395,11 @@ def load_pattern(config: PipelineConfig):
                              record_ids=[r.record_id for r in result.records])
     with _stage("window"):
         if config.window is not None:
-            window = window_from_dict(config.window)
+            try:
+                window = window_from_dict(config.window)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad window description "
+                                  f"{config.window!r}: {exc!r}") from exc
         else:
             window = auto_window(points, config.auto_window_min_points)
     with _stage("clip"):

@@ -18,20 +18,19 @@ import numpy as np
 import pytest
 
 from cellpp.errors import ConfigError
-from cellpp.estimators import (RadiusGrid, estimate_F, estimate_G,
-                               estimate_K, j_second_order_approx)
+from cellpp.estimators import RadiusGrid, estimate_F, estimate_G, estimate_K
 from cellpp.fitting import ContrastSpec, fit
 from cellpp.geom import Disk, PointPattern, Rectangle
 from cellpp.gof import global_envelope, pointwise_envelope
 from cellpp.models import (BetaGinibre, CauchyDpp, GaussDpp, Poisson,
-                           theoretical_F, theoretical_G, theoretical_J,
-                           theoretical_K)
+                           _bg_survival, theoretical_curve)
 from cellpp.pipeline import (PipelineConfig, load_pattern, run_pipeline,
                              write_points_csv)
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import sample, sample_beta_ginibre, sample_poisson
 
 from naive_estimators import naive_F, naive_G, naive_K
+from oracles import j_second_order_approx
 
 UNIT = Rectangle(0.0, 1.0, 0.0, 1.0)
 KM13 = Rectangle(0.0, 13000.0, 0.0, 13000.0)
@@ -78,17 +77,21 @@ def test_ginibre_family_curve_identities():
     t0 = time.perf_counter()
     spec = BetaGinibre(intensity=100.0, beta=0.7)
     grid = RadiusGrid(np.linspace(0.0, 0.14, 512))
-    f = theoretical_F(spec, grid).values
-    g = theoretical_G(spec, grid).values
-    j = theoretical_J(spec, grid).values
+    f = theoretical_curve("F", spec, grid).values
+    g = theoretical_curve("G", spec, grid).values
+    j = theoretical_curve("J", spec, grid).values
     assert np.all(f < 1.0 - 1e-6)        # ratio well defined everywhere
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (1.0 - g) / (1.0 - f)
     np.testing.assert_allclose(j, ratio, rtol=1e-10, atol=0.0)
-    f_400 = theoretical_F(spec, grid, k_terms=400).values
-    f_800 = theoretical_F(spec, grid, k_terms=800).values
-    g_400 = theoretical_G(spec, grid, k_terms=400).values
-    g_800 = theoretical_G(spec, grid, k_terms=800).values
+    x = spec.intensity * np.pi * grid.r * grid.r / spec.beta
+
+    def product(first_k, k_hi):
+        return np.array([1.0 - _bg_survival(xi, spec.beta, first_k, k_hi)
+                         for xi in x])
+
+    f_400, f_800 = product(1, 400), product(1, 800)
+    g_400, g_800 = product(2, 400), product(2, 800)
     np.testing.assert_allclose(f_400, f_800, atol=1e-10, rtol=0.0)
     np.testing.assert_allclose(g_400, g_800, atol=1e-10, rtol=0.0)
     np.testing.assert_allclose(f, f_800, atol=1e-10, rtol=0.0)
@@ -114,7 +117,7 @@ def test_sampler_fidelity_all_families():
         grid = RadiusGrid(radii)
         vals = [estimate_K(sample(spec, window, RngStreamSpec(base, i)),
                            grid).values for i in range(100)]
-        k_true = theoretical_K(spec, grid).values[1:]
+        k_true = theoretical_curve("K", spec, grid).values[1:]
         rel = np.abs(np.mean(vals, axis=0)[1:] - k_true) / k_true
         assert np.max(rel) < 0.05, spec.name
     assert _report("sampler fidelity", t0, 300.0) < 300.0
@@ -176,8 +179,9 @@ def test_second_order_j_identity():
     t0 = time.perf_counter()
     spec = BetaGinibre(intensity=1.0, beta=0.1)
     grid = RadiusGrid(np.linspace(0.0, 3.0 / math.sqrt(math.pi), 257))
-    approx = j_second_order_approx(theoretical_K(spec, grid), 1.0).values
-    exact = theoretical_J(spec, grid).values
+    k = theoretical_curve("K", spec, grid)
+    approx = j_second_order_approx(k, 1.0).values
+    exact = theoretical_curve("J", spec, grid).values
     sup = float(np.max(np.abs(approx - exact)))
     assert sup <= 0.02                   # true sup is 1/90 ~ 0.0111
     _report("second-order identity", t0)

@@ -153,6 +153,14 @@ class TestStats:
         summary = json.loads(capsys.readouterr().out)
         assert 80 <= summary["n_points"] <= pat.n
 
+    def test_too_few_grid_points_exits_2(self, pp_csv, tmp_path, capsys):
+        path, _ = pp_csv
+        rc = main(["stats", "--input", path, "--window", WINDOW_FLAG,
+                   "--grid-points", "1", "--output",
+                   str(tmp_path / "curves.csv")])
+        assert rc == 2
+        assert "config error: --grid-points 1" in capsys.readouterr().err
+
     def test_missing_input_exits_3(self, tmp_path, capsys):
         rc = main(["stats", "--input", str(tmp_path / "absent.csv"),
                    "--output", str(tmp_path / "c.csv")])
@@ -241,6 +249,18 @@ class TestGof:
         out = json.loads(capsys.readouterr().out)
         assert list(out["verdicts"]) == ["J"]
         assert out["verdicts"]["J"]["significance"] == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-points", "1"], "--grid-points 1"),
+        (["--statistics", "K,L"], "--statistics 'K,L'"),
+    ], ids=["grid-points", "statistics"])
+    def test_bad_flags_exit_2(self, pp_csv, capsys, flags, message):
+        path, pat = pp_csv
+        rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
+                   "--family", "poisson",
+                   "--intensity", repr(pat.n / AREA)] + flags)
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_model_flags_required_exits_2(self, pp_csv, capsys):
         path, _ = pp_csv
@@ -351,6 +371,23 @@ class TestPipeline:
         assert rc == 4
         assert ("numerical failure [fit:beta-ginibre]"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("window", [
+        {"x_min": 0.0, "x_max": 1000.0, "y_min": 0.0, "y_max": 1000.0},
+        {"kind": "hexagon"},
+        {"kind": "rectangle", "x_min": 0.0, "x_max": 1000.0, "y_min": 0.0},
+        {"kind": "rectangle", "x_min": 0.0, "x_max": 0.0, "y_min": 0.0,
+         "y_max": 1000.0},
+        {"kind": "disk", "center_x": 0.0, "center_y": 0.0, "radius": -1.0},
+    ], ids=["no-kind", "unknown-kind", "missing-key", "flat-rectangle",
+            "negative-radius"])
+    def test_bad_window_exits_2(self, pp_csv, capsys, window):
+        path, _ = pp_csv
+        config = {"families": ["poisson"], "window": window}
+        rc = main(["pipeline", "--config", json.dumps(config),
+                   "--input", path, "--planar"])
+        assert rc == 2
+        assert "config error [window]: bad window" in capsys.readouterr().err
 
     def test_missing_input_exits_2(self, capsys):
         rc = main(["pipeline", "--families", "poisson"])

@@ -9,10 +9,9 @@ import pytest
 
 from cellpp.errors import (ConfigError, ConvergenceError,
                            InsufficientDataError, InsufficientRangeError)
-from cellpp.estimators import RadiusGrid, SummaryCurve
+from cellpp.estimators import RadiusGrid, SummaryCurve, empirical_curves
 from cellpp.fitting import (DEFAULT_RANGE_FRACTION, FIT_MODE_BUDGET,
-                            ContrastSpec, FitResult, contrast,
-                            empirical_curves, fit)
+                            ContrastSpec, FitResult, contrast, fit)
 from cellpp.geom import PointPattern, Rectangle
 from cellpp.models import BetaGinibre
 from cellpp.rng import RngStreamSpec

@@ -7,8 +7,7 @@ import pytest
 
 from cellpp.errors import (ConfigError, DegeneratePatternError,
                            GridMismatchError)
-from cellpp.estimators import RadiusGrid, SummaryCurve
-from cellpp.fitting import empirical_curves
+from cellpp.estimators import RadiusGrid, SummaryCurve, empirical_curves
 from cellpp.gof import (EnvelopeBand, GofVerdict, global_envelope,
                         pointwise_envelope, replicate_curves, verdict,
                         write_band_csv)
@@ -117,6 +116,15 @@ class TestBandConstruction:
         reps = np.tile(np.linspace(0.0, 3.0, GRID.size), (39, 1))
         with pytest.raises(GridMismatchError):
             global_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
+                            grid=GRID, replicate_values=reps, reference=ref)
+
+    def test_reference_kind_mismatch(self):
+        # a K reference must not centre an F band
+        ref = theoretical_curve("K", Poisson(100.0), GRID)
+        reps = np.tile(theoretical_curve("F", Poisson(100.0), GRID).values,
+                       (39, 1))
+        with pytest.raises(ConfigError, match="reference curve is K"):
+            global_envelope(Poisson(100.0), UNIT_SQUARE, "F", 39,
                             grid=GRID, replicate_values=reps, reference=ref)
 
     def test_band_validation(self):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammainc as scipy_gammainc
 
 from cellpp.errors import ConfigError, ExistenceViolation
-from cellpp.estimators import RadiusGrid, estimate_F, estimate_G
+from cellpp.estimators import RadiusGrid, estimate_F, estimate_G, estimate_J
 from cellpp.geom import Rectangle
 from cellpp.models import (
     BetaGinibre,
@@ -13,14 +13,9 @@ from cellpp.models import (
     GaussDpp,
     Poisson,
     check_valid,
-    dpp_determinant_check,
     model_from_dict,
     model_to_dict,
     normalized_lower_incomplete_gamma,
-    theoretical_F,
-    theoretical_G,
-    theoretical_J,
-    theoretical_K,
     theoretical_curve,
     validate,
 )
@@ -29,6 +24,7 @@ from cellpp.models import (_RESOLVED_WIDTHS, _bg_survival, _disk_log_void,
                            _weak_kernel_log_void)
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import sample
+from oracles import dpp_determinant_check
 
 # deployment-scale reference spec: 0.7 points per km^2, strong repulsion
 LAM_13KM = 0.7e-6
@@ -136,14 +132,14 @@ class TestSerialization:
 
 class TestClosedFormK:
     def test_poisson_is_pi_r_squared(self):
-        k = theoretical_K(Poisson(5.0), GRID_13KM)
+        k = theoretical_curve("K", Poisson(5.0), GRID_13KM)
         assert np.allclose(k.values, math.pi * GRID_13KM.r ** 2, rtol=1e-14)
 
     def test_beta_ginibre_frozen_value(self):
-        k = theoretical_K(BG_REF, GRID_13KM)
+        k = theoretical_curve("K", BG_REF, GRID_13KM)
         i = np.searchsorted(GRID_13KM.r, 1000.0)
         grid = RadiusGrid(np.array([0.0, 1000.0]))
-        k2 = theoretical_K(BG_REF, grid)
+        k2 = theoretical_curve("K", BG_REF, grid)
         assert k2.values[1] == pytest.approx(BG_K_1000, rel=1e-9)
         # same formula on the default grid brackets the frozen point
         assert k.values[i - 1] < BG_K_1000 < k.values[i + 1]
@@ -151,20 +147,21 @@ class TestClosedFormK:
     def test_cauchy_frozen_value(self):
         spec = CauchyDpp(intensity=1e-6, scale=300.0, shape=1.5)
         grid = RadiusGrid(np.array([0.0, 500.0]))
-        assert theoretical_K(spec, grid).values[1] \
+        assert theoretical_curve("K", spec, grid).values[1] \
             == pytest.approx(CAUCHY_K_500, rel=1e-12)
 
     def test_gauss_frozen_ratio(self):
         scale = 2.0
         spec = GaussDpp(intensity=1.0 / (math.pi * scale ** 2), scale=scale)
         grid = RadiusGrid(np.array([0.0, scale]))
-        got = theoretical_K(spec, grid).values[1] / (math.pi * scale ** 2)
+        got = (theoretical_curve("K", spec, grid).values[1]
+               / (math.pi * scale ** 2))
         assert got == pytest.approx(GAUSS_K_AT_SCALE, rel=1e-12)
 
     def test_zero_radius(self):
         for spec in (Poisson(1.0), BG_REF, GaussDpp(1e-6, 200.0),
                      CauchyDpp(1e-6, 150.0, 2.0)):
-            assert theoretical_K(spec, GRID_13KM).values[0] == 0.0
+            assert theoretical_curve("K", spec, GRID_13KM).values[0] == 0.0
 
     @pytest.mark.parametrize("spec", [
         BG_REF,
@@ -173,7 +170,7 @@ class TestClosedFormK:
         CauchyDpp(LAM_13KM, 300.0, 1.0),
     ])
     def test_repulsive_K_below_poisson_and_nondecreasing(self, spec):
-        k = theoretical_K(spec, GRID_13KM).values
+        k = theoretical_curve("K", spec, GRID_13KM).values
         r = GRID_13KM.r
         assert np.all(k[1:] < math.pi * r[1:] ** 2)
         assert np.all(np.diff(k) >= 0.0)
@@ -186,12 +183,12 @@ class TestClosedFormK:
         base = math.pi * GRID_13KM.r[1:] ** 2
         for spec in (GaussDpp(LAM_13KM, scale),
                      CauchyDpp(LAM_13KM, scale, 1.0)):
-            k = theoretical_K(spec, GRID_13KM).values[1:]
+            k = theoretical_curve("K", spec, GRID_13KM).values[1:]
             assert np.max(np.abs(k - base) / base) < 1e-6
 
     def test_validation_happens_first(self):
         with pytest.raises(ExistenceViolation):
-            theoretical_K(GaussDpp(1.0, 1.0), GRID_13KM)
+            theoretical_curve("K", GaussDpp(1.0, 1.0), GRID_13KM)
 
 
 def product_F_reference(lam, beta, r, k_hi=400, first_k=1):
@@ -206,21 +203,21 @@ class TestGinibreFamilyCurves:
     def test_F_matches_independent_product(self):
         for r in (400.0, 1000.0, 2000.0):
             grid = RadiusGrid(np.array([0.0, r]))
-            got = theoretical_F(BG_REF, grid).values[1]
+            got = theoretical_curve("F", BG_REF, grid).values[1]
             want = product_F_reference(BG_REF.intensity, BG_REF.beta, r)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_G_matches_independent_product(self):
         for r in (400.0, 1000.0, 2000.0):
             grid = RadiusGrid(np.array([0.0, r]))
-            got = theoretical_G(BG_REF, grid).values[1]
+            got = theoretical_curve("G", BG_REF, grid).values[1]
             want = product_F_reference(BG_REF.intensity, BG_REF.beta, r,
                                        first_k=2)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_J_frozen_value_and_closed_form(self):
         grid = RadiusGrid(np.array([0.0, 1000.0]))
-        j = theoretical_J(BG_REF, grid).values[1]
+        j = theoretical_curve("J", BG_REF, grid).values[1]
         assert j == pytest.approx(BG_J_1000, rel=1e-9)
         x = BG_REF.intensity * math.pi * 1e6 / BG_REF.beta
         assert j == pytest.approx(
@@ -230,9 +227,9 @@ class TestGinibreFamilyCurves:
     def test_J_equals_product_ratio(self):
         # closed-form J against the ratio of the two product curves:
         # two independent code paths through the same distribution
-        f = theoretical_F(BG_REF, GRID_13KM).values
-        g = theoretical_G(BG_REF, GRID_13KM).values
-        j = theoretical_J(BG_REF, GRID_13KM).values
+        f = theoretical_curve("F", BG_REF, GRID_13KM).values
+        g = theoretical_curve("G", BG_REF, GRID_13KM).values
+        j = theoretical_curve("J", BG_REF, GRID_13KM).values
         ok = f < 1.0 - 1e-6
         ratio = (1.0 - g[ok]) / (1.0 - f[ok])
         np.testing.assert_allclose(j[ok], ratio, rtol=1e-10)
@@ -240,13 +237,15 @@ class TestGinibreFamilyCurves:
     def test_J_limit_at_large_radius(self):
         spec = BetaGinibre(intensity=100.0, beta=0.5)
         grid = RadiusGrid(np.array([0.0, 10.0]))
-        assert theoretical_J(spec, grid).values[1] \
+        assert theoretical_curve("J", spec, grid).values[1] \
             == pytest.approx(2.0, rel=1e-12)
 
     def test_truncation_converged(self):
         grid = RadiusGrid(np.linspace(0.0, 3250.0, 9))
-        auto = theoretical_F(BG_REF, grid).values
-        long = theoretical_F(BG_REF, grid, k_terms=900).values
+        auto = theoretical_curve("F", BG_REF, grid).values
+        x = BG_REF.intensity * np.pi * grid.r * grid.r / BG_REF.beta
+        long = np.array([1.0 - _bg_survival(xi, BG_REF.beta, 1, 900)
+                         for xi in x])
         np.testing.assert_allclose(auto, long, atol=1e-10, rtol=0.0)
 
     def test_beta_limit_reaches_poisson(self):
@@ -255,23 +254,24 @@ class TestGinibreFamilyCurves:
         # and the 1e-6 band is reached around beta = 1e-6
         lam = 100.0
         grid = RadiusGrid.default(Rectangle(0.0, 1.0, 0.0, 1.0), 128)
-        pois = theoretical_F(Poisson(lam), grid).values
-        f4 = theoretical_F(BetaGinibre(lam, 1e-4), grid).values
+        pois = theoretical_curve("F", Poisson(lam), grid).values
+        f4 = theoretical_curve("F", BetaGinibre(lam, 1e-4), grid).values
         sup4 = np.max(np.abs(f4 - pois))
         assert 1e-5 < sup4 < 3e-5
         peak = RadiusGrid(np.array([0.0, 0.9, 1.0, 1.1])
                           / math.sqrt(lam * math.pi))
-        pois_peak = theoretical_F(Poisson(lam), peak).values
-        f6 = theoretical_F(BetaGinibre(lam, 1e-6), peak).values
+        pois_peak = theoretical_curve("F", Poisson(lam), peak).values
+        f6 = theoretical_curve("F", BetaGinibre(lam, 1e-6), peak).values
         assert np.max(np.abs(f6 - pois_peak)) < 1e-6
 
     def test_poisson_F_G_Jraw(self):
         grid = RadiusGrid(np.array([0.0, 0.05]))
-        f = theoretical_F(Poisson(100.0), grid).values[1]
+        f = theoretical_curve("F", Poisson(100.0), grid).values[1]
         assert f == pytest.approx(0.54406187223400376, rel=1e-12)
-        g = theoretical_G(Poisson(100.0), grid).values[1]
+        g = theoretical_curve("G", Poisson(100.0), grid).values[1]
         assert g == f
-        assert np.allclose(theoretical_J(Poisson(100.0), grid).values, 1.0)
+        j = theoretical_curve("J", Poisson(100.0), grid).values
+        assert np.allclose(j, 1.0)
 
 
 class TestSimulatedCurves:
@@ -283,8 +283,8 @@ class TestSimulatedCurves:
 
     def test_simulated_F_G_behave(self):
         grid = RadiusGrid.default(self.WINDOW, 64)
-        f = theoretical_F(self.SPEC, grid)
-        g = theoretical_G(self.SPEC, grid)
+        f = theoretical_curve("F", self.SPEC, grid)
+        g = theoretical_curve("G", self.SPEC, grid)
         for c in (f, g):
             assert c.origin == "theoretical"
             ok = ~np.isnan(c.values)
@@ -293,7 +293,7 @@ class TestSimulatedCurves:
 
     def test_simulated_J_ratio(self):
         grid = RadiusGrid.default(self.WINDOW, 32)
-        j = theoretical_J(self.SPEC, grid)
+        j = theoretical_curve("J", self.SPEC, grid)
         assert j.origin == "theoretical"
         mid = (grid.r > 0.02) & (grid.r < 0.1)
         vals = j.values[mid]
@@ -361,9 +361,9 @@ class TestFredholmCurves:
         # about P * lambda|B| * lambda pi a^2 / 4, below 1e-6 here
         bound = 1.0 / math.sqrt(math.pi * LAM_13KM)
         spec = GaussDpp(LAM_13KM, scale_fraction * bound)
-        pois = theoretical_F(Poisson(LAM_13KM), GRID_13KM).values
-        for curve in (theoretical_F(spec, GRID_13KM),
-                      theoretical_G(spec, GRID_13KM)):
+        pois = theoretical_curve("F", Poisson(LAM_13KM), GRID_13KM).values
+        for curve in (theoretical_curve("F", spec, GRID_13KM),
+                      theoretical_curve("G", spec, GRID_13KM)):
             np.testing.assert_allclose(curve.values, pois, atol=1e-6,
                                        rtol=0.0)
 
@@ -372,10 +372,10 @@ class TestFredholmCurves:
     def test_repulsive_ordering_and_J_ratio(self, spec):
         # a determinantal void probability never exceeds the Poisson
         # one, and repulsion makes G <= F (J >= 1)
-        f = theoretical_F(spec, GRID_13KM).values
-        g = theoretical_G(spec, GRID_13KM).values
-        j = theoretical_J(spec, GRID_13KM).values
-        pois = theoretical_F(Poisson(LAM_13KM), GRID_13KM).values
+        f = theoretical_curve("F", spec, GRID_13KM).values
+        g = theoretical_curve("G", spec, GRID_13KM).values
+        j = theoretical_curve("J", spec, GRID_13KM).values
+        pois = theoretical_curve("F", Poisson(LAM_13KM), GRID_13KM).values
         assert f[0] == 0.0 and g[0] == 0.0
         assert np.all(f >= pois - 1e-15)
         assert np.all(g <= f + 1e-15)
@@ -387,6 +387,24 @@ class TestFredholmCurves:
         np.testing.assert_allclose(j[ok] * (1.0 - f[ok]), 1.0 - g[ok],
                                    rtol=1e-12, atol=1e-15)
         assert np.all(j[ok] >= 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("spec", [GaussDpp(LAM_13KM, 664.0),
+                                      CAUCHY_SHAPES[50.0]],
+                             ids=["gauss", "cauchy"])
+    def test_one_J_saturation_rule(self, spec):
+        # the empirical ratio applied to the exact F and G is undefined
+        # at exactly the radii where the exact J is, and agrees with
+        # the log-form J everywhere else
+        f = theoretical_curve("F", spec, GRID_13KM)
+        g = theoretical_curve("G", spec, GRID_13KM)
+        exact = theoretical_curve("J", spec, GRID_13KM).values
+        ratio = estimate_J(f, g).values
+        undefined = np.isnan(exact)
+        # F saturates inside the grid, which ends at 3.25 km
+        assert undefined.any() and not undefined[:2].any()
+        np.testing.assert_array_equal(np.isnan(ratio), undefined)
+        np.testing.assert_allclose(ratio[~undefined], exact[~undefined],
+                                   rtol=1e-8, atol=0.0)
 
     @pytest.mark.filterwarnings("ignore:pattern has")
     @pytest.mark.parametrize("spec, base, f_tol, g_tol", [
@@ -407,8 +425,8 @@ class TestFredholmCurves:
             fs.append(estimate_F(pat, grid, n_test=1000,
                                  seed=RngStreamSpec(base, 2 * i + 1)).values)
             gs.append(estimate_G(pat, grid).values)
-        f = theoretical_F(spec, grid).values
-        g = theoretical_G(spec, grid).values
+        f = theoretical_curve("F", spec, grid).values
+        g = theoretical_curve("G", spec, grid).values
         assert np.max(np.abs(np.nanmean(fs, axis=0) - f)) < f_tol
         assert np.max(np.abs(np.nanmean(gs, axis=0) - g)) < g_tol
 
@@ -470,7 +488,7 @@ class TestDeterminantCheck:
         for r in (0.3, 0.8, 1.5):
             h = 1e-5 * r
             grid = RadiusGrid(np.array([0.0, r - h, r + h]))
-            k = theoretical_K(spec, grid).values
+            k = theoretical_curve("K", spec, grid).values
             g_from_K = (k[2] - k[1]) / (2.0 * h) / (2.0 * math.pi * r)
             det = dpp_determinant_check(spec, [[0.0, 0.0], [r, 0.0]])
             assert det / lam ** 2 == pytest.approx(g_from_K, rel=1e-6)

@@ -16,7 +16,7 @@ from cellpp.errors import (ConfigError, ExistenceViolation,
                            TruncationError)
 from cellpp.estimators import RadiusGrid, estimate_G, estimate_K
 from cellpp.geom import Disk, PointPattern, Rectangle
-from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp, theoretical_K
+from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp, theoretical_curve
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import (_projection_sample, sample_beta_ginibre,
                              sample_dpp_spectral, sample_poisson,
@@ -91,7 +91,7 @@ class TestBetaGinibre:
         # Below that radius the check is against the per-radius spread.
         disk = Disk(0.0, 0.0, 5.0)
         grid = RadiusGrid(np.linspace(0.0, 1.5, 16))
-        theory = theoretical_K(BetaGinibre(1.0, 1.0), grid).values
+        theory = theoretical_curve("K", BetaGinibre(1.0, 1.0), grid).values
         curves = np.empty((100, grid.size))
         for i in range(100):
             curves[i] = estimate_K(
@@ -150,7 +150,7 @@ class TestBetaGinibre:
         assert abs(n_a.mean() - n_b.mean()) < 4.0
         sel = grid.r >= 0.3
         assert (np.abs(k_a[sel] - k_b[sel]) / k_b[sel]).max() < 0.10
-        theory = theoretical_K(BetaGinibre(lam, beta), grid).values
+        theory = theoretical_curve("K", BetaGinibre(lam, beta), grid).values
         assert (np.abs(k_a[sel] - theory[sel]) / theory[sel]).max() < 0.08
         assert (np.abs(k_b[sel] - theory[sel]) / theory[sel]).max() < 0.08
 
@@ -208,7 +208,7 @@ class TestSpectral:
         lam = 1.0 / (math.pi * alpha ** 2)
         spec = GaussDpp(intensity=lam, scale=alpha)
         grid = RadiusGrid(np.linspace(0.0, 0.25, 26))
-        theory = theoretical_K(spec, grid).values
+        theory = theoretical_curve("K", spec, grid).values
         mk = mean_k(
             lambda i: sample_dpp_spectral(spec, UNIT_SQUARE,
                                           RngStreamSpec(42, i)),
@@ -221,7 +221,7 @@ class TestSpectral:
         lam = nu / (2.0 * math.pi * alpha ** 2)
         spec = CauchyDpp(intensity=lam, scale=alpha, shape=nu)
         grid = RadiusGrid(np.linspace(0.0, 0.25, 26))
-        theory = theoretical_K(spec, grid).values
+        theory = theoretical_curve("K", spec, grid).values
         mk = mean_k(
             lambda i: sample_dpp_spectral(spec, UNIT_SQUARE,
                                           RngStreamSpec(43, i)),
