@@ -278,7 +278,10 @@ def fit(pattern: PointPattern, family: str,
     ``diagnostics["near_poisson"]`` flags fits that do not improve on
     the Poisson baseline by more than 5% or that pin the shape
     parameter at its near-Poisson bound: such data cannot support a
-    repulsion claim.
+    repulsion claim.  ``diagnostics["pinned_upper_bound"]`` flags fits
+    that end at the top of the search box (beta = 1, a scale at the
+    existence bound, or the largest Cauchy shape): the data ask for
+    more repulsion than the family can give.
     """
     if family not in FAMILY_NAMES:
         raise ConfigError(f"unknown family {family!r}; "
@@ -316,7 +319,7 @@ def fit(pattern: PointPattern, family: str,
         return contrast(emp, mc, spec)
 
     poisson_value = objective_for(Poisson(lam))
-    pinned_low = False
+    pinned_low = pinned_high = False
 
     if family == "poisson":
         model = Poisson(lam)
@@ -330,6 +333,7 @@ def fit(pattern: PointPattern, family: str,
             obj, BETA_SEARCH_MIN, 1.0, rel_tol, max_evaluations)
         model = BetaGinibre(intensity=lam, beta=beta)
         pinned_low = beta <= BETA_SEARCH_MIN * (1.0 + 10.0 * rel_tol)
+        pinned_high = beta >= 1.0 - 10.0 * rel_tol
     elif family == "gauss-dpp":
         scale_max = 1.0 / math.sqrt(math.pi * lam)
 
@@ -344,6 +348,7 @@ def fit(pattern: PointPattern, family: str,
             obj, lo, scale_max, rel_tol, max_evaluations)
         model = GaussDpp(intensity=lam, scale=scale)
         pinned_low = scale <= lo * (1.0 + 10.0 * rel_tol)
+        pinned_high = scale >= scale_max * (1.0 - 10.0 * rel_tol)
     else:
         from scipy import optimize
 
@@ -391,6 +396,9 @@ def fit(pattern: PointPattern, family: str,
                      * math.sqrt(math.exp(float(res.x[1])) / (math.pi * lam)))
         pinned_low = (res.x[0] <= SCALE_FRACTION_MIN * (1.0 + 10.0 * rel_tol)
                       or model.scale > raw_scale * (1.0 + 1e-9))
+        # the box tops: the existence-bound scale and the largest shape
+        pinned_high = (res.x[0] >= 1.0 - 10.0 * rel_tol
+                       or res.x[1] >= hi_w - 10.0 * rel_tol)
 
     if not converged:
         raise ConvergenceError(
@@ -416,6 +424,7 @@ def fit(pattern: PointPattern, family: str,
         "converged": bool(converged),
         "near_poisson": bool(near_poisson),
         "pinned_lower_bound": bool(pinned_low),
+        "pinned_upper_bound": bool(pinned_high),
         "poisson_contrast": float(poisson_value),
         "n_points": int(pattern.n),
         "intensity": float(lam),

@@ -179,15 +179,36 @@ def _bg_log_factors(x: float, beta: float, k_hi: int) -> np.ndarray:
         return np.log((1.0 - beta) + beta * q)
 
 
+# np.exp rounds to exactly 0.0 below about -745.13.
+_LOG_ZERO = -746.0
+# Products up to this many terms are summed in full; longer ones first
+# sum a prefix of at most _BG_PREFIX_MAX terms.
+_BG_SHORT = 1 << 12
+_BG_PREFIX_MAX = 1 << 20
+
+
 def _bg_survival(x: float, beta: float, first_k: int,
                  k_terms: int | None = None) -> float:
     """prod_{k >= first_k} (1 - beta * P(k, x)) for scalar x >= 0.
 
-    ``k_terms`` fixes the product length, for convergence checks."""
+    ``k_terms`` fixes the product length, for convergence checks.
+
+    Every log-factor is <= 0, so once a prefix of them sums below the
+    underflow point the product is exactly 0.0.  Far past the mean
+    count each factor is about log(1 - beta), so a prefix of
+    2 * 746 / -log(1 - beta) terms settles large x without allocating
+    the x-sized product."""
     if x == 0.0:
         return 1.0
     k_hi = _bg_term_count(x) if k_terms is None else int(k_terms)
     k_hi = max(k_hi, first_k)
+    if k_hi > _BG_SHORT:
+        per_term = -math.log1p(-beta) if beta < 1.0 else math.inf
+        prefix = first_k + math.ceil(min(_BG_PREFIX_MAX,
+                                         -2.0 * _LOG_ZERO / per_term))
+        if prefix < k_hi and (_bg_log_factors(x, beta, prefix)[first_k - 1:]
+                              .sum() < _LOG_ZERO):
+            return 0.0
     total = _bg_log_factors(x, beta, k_hi)[first_k - 1:].sum()
     return float(np.exp(total))
 

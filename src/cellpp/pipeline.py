@@ -282,6 +282,11 @@ def read_points_csv(path, x_column: str = "x", y_column: str = "y"):
                                 "row": dict(row)})
     if not points and not rejects:
         raise EmptyInputError(f"{path}: no data rows")
+    if not points:
+        first = rejects[0]
+        raise DataError(f"{path}: all {len(rejects)} rows rejected; first "
+                        f"at line {first['line']} ({first['reason']}): "
+                        f"{first['row']}")
     return np.asarray(points, dtype=float).reshape(-1, 2), rejects
 
 

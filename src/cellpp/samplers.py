@@ -15,6 +15,8 @@ point counts.  Every routine is deterministic given its stream spec.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -51,6 +53,56 @@ def sample_poisson(intensity: float, window: Window, stream) -> PointPattern:
 # least 1/n, so a valid draw exceeds the budget with probability below
 # exp(-1000): the bound never changes a draw, it only stops a hang.
 _PROPOSALS_PER_POINT = 1000
+# Proposal blocks hold at least this many rows (fewer only when n is
+# smaller) and at most this many feature entries, which bounds the
+# block memory to 4 MiB of complex features.
+_BLOCK_FLOOR = 16
+_BLOCK_ENTRIES = 1 << 18
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_setters():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or
+    None when numpy links another BLAS.  Only a library that is already
+    loaded is looked up (RTLD_NOLOAD), never a second copy."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes = [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread.
+
+    The sampler's products are a few hundred elements wide.  OpenBLAS
+    threads them anyway and its idle workers spin: on two cores that
+    doubles CPU time for the same wall time.  A no-op for other BLAS
+    libraries."""
+    setters = _openblas_thread_setters()
+    if setters is None:
+        yield
+        return
+    get, set_ = setters
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _projection_sample(propose, n: int, rng: np.random.Generator,
@@ -63,50 +115,74 @@ def _projection_sample(propose, n: int, rng: np.random.Generator,
     ``features`` holds the eigenfunction values at the location.  Each
     accepted point removes one dimension from the active subspace; the
     acceptance ratio is the squared residual of the feature vector
-    against the span of the previously accepted ones.
+    against the span of the previously accepted ones (Hough, Krishnapur,
+    Peres & Virag 2006, Alg. 18).
+
+    The (proposal, uniform) pairs form one iid sequence that does not
+    depend on the sampler's state, so they are drawn in blocks sized to
+    the expected n / (n - k) proposals of step k, and the unexamined
+    rest of a block carries over to the next step.  Each pending
+    proposal keeps its squared residual, lowered by one rank-one term
+    |<q_k, f>|^2 per accepted point.  Expected cost: about n * H_n
+    proposals, each projected once onto the basis of its draw step,
+    plus O(n) per step it stays pending.
 
     Raises
     ------
     SamplerStallError
-        If a step draws ``_PROPOSALS_PER_POINT * n`` proposals without
-        accepting one (degenerate features).
+        If a step examines ``_PROPOSALS_PER_POINT * n`` proposals,
+        carried ones included, without accepting one (degenerate
+        features).
     """
     limit = _PROPOSALS_PER_POINT * n
+    floor = min(_BLOCK_FLOOR, n)
+    cap = max(floor, _BLOCK_ENTRIES // max(n, 1))
     out = np.empty((n, dim))
     basis = np.empty((n, n), dtype=complex)
     basis_c = np.empty((n, n), dtype=complex)
-    used = 0
-    for step in range(n):
-        batch = 8
-        drawn = 0
-        while True:
-            if drawn >= limit:
-                raise SamplerStallError(
-                    f"sampler stalled at point {step}: no proposal "
-                    f"accepted in {drawn} draws")
-            drawn += batch
-            pts, feats = propose(batch)
-            norm2 = np.einsum("ij,ij->i", feats.conj(), feats).real
-            if used:
-                proj = feats @ basis_c[:used].T
-                resid = norm2 - np.einsum("ij,ij->i", proj.conj(), proj).real
-            else:
-                resid = norm2
-            hit = np.nonzero(rng.uniform(size=batch) * norm2 < resid)[0]
-            if hit.size:
-                j = int(hit[0])
-                out[step] = pts[j]
-                v = feats[j]
-                break
-            batch = min(2 * batch, 512)
-        # twice through Gram-Schmidt keeps the basis orthonormal
-        for _ in range(2 if used else 0):
-            v = v - (basis_c[:used] @ v) @ basis[:used]
-        nv = np.linalg.norm(v)
-        basis[used] = v / nv
-        basis_c[used] = np.conj(basis[used])
-        used += 1
+    pos = size = 0
+    with _single_blas_thread():
+        for step in range(n):
+            examined = 0
+            while True:
+                if pos == size:
+                    if examined >= limit:
+                        raise SamplerStallError(
+                            f"sampler stalled at point {step}: no proposal "
+                            f"accepted in {examined} draws")
+                    size = min(cap, max(floor, -(-n // (n - step))))
+                    pts, feats = propose(size)
+                    norm2 = _sq_norms(feats)
+                    thresh = rng.uniform(size=size) * norm2
+                    resid = norm2
+                    if step:
+                        resid = norm2 - _sq_norms(feats @ basis_c[:step].T)
+                    pos = 0
+                hit = thresh[pos:] < resid[pos:]
+                j = int(hit.argmax())
+                if hit[j]:
+                    examined += j + 1
+                    v = feats[pos + j]
+                    out[step] = pts[pos + j]
+                    pos += j + 1
+                    break
+                examined += size - pos
+                pos = size
+            # twice through Gram-Schmidt keeps the basis orthonormal
+            for _ in range(2 if step else 0):
+                v = v - (basis_c[:step] @ v) @ basis[:step]
+            basis[step] = v / np.linalg.norm(v)
+            basis_c[step] = np.conj(basis[step])
+            if pos < size:
+                c = feats[pos:] @ basis_c[step]
+                resid[pos:] -= c.real * c.real + c.imag * c.imag
     return out
+
+
+def _sq_norms(z: np.ndarray) -> np.ndarray:
+    """Row-wise squared norms of a complex matrix."""
+    w = np.ascontiguousarray(z).view(float)
+    return np.einsum("ij,ij->i", w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +218,11 @@ def _ginibre_disk(intensity: float, beta: float, radius: float,
         log_norm = 0.5 * ((ks + 1.0) * math.log(c) - math.log(math.pi)
                           - gammaln(ks + 1.0) - np.log(p_k))
 
+    # The phase exp(i k theta) of mode k is the running product of
+    # exp(i g theta) over the gaps g between consecutive kept modes;
+    # only the distinct gaps need an exp.
+    gaps, gap_of = np.unique(np.diff(ks, prepend=0.0), return_inverse=True)
+
     def propose(m):
         pick = rng.integers(0, n, size=m)
         u = rng.uniform(size=m)
@@ -150,7 +231,9 @@ def _ginibre_disk(intensity: float, beta: float, radius: float,
         th = rng.uniform(0.0, 2.0 * math.pi, size=m)
         log_mag = (log_norm[None, :] + np.outer(np.log(r), ks)
                    - 0.5 * (c * r * r)[:, None])
-        feats = np.exp(log_mag + 1j * np.outer(th, ks))
+        steps = np.exp(1j * np.outer(th, gaps))[:, gap_of]
+        feats = np.cumprod(steps, axis=1)
+        feats *= np.exp(log_mag)
         return np.column_stack([r * np.cos(th), r * np.sin(th)]), feats
 
     return _projection_sample(propose, n, rng)
@@ -270,18 +353,24 @@ def sample_dpp_spectral(spec: ModelSpec, window: Window, stream, *,
     fy = gy.ravel() / t2
     evals = np.clip(_spectral_density(spec, np.hypot(fx, fy)), 0.0, 1.0)
     keep = rng.uniform(size=n_modes) < evals
-    fx, fy = fx[keep], fy[keep]
-    n = fx.size
+    ix, iy = gx.ravel()[keep], gy.ravel()[keep]
+    n = ix.size
     if n == 0:
         return PointPattern(points=np.empty((0, 2)), window=window)
 
     inv_sqrt_area = 1.0 / math.sqrt(area)
 
+    def powers(z, k):
+        # z**p for p = -k..k, column p + k, from one running product
+        pos = np.cumprod(np.broadcast_to(z[:, None], (z.size, k)), axis=1)
+        return np.hstack([np.conj(pos[:, ::-1]), np.ones((z.size, 1)), pos])
+
     def propose(m):
         x = rng.uniform(0.0, t1, size=m)
         y = rng.uniform(0.0, t2, size=m)
-        phase = np.outer(x, fx) + np.outer(y, fy)
-        feats = np.exp(2j * math.pi * phase) * inv_sqrt_area
+        px = powers(np.exp(2j * math.pi / t1 * x), k1) * inv_sqrt_area
+        py = powers(np.exp(2j * math.pi / t2 * y), k2)
+        feats = px[:, ix + k1] * py[:, iy + k2]
         return np.column_stack([x, y]), feats
 
     torus_pts = _projection_sample(propose, n, rng)

@@ -389,6 +389,20 @@ class TestPipeline:
         assert rc == 2
         assert "config error [window]: bad window" in capsys.readouterr().err
 
+    def test_all_planar_rows_rejected_exits_3(self, tmp_path, capsys):
+        # numpy reprs in place of numbers: every row fails to parse
+        path = tmp_path / "reprs.csv"
+        path.write_text("x,y\n" + "".join(
+            f"np.float64({i}.5),np.float64({2 * i}.5)\n"
+            for i in range(150)))
+        rc = main(["pipeline", "--families", "poisson", "--input",
+                   str(path), "--planar"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error [ingest]: " in err
+        assert "all 150 rows rejected; first at line 2" in err
+        assert "np.float64(0.5)" in err
+
     def test_missing_input_exits_2(self, capsys):
         rc = main(["pipeline", "--families", "poisson"])
         assert rc == 2

@@ -10,8 +10,9 @@ import pytest
 from cellpp.errors import (ConfigError, ConvergenceError,
                            InsufficientDataError, InsufficientRangeError)
 from cellpp.estimators import RadiusGrid, SummaryCurve, empirical_curves
-from cellpp.fitting import (DEFAULT_RANGE_FRACTION, FIT_MODE_BUDGET,
-                            ContrastSpec, FitResult, contrast, fit)
+from cellpp.fitting import (CAUCHY_SHAPE_BOUNDS, DEFAULT_RANGE_FRACTION,
+                            FIT_MODE_BUDGET, ContrastSpec, FitResult,
+                            contrast, fit)
 from cellpp.geom import PointPattern, Rectangle
 from cellpp.models import BetaGinibre
 from cellpp.rng import RngStreamSpec
@@ -204,6 +205,32 @@ class TestFitSpectralFamilies:
         assert 0.0 < res.model.scale <= bound + 1e-9
         assert res.diagnostics["converged"]
         assert spectral_mode_count(res.model, KM13) <= FIT_MODE_BUDGET
+
+    def test_fits_pinned_at_either_bound_are_flagged(self, bg_pattern):
+        # strong repulsion drives Gauss to its existence-bound scale and
+        # Cauchy to its largest shape; a plain Ginibre draw drives beta
+        # to 1; Poisson data drive the shape to its near-Poisson end
+        kc = ContrastSpec(statistic="K")
+        pinned = {
+            "gauss-dpp": fit(bg_pattern, "gauss-dpp", kc),
+            "cauchy-dpp": fit(bg_pattern, "cauchy-dpp", kc),
+            "beta-ginibre": fit(sample_beta_ginibre(
+                0.7e-6, 1.0, KM13, RngStreamSpec(94, 0)), "beta-ginibre"),
+        }
+        lam = pinned["gauss-dpp"].diagnostics["intensity"]
+        assert pinned["gauss-dpp"].model.scale == pytest.approx(
+            1.0 / math.sqrt(math.pi * lam), rel=1e-5)
+        assert pinned["cauchy-dpp"].model.shape == pytest.approx(
+            CAUCHY_SHAPE_BOUNDS[1], rel=1e-5)
+        assert pinned["beta-ginibre"].model.beta == pytest.approx(1.0,
+                                                                  rel=1e-5)
+        for res in pinned.values():
+            assert res.diagnostics["pinned_upper_bound"]
+            assert not res.diagnostics["pinned_lower_bound"]
+        low = fit(sample_poisson(0.7e-6, KM13, RngStreamSpec(91, 0)),
+                  "beta-ginibre")
+        assert low.diagnostics["pinned_lower_bound"]
+        assert not low.diagnostics["pinned_upper_bound"]
 
     def test_gauss_scale_equivariance(self):
         pat = sample_beta_ginibre(0.7e-6, 0.6, KM13, RngStreamSpec(92, 0))

@@ -264,6 +264,28 @@ class TestGinibreFamilyCurves:
         f6 = theoretical_curve("F", BetaGinibre(lam, 1e-6), peak).values
         assert np.max(np.abs(f6 - pois_peak)) < 1e-6
 
+    def test_dense_window_product_stays_bounded(self):
+        # lam pi r^2 / beta reaches 4.7e9 at the last radius: the
+        # product length follows x, the underflow does not
+        import time
+
+        start = time.perf_counter()
+        f = theoretical_curve("F", BetaGinibre(100.0, 0.7), GRID_13KM).values
+        assert time.perf_counter() - start < 2.0
+        assert f[-1] == 1.0
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("first_k", [1, 2])
+    def test_underflow_shortcut_matches_full_product(self, beta, first_k):
+        # the shortcut returns 0.0 exactly where the full product does,
+        # and the full product otherwise
+        from cellpp.models import _bg_log_factors, _bg_term_count
+
+        for x in np.geomspace(10.0, 1e5, 60):
+            k_hi = max(_bg_term_count(x), first_k)
+            full = np.exp(_bg_log_factors(x, beta, k_hi)[first_k - 1:].sum())
+            assert _bg_survival(x, beta, first_k) == float(full)
+
     def test_poisson_F_G_Jraw(self):
         grid = RadiusGrid(np.array([0.0, 0.05]))
         f = theoretical_curve("F", Poisson(100.0), grid).values[1]

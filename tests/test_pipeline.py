@@ -176,7 +176,7 @@ class TestPointsCsv:
 class TestLoadPattern:
     def test_planar_with_window(self, bg_config):
         pattern, info = load_pattern(PipelineConfig(**bg_config))
-        assert pattern.n == info["n_clipped"] == 122
+        assert pattern.n == info["n_clipped"] == 119
         assert info["rejects"] == []
 
     def test_ingest_projection_path(self, tmp_path):
@@ -240,8 +240,8 @@ class TestFullRun:
             assert set(v) == {"kind", "passed", "first_exit_radius",
                               "exceedance_fraction", "n_defined", "r_max"}
         ds = report.dataset
-        assert ds["n_points"] == 122
-        assert ds["intensity"] == pytest.approx(122 / 13000.0 ** 2)
+        assert ds["n_points"] == 119
+        assert ds["intensity"] == pytest.approx(119 / 13000.0 ** 2)
         assert ds["test_points"] == 10000
         assert report.stationarity["rejected"] is False
 
