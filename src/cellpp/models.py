@@ -181,9 +181,7 @@ def _bg_log_factors(x: float, beta: float, k_hi: int) -> np.ndarray:
 
 # np.exp rounds to exactly 0.0 below about -745.13.
 _LOG_ZERO = -746.0
-# Products up to this many terms are summed in full; longer ones first
-# sum a prefix of at most _BG_PREFIX_MAX terms.
-_BG_SHORT = 1 << 12
+# Longest prefix summed before the full product.
 _BG_PREFIX_MAX = 1 << 20
 
 
@@ -202,13 +200,12 @@ def _bg_survival(x: float, beta: float, first_k: int,
         return 1.0
     k_hi = _bg_term_count(x) if k_terms is None else int(k_terms)
     k_hi = max(k_hi, first_k)
-    if k_hi > _BG_SHORT:
-        per_term = -math.log1p(-beta) if beta < 1.0 else math.inf
-        prefix = first_k + math.ceil(min(_BG_PREFIX_MAX,
-                                         -2.0 * _LOG_ZERO / per_term))
-        if prefix < k_hi and (_bg_log_factors(x, beta, prefix)[first_k - 1:]
-                              .sum() < _LOG_ZERO):
-            return 0.0
+    per_term = -math.log1p(-beta) if beta < 1.0 else math.inf
+    prefix = first_k + math.ceil(min(_BG_PREFIX_MAX,
+                                     -2.0 * _LOG_ZERO / per_term))
+    if prefix < k_hi and (_bg_log_factors(x, beta, prefix)[first_k - 1:]
+                          .sum() < _LOG_ZERO):
+        return 0.0
     total = _bg_log_factors(x, beta, k_hi)[first_k - 1:].sum()
     return float(np.exp(total))
 

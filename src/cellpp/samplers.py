@@ -64,7 +64,9 @@ _BLOCK_ENTRIES = 1 << 18
 def _openblas_thread_setters():
     """(get, set) for the thread count of numpy's bundled OpenBLAS, or
     None when numpy links another BLAS.  Only a library that is already
-    loaded is looked up (RTLD_NOLOAD), never a second copy."""
+    loaded is looked up (RTLD_NOLOAD), never a second copy.  Only the
+    scipy-openblas64 build that numpy>=2 Linux wheels ship is found;
+    other installs get None and keep their thread count."""
     import ctypes
     import glob
     import os
@@ -91,7 +93,9 @@ def _single_blas_thread():
     The sampler's products are a few hundred elements wide.  OpenBLAS
     threads them anyway and its idle workers spin: on two cores that
     doubles CPU time for the same wall time.  A no-op for other BLAS
-    libraries."""
+    libraries.  The count is process-global: samplers running in
+    several threads at once can restore it out of order and leave it
+    at 1."""
     setters = _openblas_thread_setters()
     if setters is None:
         yield

@@ -186,11 +186,13 @@ class TestBetaGinibre:
 
 class TestSpectral:
     def test_weak_repulsion_is_poisson_like(self):
-        # lam * pi * alpha^2 = 0.01: interaction mass is 1% and the
-        # exact K sits within 5% of the Poisson parabola out to 5*alpha.
-        # At the first radius it is 4.9% below it, two standard errors
-        # of the 400-draw mean, so the draws are held to the exact K in
-        # units of their per-radius standard error.
+        # lam * pi * alpha^2 = 0.01: interaction mass is 1% and K
+        # should sit on the Poisson parabola out to 5*alpha.  The exact
+        # K does, within 5%; at r = 0.018 it is 4.9% below pi r^2, so a
+        # faithful sampler's 400-draw mean (standard error 2.5% there)
+        # leaves that band on about half of all seeds.  The draws are
+        # therefore held to the exact K with the same half-width,
+        # 5% of pi r^2, pooled over two independent 400-draw trials.
         lam = 100.0
         alpha = math.sqrt(0.01 / (lam * math.pi))
         spec = GaussDpp(intensity=lam, scale=alpha)
@@ -201,14 +203,12 @@ class TestSpectral:
         pois = math.pi * grid.r[sel] ** 2
         theory = theoretical_curve("K", spec, grid).values[sel]
         assert (np.abs(theory - pois) / pois).max() < 0.05
-        curves = np.array([
-            estimate_K(sample_dpp_spectral(spec, UNIT_SQUARE,
-                                           RngStreamSpec(41, i)),
-                       grid).values[sel]
-            for i in range(400)])
-        se = curves.std(axis=0, ddof=1) / math.sqrt(400)
-        z = np.abs(curves.mean(axis=0) - theory) / se
-        assert z.max() < 3.0
+        trials = [
+            mean_k(lambda i, seed=seed: sample_dpp_spectral(
+                spec, UNIT_SQUARE, RngStreamSpec(seed, i)), 400, grid)
+            for seed in (41, 1041)]
+        mk = np.mean(trials, axis=0)[sel]
+        assert (np.abs(mk - theory) / pois).max() < 0.05
 
     def test_gauss_at_existence_boundary(self):
         alpha = 0.06
