@@ -40,7 +40,7 @@ from .gof import (
     verdict,
     write_band_csv,
 )
-from .models import model_from_dict, model_to_dict
+from .models import model_from_dict, model_to_dict, theoretical_curve
 from .pipeline import (
     PipelineConfig,
     auto_window,
@@ -242,17 +242,15 @@ def _cmd_gof(args) -> int:
     grid = _grid_from_args(args, pattern.window)
     curves = empirical_curves(pattern, grid, seed=RngStreamSpec(args.seed))
     reps = replicate_curves(spec, pattern.window, args.replicates, grid,
-                            stream=RngStreamSpec(args.seed, 1))
+                            stream=RngStreamSpec(args.seed, 1),
+                            n_test=curves["F"].meta["n_test"])
     out = {}
     for kind in kinds:
         if args.mode == "global":
-            band = global_envelope(spec, pattern.window, kind,
-                                   args.replicates, grid=grid,
-                                   replicate_values=reps[kind])
+            band = global_envelope(reps[kind],
+                                   theoretical_curve(kind, spec, grid))
         else:
-            band = pointwise_envelope(spec, pattern.window, kind,
-                                      args.replicates, grid=grid,
-                                      replicate_values=reps[kind])
+            band = pointwise_envelope(reps[kind], grid, kind)
         v = verdict(band, curves[kind], r_max=args.r_max)
         out[kind] = v.to_dict()
         out[kind]["significance"] = band.significance

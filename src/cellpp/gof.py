@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .estimators import (
     empirical_curves,
 )
 from .geom import Window
-from .models import ModelSpec, check_valid, model_to_dict, theoretical_curve
+from .models import ModelSpec, check_valid
 from .rng import as_stream
 
 MIN_REPLICATES = 19
@@ -58,7 +58,6 @@ class EnvelopeBand:
     replicates: int
     significance: float
     reference: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
@@ -102,14 +101,13 @@ class GofVerdict:
 
 
 def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
-                     grid: RadiusGrid, *, stream=0,
-                     n_test: int | None = None,
-                     correction: str = "border") -> dict:
+                     grid: RadiusGrid, *, stream, n_test: int) -> dict:
     """Empirical K/F/G/J of ``replicates`` realizations of ``spec``.
 
-    Returns a dict of kind -> (replicates, grid size) arrays.  Pass the
-    data's F test-point count as ``n_test`` so replicate curves carry
-    the same estimator bias as the data curve they calibrate.
+    Returns a dict of kind -> (replicates, grid size) arrays, the input
+    of both band functions.  ``n_test`` is the data's F test-point
+    count, so replicate curves carry the same estimator bias as the
+    data curve they calibrate.
     """
     from .samplers import sample
 
@@ -124,101 +122,69 @@ def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
                 f"{pattern.n} points; window too small for this model")
         curves = empirical_curves(
             pattern, grid, n_test=n_test,
-            seed=base.substream(_REPLICATE_STRIDE * i + 1),
-            correction=correction)
+            seed=base.substream(_REPLICATE_STRIDE * i + 1))
         for kind, curve in curves.items():
             out[kind][i] = curve.values
     return out
 
 
-def _envelope_values(spec: ModelSpec, window: Window, statistic: str,
-                     replicates: int, grid: RadiusGrid | None, stream,
-                     n_test: int | None, correction: str,
-                     replicate_values: np.ndarray | None):
-    """The steps both bands share: check M, default the grid, draw the
-    replicates unless given, check their shape.  Returns (grid, values).
-    """
-    if replicates < MIN_REPLICATES:
+def _replicate_array(values, grid: RadiusGrid) -> np.ndarray:
+    """``values`` as an (M, grid size) float array, M checked against
+    the replicate minimum."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != grid.size:
+        raise GridMismatchError(
+            f"replicate values have shape {values.shape}, expected "
+            f"(replicates, {grid.size})")
+    m = values.shape[0]
+    if m < MIN_REPLICATES:
         raise ConfigError(f"envelope needs at least {MIN_REPLICATES} "
-                          f"replicates, got {replicates}")
-    if replicates < RECOMMENDED_REPLICATES:
-        warnings.warn(f"{replicates} replicates gives a weak test; "
+                          f"replicates, got {m}")
+    if m < RECOMMENDED_REPLICATES:
+        warnings.warn(f"{m} replicates gives a weak test; "
                       f"{RECOMMENDED_REPLICATES} is the usual choice",
                       stacklevel=3)
-    if grid is None:
-        grid = RadiusGrid.default(window)
-    if replicate_values is None:
-        replicate_values = replicate_curves(
-            spec, window, replicates, grid, stream=stream,
-            n_test=n_test, correction=correction)[statistic]
-    values = np.asarray(replicate_values, dtype=float)
-    if values.shape != (replicates, grid.size):
-        raise GridMismatchError(
-            f"replicate values have shape {values.shape}, "
-            f"expected {(replicates, grid.size)}")
-    return grid, values
+    return values
 
 
-def pointwise_envelope(spec: ModelSpec, window: Window, statistic: str,
-                       replicates: int = RECOMMENDED_REPLICATES, *,
-                       grid: RadiusGrid | None = None, stream=0,
-                       n_test: int | None = None,
-                       correction: str = "border",
-                       replicate_values: np.ndarray | None = None
-                       ) -> EnvelopeBand:
-    """Min/max band of the statistic over simulated realizations.
+def pointwise_envelope(values, grid: RadiusGrid, kind: str) -> EnvelopeBand:
+    """Min/max band over the rows of ``values``, the (M, grid size)
+    replicate curves of statistic ``kind``.
 
     A data curve escaping this band anywhere rejects the model at
-    significance 2/(replicates+1).  ``replicate_values`` lets several
-    bands share one set of realizations.
+    significance 2/(M+1).
     """
-    grid, values = _envelope_values(spec, window, statistic, replicates,
-                                    grid, stream, n_test, correction,
-                                    replicate_values)
+    values = _replicate_array(values, grid)
+    m = values.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         lower = np.nanmin(values, axis=0)
         upper = np.nanmax(values, axis=0)
-    return EnvelopeBand(grid=grid, lower=lower, upper=upper, kind=statistic,
-                        mode="pointwise", replicates=replicates,
-                        significance=2.0 / (replicates + 1),
-                        meta=model_to_dict(spec))
+    return EnvelopeBand(grid=grid, lower=lower, upper=upper, kind=kind,
+                        mode="pointwise", replicates=m,
+                        significance=2.0 / (m + 1))
 
 
-def global_envelope(spec: ModelSpec, window: Window, statistic: str,
-                    replicates: int = RECOMMENDED_REPLICATES, *,
-                    grid: RadiusGrid | None = None, stream=0,
-                    n_test: int | None = None, correction: str = "border",
-                    replicate_values: np.ndarray | None = None,
-                    reference: SummaryCurve | None = None) -> EnvelopeBand:
+def global_envelope(values, reference: SummaryCurve) -> EnvelopeBand:
     """Model curve plus/minus the largest replicate deviation.
 
-    The band is centred on the exact model curve (or ``reference``, a
-    curve of the same statistic) and has half-width D = max over
-    replicates and radii of the absolute deviation; significance
-    1/(replicates+1).
+    ``values`` holds the (M, grid size) replicate curves of the
+    statistic of ``reference``, the model curve, whose grid and kind the
+    band takes.  The band has half-width D = max over replicates and
+    radii of the absolute deviation; significance 1/(M+1).
     """
-    grid, values = _envelope_values(spec, window, statistic, replicates,
-                                    grid, stream, n_test, correction,
-                                    replicate_values)
-    if reference is None:
-        reference = theoretical_curve(statistic, spec, grid)
-    elif reference.kind != statistic:
-        raise ConfigError(f"reference curve is {reference.kind}, band is "
-                          f"for {statistic}")
-    elif not reference.grid.matches(grid):
-        raise GridMismatchError("reference curve is on a different grid")
+    values = _replicate_array(values, reference.grid)
+    m = values.shape[0]
     ref = reference.values
     deviations = np.abs(values - ref[None, :])
     if not np.any(np.isfinite(deviations)):
         raise ConfigError("no radius has both replicate and reference "
                           "values; cannot build a global band")
     d_max = float(np.nanmax(deviations))
-    return EnvelopeBand(grid=grid, lower=ref - d_max, upper=ref + d_max,
-                        kind=statistic, mode="global",
-                        replicates=replicates,
-                        significance=1.0 / (replicates + 1),
-                        reference=ref, meta=model_to_dict(spec))
+    return EnvelopeBand(grid=reference.grid, lower=ref - d_max,
+                        upper=ref + d_max, kind=reference.kind,
+                        mode="global", replicates=m,
+                        significance=1.0 / (m + 1), reference=ref)
 
 
 def verdict(band: EnvelopeBand, empirical: SummaryCurve,
@@ -229,7 +195,8 @@ def verdict(band: EnvelopeBand, empirical: SummaryCurve,
     curve must lie inside [lower, upper] at every remaining radius.
     ``r_max`` limits the test to small radii, typically the fitted
     contrast range, so the verdict covers the scales the fit claims
-    to describe.
+    to describe.  A verdict with no radius left to test would pass
+    vacuously, so it raises ``ConfigError`` instead.
     """
     if not band.grid.matches(empirical.grid):
         raise GridMismatchError("band and curve are on different grids")
@@ -241,11 +208,15 @@ def verdict(band: EnvelopeBand, empirical: SummaryCurve,
                & np.isfinite(values))
     if r_max is not None:
         defined &= band.grid.r <= r_max
+    n_defined = int(defined.sum())
+    if n_defined == 0:
+        limit = "" if r_max is None else f" up to r_max={r_max}"
+        raise ConfigError(f"no {band.kind} radius{limit} has both a band "
+                          f"and a curve value; nothing to test")
     inside = np.zeros_like(defined)
     inside[defined] = ((values[defined] >= band.lower[defined])
                        & (values[defined] <= band.upper[defined]))
     exits = defined & ~inside
-    n_defined = int(defined.sum())
     if exits.any():
         first_exit = float(band.grid.r[int(np.argmax(exits))])
         frac = float(exits.sum() / n_defined)

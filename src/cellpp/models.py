@@ -161,9 +161,8 @@ def normalized_lower_incomplete_gamma(k: int, x):
 
 def _bg_term_count(x: float) -> int:
     # smallest k with beta * P(k, x) below 1e-14, by a Poisson tail
-    # bound; the 10*ceil(x) + 200 cap is a guard that never binds
-    bound = int(math.ceil(x + 12.0 * math.sqrt(x + 1.0) + 30.0))
-    return min(bound, 10 * int(math.ceil(x)) + 200)
+    # bound; also the mode count of the Ginibre sampler
+    return int(math.ceil(x + 12.0 * math.sqrt(x + 1.0) + 30.0))
 
 
 def _bg_log_factors(x: float, beta: float, k_hi: int) -> np.ndarray:

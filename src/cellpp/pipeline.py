@@ -18,7 +18,7 @@ import math
 import platform
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -207,21 +207,7 @@ class PipelineConfig:
         return ContrastSpec(**self.contrast)
 
     def to_dict(self) -> dict:
-        return {
-            "input": self.input, "planar": self.planar,
-            "columns": dict(self.columns), "filters": dict(self.filters),
-            "projection": self.projection, "window": self.window,
-            "auto_window_min_points": self.auto_window_min_points,
-            "duplicates": self.duplicates, "families": list(self.families),
-            "contrast": dict(self.contrast), "envelope": dict(self.envelope),
-            "grid_points": self.grid_points,
-            "fit_replicates": self.fit_replicates,
-            "model_test_points": self.model_test_points,
-            "max_evaluations": self.max_evaluations,
-            "master_seed": self.master_seed,
-            "output_dir": self.output_dir,
-            "place": self.place, "technology": self.technology,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +456,13 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
                                          ("pointwise", "global")}
             for kind in CURVE_KINDS:
                 if mode in ("pointwise", "both"):
-                    band = pointwise_envelope(
-                        res.model, window, kind, replicates, grid=grid,
-                        replicate_values=reps[kind])
+                    band = pointwise_envelope(reps[kind], grid, kind)
                     all_bands[(family, kind, "pointwise")] = band
                     verdicts["pointwise"][kind] = verdict(
                         band, curves[kind], r_max=verdict_r_max)
                 if mode in ("global", "both"):
-                    band = global_envelope(
-                        res.model, window, kind, replicates, grid=grid,
-                        replicate_values=reps[kind],
-                        reference=res.model_curves[kind])
+                    band = global_envelope(reps[kind],
+                                           res.model_curves[kind])
                     all_bands[(family, kind, "global")] = band
                     verdicts["global"][kind] = verdict(
                         band, curves[kind], r_max=verdict_r_max)

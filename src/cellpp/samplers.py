@@ -30,6 +30,7 @@ from .models import (
     GaussDpp,
     ModelSpec,
     Poisson,
+    _bg_term_count,
     _spectral_density,
     check_valid,
 )
@@ -205,7 +206,7 @@ def _ginibre_disk(intensity: float, beta: float, radius: float,
     """
     c = intensity * math.pi / beta
     t_cap = c * radius * radius
-    k_hi = int(math.ceil(t_cap + 12.0 * math.sqrt(t_cap + 1.0) + 30.0))
+    k_hi = _bg_term_count(t_cap)
     if k_hi > k_budget:
         raise TruncationError(required=k_hi, budget=k_budget)
 

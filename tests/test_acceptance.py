@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from cellpp.errors import ConfigError
-from cellpp.estimators import RadiusGrid, estimate_F, estimate_G, estimate_K
+from cellpp.estimators import (RadiusGrid, default_test_point_count,
+                               estimate_F, estimate_G, estimate_K)
 from cellpp.fitting import ContrastSpec, fit
 from cellpp.geom import Disk, PointPattern, Rectangle
-from cellpp.gof import global_envelope, pointwise_envelope
+from cellpp.gof import global_envelope, pointwise_envelope, replicate_curves
 from cellpp.models import (BetaGinibre, CauchyDpp, GaussDpp, Poisson,
                            _bg_survival, theoretical_curve)
 from cellpp.pipeline import (PipelineConfig, load_pattern, run_pipeline,
@@ -152,21 +153,25 @@ def test_envelope_calibration():
     t0 = time.perf_counter()
     pois = Poisson(100.0)
     grid = RadiusGrid(np.linspace(0.0, 0.25, 32))
+    # the F test-point count of every pattern below 1,000 points
+    n_test = default_test_point_count(100)
     rates = []
     for trial in range(100):
         data = sample_poisson(100.0, UNIT, RngStreamSpec(86, 2 * trial))
-        band = pointwise_envelope(pois, UNIT, "K", 39, grid=grid,
-                                  stream=RngStreamSpec(86, 2 * trial + 1))
+        reps = replicate_curves(pois, UNIT, 39, grid,
+                                stream=RngStreamSpec(86, 2 * trial + 1),
+                                n_test=n_test)
+        band = pointwise_envelope(reps["K"], grid, "K")
         emp = estimate_K(data, grid).values
         ok = (np.isfinite(emp) & np.isfinite(band.lower)
               & np.isfinite(band.upper))
         inside = (band.lower[ok] <= emp[ok]) & (emp[ok] <= band.upper[ok])
         rates.append(float(np.mean(inside)))
     assert np.mean(rates) >= 0.90        # measured 0.943
-    band = pointwise_envelope(pois, UNIT, "K", 39, grid=grid,
-                              stream=RngStreamSpec(86, 1))
-    gband = global_envelope(pois, UNIT, "K", 39, grid=grid,
-                            stream=RngStreamSpec(86, 1))
+    reps = replicate_curves(pois, UNIT, 39, grid, stream=RngStreamSpec(86, 1),
+                            n_test=n_test)
+    band = pointwise_envelope(reps["K"], grid, "K")
+    gband = global_envelope(reps["K"], theoretical_curve("K", pois, grid))
     assert band.significance == 2.0 / 40.0
     assert gband.significance == 1.0 / 40.0
     _report("envelope calibration", t0)

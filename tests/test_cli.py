@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import cellpp
+from cellpp import estimators
 from cellpp.cli import main
+from cellpp.estimators import default_test_point_count, estimate_F
 from cellpp.geom import Rectangle
 from cellpp.models import Poisson
 from cellpp.pipeline import read_points_csv, write_points_csv
@@ -250,10 +252,36 @@ class TestGof:
         assert list(out["verdicts"]) == ["J"]
         assert out["verdicts"]["J"]["significance"] == pytest.approx(0.05)
 
+    def test_replicates_use_the_data_test_point_count(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # above 1,000 points the default count grows with the pattern, so
+        # each replicate would pick its own unless given the data's
+        window = Rectangle(0.0, 1000.0, 0.0, 1000.0)
+        pat = sample_poisson(1.2e-3, window, RngStreamSpec(201))
+        path = tmp_path / "dense.csv"
+        write_points_csv(path, pat.points)
+        counts = []
+
+        def spy(*args, **kwargs):
+            curve = estimate_F(*args, **kwargs)
+            counts.append(curve.meta["n_test"])
+            return curve
+
+        monkeypatch.setattr(estimators, "estimate_F", spy)
+        with pytest.warns(UserWarning, match="weak test"):
+            rc = main(["gof", "--input", str(path), "--window", WINDOW_FLAG,
+                       "--family", "poisson", "--intensity", "1.2e-3",
+                       "--statistics", "F", "--replicates", "19",
+                       "--grid-points", "32", "--seed", "3"])
+        assert rc == 0
+        assert len(counts) == 20
+        assert set(counts) == {default_test_point_count(pat.n)}
+
     @pytest.mark.parametrize("flags, message", [
         (["--grid-points", "1"], "--grid-points 1"),
         (["--statistics", "K,L"], "--statistics 'K,L'"),
-    ], ids=["grid-points", "statistics"])
+        (["--r-max", "-1"], "no K radius up to r_max=-1.0 has"),
+    ], ids=["grid-points", "statistics", "r-max"])
     def test_bad_flags_exit_2(self, pp_csv, capsys, flags, message):
         path, pat = pp_csv
         rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,

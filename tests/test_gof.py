@@ -38,37 +38,33 @@ def band(lower, upper, kind="K", mode="pointwise", grid=GRID,
 class TestSignificance:
     def test_pointwise_39(self):
         reps = np.tile(np.linspace(0.0, 3.0, GRID.size), (39, 1))
-        b = pointwise_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
-                               grid=GRID, replicate_values=reps)
+        b = pointwise_envelope(reps, GRID, "K")
         assert b.significance == 2.0 / 40.0
         assert b.mode == "pointwise"
 
     def test_pointwise_19_warns(self):
         reps = np.tile(np.linspace(0.0, 3.0, GRID.size), (19, 1))
         with pytest.warns(UserWarning, match="weak test"):
-            b = pointwise_envelope(Poisson(100.0), UNIT_SQUARE, "K", 19,
-                                   grid=GRID, replicate_values=reps)
+            b = pointwise_envelope(reps, GRID, "K")
         assert b.significance == pytest.approx(0.10)
 
     def test_global_39(self):
         reps = np.tile(np.linspace(0.0, 3.0, GRID.size), (39, 1))
         ref = theoretical_curve("K", Poisson(100.0), GRID)
-        b = global_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
-                            grid=GRID, replicate_values=reps, reference=ref)
+        b = global_envelope(reps, ref)
         assert b.significance == 1.0 / 40.0
 
     def test_below_minimum_rejected(self):
-        with pytest.raises(ConfigError):
-            pointwise_envelope(Poisson(100.0), UNIT_SQUARE, "K", 18,
-                               grid=GRID)
+        reps = np.tile(np.linspace(0.0, 3.0, GRID.size), (18, 1))
+        with pytest.raises(ConfigError, match="at least 19"):
+            pointwise_envelope(reps, GRID, "K")
 
 
 class TestBandConstruction:
     def test_pointwise_band_is_replicate_extremes(self):
         rng = np.random.default_rng(8)
         reps = rng.uniform(0.0, 1.0, size=(39, GRID.size))
-        b = pointwise_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
-                               grid=GRID, replicate_values=reps)
+        b = pointwise_envelope(reps, GRID, "K")
         assert np.array_equal(b.lower, reps.min(axis=0))
         assert np.array_equal(b.upper, reps.max(axis=0))
 
@@ -77,16 +73,14 @@ class TestBandConstruction:
         reps = np.tile(ref.values, (39, 1))
         reps[3] = ref.values + 0.1
         reps[7] = ref.values - 0.2
-        b = global_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
-                            grid=GRID, replicate_values=reps, reference=ref)
+        b = global_envelope(reps, ref)
         assert np.allclose(b.upper, ref.values + 0.2, atol=1e-15)
         assert np.allclose(b.lower, ref.values - 0.2, atol=1e-15)
 
     def test_global_band_collapses_on_exact_replicates(self):
         ref = theoretical_curve("F", Poisson(100.0), GRID)
         reps = np.tile(ref.values, (39, 1))
-        b = global_envelope(Poisson(100.0), UNIT_SQUARE, "F", 39,
-                            grid=GRID, replicate_values=reps, reference=ref)
+        b = global_envelope(reps, ref)
         assert np.array_equal(b.lower, b.upper)
         v = verdict(b, ref)
         assert v.passed and v.exceedance_fraction == 0.0
@@ -94,11 +88,13 @@ class TestBandConstruction:
     def test_nested_replicate_sets_widen_bands(self):
         spec = BetaGinibre(100.0, 0.9)
         grid = RadiusGrid(np.linspace(0.0, 0.25, 64))
+        reps = {m: replicate_curves(spec, UNIT_SQUARE, m, grid,
+                                    stream=RngStreamSpec(500),
+                                    n_test=2000)["F"]
+                for m in (19, 39)}
         with pytest.warns(UserWarning, match="weak test"):
-            b19 = pointwise_envelope(spec, UNIT_SQUARE, "F", 19, grid=grid,
-                                     stream=RngStreamSpec(500), n_test=2000)
-        b39 = pointwise_envelope(spec, UNIT_SQUARE, "F", 39, grid=grid,
-                                 stream=RngStreamSpec(500), n_test=2000)
+            b19 = pointwise_envelope(reps[19], grid, "F")
+        b39 = pointwise_envelope(reps[39], grid, "F")
         ok = np.isfinite(b19.lower) & np.isfinite(b39.lower)
         assert ok.any()
         assert (b39.lower[ok] <= b19.lower[ok]).all()
@@ -107,25 +103,16 @@ class TestBandConstruction:
     def test_wrong_replicate_shape(self):
         reps = np.zeros((39, GRID.size - 1))
         with pytest.raises(GridMismatchError):
-            pointwise_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
-                               grid=GRID, replicate_values=reps)
+            pointwise_envelope(reps, GRID, "K")
 
     def test_reference_grid_mismatch(self):
-        other = RadiusGrid(np.linspace(0.0, 2.0, 21))
+        # replicates drawn on GRID cannot be centred on a reference
+        # curve of another grid size
+        other = RadiusGrid(np.linspace(0.0, 2.0, 33))
         ref = theoretical_curve("K", Poisson(100.0), other)
         reps = np.tile(np.linspace(0.0, 3.0, GRID.size), (39, 1))
         with pytest.raises(GridMismatchError):
-            global_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
-                            grid=GRID, replicate_values=reps, reference=ref)
-
-    def test_reference_kind_mismatch(self):
-        # a K reference must not centre an F band
-        ref = theoretical_curve("K", Poisson(100.0), GRID)
-        reps = np.tile(theoretical_curve("F", Poisson(100.0), GRID).values,
-                       (39, 1))
-        with pytest.raises(ConfigError, match="reference curve is K"):
-            global_envelope(Poisson(100.0), UNIT_SQUARE, "F", 39,
-                            grid=GRID, replicate_values=reps, reference=ref)
+            global_envelope(reps, ref)
 
     def test_band_validation(self):
         with pytest.raises(ConfigError):
@@ -176,6 +163,9 @@ class TestVerdict:
         assert restricted.passed
         assert restricted.r_max == 0.5
         assert restricted.n_defined == int((GRID.r <= 0.5).sum())
+        # no radius left to test: no vacuous pass
+        with pytest.raises(ConfigError, match="nothing to test"):
+            verdict(b, curve(vals), r_max=-1.0)
 
     def test_regridding_invariance(self):
         rng = np.random.default_rng(5)
@@ -223,7 +213,8 @@ class TestReplicateCurves:
     def test_degenerate_replicate_reports_index(self):
         grid = RadiusGrid(np.linspace(0.0, 0.25, 32))
         with pytest.raises(DegeneratePatternError, match="replicate 0"):
-            replicate_curves(Poisson(1e-6), UNIT_SQUARE, 19, grid, stream=0)
+            replicate_curves(Poisson(1e-6), UNIT_SQUARE, 19, grid, stream=0,
+                             n_test=500)
 
 
 class TestEndToEnd:
@@ -232,11 +223,8 @@ class TestEndToEnd:
         grid = RadiusGrid(np.linspace(0.0, 0.25, 64))
         reps = replicate_curves(spec, UNIT_SQUARE, 39, grid,
                                 stream=RngStreamSpec(500), n_test=2000)
-        pw = pointwise_envelope(spec, UNIT_SQUARE, "K", 39, grid=grid,
-                                replicate_values=reps["K"])
-        gl = global_envelope(spec, UNIT_SQUARE, "K", 39, grid=grid,
-                             stream=RngStreamSpec(500),
-                             replicate_values=reps["K"])
+        pw = pointwise_envelope(reps["K"], grid, "K")
+        gl = global_envelope(reps["K"], theoretical_curve("K", spec, grid))
         pat = sample_beta_ginibre(100.0, 0.9, UNIT_SQUARE,
                                   RngStreamSpec(600, 1))
         emp = empirical_curves(pat, grid, seed=RngStreamSpec(601, 1),
@@ -250,11 +238,8 @@ class TestEndToEnd:
         grid = RadiusGrid(np.linspace(0.0, 0.25, 64))
         reps = replicate_curves(spec, UNIT_SQUARE, 39, grid,
                                 stream=RngStreamSpec(500), n_test=2000)
-        pw_k = pointwise_envelope(spec, UNIT_SQUARE, "K", 39, grid=grid,
-                                  replicate_values=reps["K"])
-        gl_f = global_envelope(spec, UNIT_SQUARE, "F", 39, grid=grid,
-                               stream=RngStreamSpec(500),
-                               replicate_values=reps["F"])
+        pw_k = pointwise_envelope(reps["K"], grid, "K")
+        gl_f = global_envelope(reps["F"], theoretical_curve("F", spec, grid))
         from cellpp.samplers import sample_poisson
         pat = sample_poisson(100.0, UNIT_SQUARE, RngStreamSpec(602))
         emp = empirical_curves(pat, grid, seed=RngStreamSpec(603),
@@ -271,8 +256,7 @@ class TestBandCsv:
         ref = theoretical_curve("K", Poisson(100.0), GRID)
         reps = np.tile(ref.values, (39, 1))
         reps[0, 5] = np.nan
-        b = global_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
-                            grid=GRID, replicate_values=reps, reference=ref)
+        b = global_envelope(reps, ref)
         b.lower[2] = np.nan
         path = tmp_path / "band.csv"
         write_band_csv(path, b)
@@ -289,8 +273,7 @@ class TestBandCsv:
 
     def test_pointwise_band_has_no_reference_column(self, tmp_path):
         reps = np.tile(np.linspace(0.0, 3.0, GRID.size), (39, 1))
-        b = pointwise_envelope(Poisson(100.0), UNIT_SQUARE, "K", 39,
-                               grid=GRID, replicate_values=reps)
+        b = pointwise_envelope(reps, GRID, "K")
         path = tmp_path / "band.csv"
         write_band_csv(path, b)
         with open(path, newline="") as fh:
