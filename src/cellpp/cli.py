@@ -243,7 +243,7 @@ def _cmd_gof(args) -> int:
     curves = empirical_curves(pattern, grid, seed=RngStreamSpec(args.seed))
     reps = replicate_curves(spec, pattern.window, args.replicates, grid,
                             stream=RngStreamSpec(args.seed, 1),
-                            n_test=curves["F"].meta["n_test"])
+                            n_test=curves["F"].meta["n_test"], kinds=kinds)
     out = {}
     for kind in kinds:
         if args.mode == "global":

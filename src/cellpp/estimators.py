@@ -351,16 +351,24 @@ def estimate_J(f_curve: SummaryCurve, g_curve: SummaryCurve) -> SummaryCurve:
 
 def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
                      seed=0, n_test: int | None = None,
-                     correction: str = "border") -> dict:
-    """All four empirical statistics of one pattern on a shared grid."""
+                     correction: str = "border",
+                     kinds=CURVE_KINDS) -> dict:
+    """The empirical statistics ``kinds`` of one pattern on a shared
+    grid, as a dict of kind -> curve; J brings F and G along."""
     if grid is None:
         grid = RadiusGrid.default(pattern.window)
-    k = estimate_K(pattern, grid, correction=correction)
-    f = estimate_F(pattern, grid, n_test=n_test, seed=seed,
-                   correction=correction)
-    g = estimate_G(pattern, grid, correction=correction)
-    j = estimate_J(f, g)
-    return {"K": k, "F": f, "G": g, "J": j}
+    need = set(kinds) | ({"F", "G"} if "J" in kinds else set())
+    out = {}
+    if "K" in need:
+        out["K"] = estimate_K(pattern, grid, correction=correction)
+    if "F" in need:
+        out["F"] = estimate_F(pattern, grid, n_test=n_test, seed=seed,
+                              correction=correction)
+    if "G" in need:
+        out["G"] = estimate_G(pattern, grid, correction=correction)
+    if "J" in need:
+        out["J"] = estimate_J(out["F"], out["G"])
+    return out
 
 
 def clark_evans_index(pattern: PointPattern) -> float:

@@ -101,19 +101,23 @@ class GofVerdict:
 
 
 def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
-                     grid: RadiusGrid, *, stream, n_test: int) -> dict:
-    """Empirical K/F/G/J of ``replicates`` realizations of ``spec``.
+                     grid: RadiusGrid, *, stream, n_test: int,
+                     kinds=CURVE_KINDS) -> dict:
+    """Empirical statistics ``kinds`` of ``replicates`` realizations of
+    ``spec``.
 
     Returns a dict of kind -> (replicates, grid size) arrays, the input
-    of both band functions.  ``n_test`` is the data's F test-point
-    count, so replicate curves carry the same estimator bias as the
-    data curve they calibrate.
+    of both band functions.  Only the requested kinds are estimated (J
+    needs F and G), and a kind's values do not depend on which others
+    are requested.  ``n_test`` is the data's F test-point count, so
+    replicate curves carry the same estimator bias as the data curve
+    they calibrate.
     """
     from .samplers import sample
 
     check_valid(spec)
     base = as_stream(stream)
-    out = {kind: np.empty((replicates, grid.size)) for kind in CURVE_KINDS}
+    out = {kind: np.empty((replicates, grid.size)) for kind in kinds}
     for i in range(int(replicates)):
         pattern = sample(spec, window, base.substream(_REPLICATE_STRIDE * i))
         if pattern.n < 2:
@@ -122,9 +126,9 @@ def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
                 f"{pattern.n} points; window too small for this model")
         curves = empirical_curves(
             pattern, grid, n_test=n_test,
-            seed=base.substream(_REPLICATE_STRIDE * i + 1))
-        for kind, curve in curves.items():
-            out[kind][i] = curve.values
+            seed=base.substream(_REPLICATE_STRIDE * i + 1), kinds=kinds)
+        for kind in kinds:
+            out[kind][i] = curves[kind].values
     return out
 
 

@@ -180,8 +180,9 @@ def _bg_log_factors(x: float, beta: float, k_hi: int) -> np.ndarray:
 
 # np.exp rounds to exactly 0.0 below about -745.13.
 _LOG_ZERO = -746.0
-# Longest prefix summed before the full product.
-_BG_PREFIX_MAX = 1 << 20
+# Shortest prefix whose bound is tried; at beta = 1 a prefix this long
+# underflows whenever P(k, x) rounds to 1.
+_BG_PREFIX_START = 64
 
 
 def _bg_survival(x: float, beta: float, first_k: int,
@@ -190,21 +191,22 @@ def _bg_survival(x: float, beta: float, first_k: int,
 
     ``k_terms`` fixes the product length, for convergence checks.
 
-    Every log-factor is <= 0, so once a prefix of them sums below the
-    underflow point the product is exactly 0.0.  Far past the mean
-    count each factor is about log(1 - beta), so a prefix of
-    2 * 746 / -log(1 - beta) terms settles large x without allocating
-    the x-sized product."""
+    Every log-factor is <= 0 and they rise with k, as P(k, x) falls, so
+    a prefix of L factors sums to at most L times its last one.  Once
+    that bound is below the underflow point the product is exactly
+    0.0.  L starts small and doubles until the bound underflows or the
+    prefix reaches the product length: large x settles after a few
+    gammainc calls, without allocating the x-sized product."""
     if x == 0.0:
         return 1.0
     k_hi = _bg_term_count(x) if k_terms is None else int(k_terms)
     k_hi = max(k_hi, first_k)
-    per_term = -math.log1p(-beta) if beta < 1.0 else math.inf
-    prefix = first_k + math.ceil(min(_BG_PREFIX_MAX,
-                                     -2.0 * _LOG_ZERO / per_term))
-    if prefix < k_hi and (_bg_log_factors(x, beta, prefix)[first_k - 1:]
-                          .sum() < _LOG_ZERO):
-        return 0.0
+    length = _BG_PREFIX_START
+    while first_k + length - 1 <= k_hi:
+        last = beta * float(gammainc(first_k + length - 1, x))
+        if last >= 1.0 or length * math.log1p(-last) < _LOG_ZERO:
+            return 0.0
+        length *= 2
     total = _bg_log_factors(x, beta, k_hi)[first_k - 1:].sum()
     return float(np.exp(total))
 

@@ -20,6 +20,8 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg import lapack as _lapack
+from scipy.linalg.blas import zgeru as _zgeru
 from scipy.special import gammainc, gammaincinv, gammaln, kv
 
 from .errors import ConfigError, SamplerStallError, TruncationError
@@ -61,53 +63,61 @@ _BLOCK_FLOOR = 16
 _BLOCK_ENTRIES = 1 << 18
 
 
+# (wheel library directory, library glob, symbol suffix) of the
+# scipy-openblas builds that numpy>=2 and scipy Linux wheels ship: numpy
+# links the 64-bit-integer build, scipy.linalg its own 32-bit one.
+_OPENBLAS_BUILDS = (("numpy", "libscipy_openblas64_*", "64_"),
+                    ("scipy", "libscipy_openblas-*", ""))
+
+
 @functools.lru_cache(maxsize=None)
 def _openblas_thread_setters():
-    """(get, set) for the thread count of numpy's bundled OpenBLAS, or
-    None when numpy links another BLAS.  Only a library that is already
-    loaded is looked up (RTLD_NOLOAD), never a second copy.  Only the
-    scipy-openblas64 build that numpy>=2 Linux wheels ship is found;
-    other installs get None and keep their thread count."""
+    """(get, set) pairs for the thread counts of the OpenBLAS builds
+    that numpy and scipy.linalg load.  Only a library that is already
+    loaded is looked up (RTLD_NOLOAD), never a second copy; installs
+    that link another BLAS get no pair and keep their thread count."""
     import ctypes
     import glob
     import os
 
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs", "libscipy_openblas64_*")
-    for path in glob.glob(libs):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes = [ctypes.c_int]
-        return get, set_
-    return None
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    found = []
+    for package, pattern, suffix in _OPENBLAS_BUILDS:
+        for path in glob.glob(os.path.join(site, f"{package}.libs",
+                                           pattern)):
+            try:
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes = [ctypes.c_int]
+            found.append((get, set_))
+            break
+    return tuple(found)
 
 
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread.
+    """Run the block with numpy's and scipy's OpenBLAS on one thread.
 
     The sampler's products are a few hundred elements wide.  OpenBLAS
     threads them anyway and its idle workers spin: on two cores that
-    doubles CPU time for the same wall time.  A no-op for other BLAS
-    libraries.  The count is process-global: samplers running in
-    several threads at once can restore it out of order and leave it
-    at 1."""
+    doubles CPU time for the same wall time, and a threaded rank-one
+    update runs several times slower than a serial one.  A no-op for
+    other BLAS libraries.  The counts are process-global: samplers
+    running in several threads at once can restore them out of order
+    and leave them at 1."""
     setters = _openblas_thread_setters()
-    if setters is None:
-        yield
-        return
-    get, set_ = setters
-    before = get()
-    set_(1)
+    before = [get() for get, _ in setters]
+    for _, set_ in setters:
+        set_(1)
     try:
         yield
     finally:
-        set_(before)
+        for (_, set_), count in zip(setters, before):
+            set_(count)
 
 
 def _projection_sample(propose, n: int, rng: np.random.Generator,
@@ -128,9 +138,21 @@ def _projection_sample(propose, n: int, rng: np.random.Generator,
     the expected n / (n - k) proposals of step k, and the unexamined
     rest of a block carries over to the next step.  Each pending
     proposal keeps its squared residual, lowered by one rank-one term
-    |<q_k, f>|^2 per accepted point.  Expected cost: about n * H_n
-    proposals, each projected once onto the basis of its draw step,
-    plus O(n) per step it stays pending.
+    |<q_k, f>|^2 per accepted point.
+
+    The residual work of step k scales with min(k, n - k).  While
+    2k < n the k accepted directions are held as an orthonormal basis:
+    a fresh proposal's residual is its squared norm less its squared
+    projection, and an accepted point joins the basis by Gram-Schmidt
+    from the coefficients its block projection already holds.  At the
+    midpoint one QR turns the basis into an orthonormal basis of its
+    complement.  From then on a fresh proposal's residual is its
+    squared projection onto the n - k complement rows, and an accepted
+    point leaves the complement by one Householder reflection, whose
+    first row is the accepted direction.  Expected cost: about n * H_n
+    proposals of O(n) features each, and about n^3 complex
+    multiply-adds of residual work, where a single full basis takes
+    n^3 * H_n.
 
     Raises
     ------
@@ -142,12 +164,18 @@ def _projection_sample(propose, n: int, rng: np.random.Generator,
     limit = _PROPOSALS_PER_POINT * n
     floor = min(_BLOCK_FLOOR, n)
     cap = max(floor, _BLOCK_ENTRIES // max(n, 1))
+    half = (n + 1) // 2  # the first step with 2k >= n
     out = np.empty((n, dim))
-    basis = np.empty((n, n), dtype=complex)
-    basis_c = np.empty((n, n), dtype=complex)
+    basis = np.empty((half, n), dtype=complex)
+    basis_c = np.empty((half, n), dtype=complex)
+    comp = None
     pos = size = 0
     with _single_blas_thread():
         for step in range(n):
+            if step == half:
+                comp = _complement_rows(basis)
+                basis = basis_c = coef = None
+            live = None if comp is None else comp[step - half:]
             examined = 0
             while True:
                 if pos == size:
@@ -159,29 +187,84 @@ def _projection_sample(propose, n: int, rng: np.random.Generator,
                     pts, feats = propose(size)
                     norm2 = _sq_norms(feats)
                     thresh = rng.uniform(size=size) * norm2
-                    resid = norm2
-                    if step:
-                        resid = norm2 - _sq_norms(feats @ basis_c[:step].T)
+                    if live is not None:
+                        resid = _sq_norms(feats @ live.T)
+                    else:
+                        coef = np.empty((size, half), dtype=complex)
+                        resid = norm2
+                        if step:
+                            proj = feats @ basis_c[:step].T
+                            coef[:, :step] = proj
+                            resid = norm2 - _sq_norms(proj)
                     pos = 0
                 hit = thresh[pos:] < resid[pos:]
                 j = int(hit.argmax())
                 if hit[j]:
                     examined += j + 1
-                    v = feats[pos + j]
-                    out[step] = pts[pos + j]
-                    pos += j + 1
+                    row = pos + j
+                    out[step] = pts[row]
+                    pos = row + 1
                     break
                 examined += size - pos
                 pos = size
-            # twice through Gram-Schmidt keeps the basis orthonormal
-            for _ in range(2 if step else 0):
-                v = v - (basis_c[:step] @ v) @ basis[:step]
-            basis[step] = v / np.linalg.norm(v)
-            basis_c[step] = np.conj(basis[step])
+            if step == n - 1:
+                break
+            if live is None:
+                # Gram-Schmidt from the row's stored coefficients; a
+                # second pass runs only if the first cancelled more than
+                # half the squared norm (Daniel, Gragg, Kaufman & Stewart
+                # 1976), which keeps the basis orthonormal
+                v = feats[row]
+                if step:
+                    v = v - coef[row, :step] @ basis[:step]
+                    if 2.0 * np.vdot(v, v).real < norm2[row]:
+                        v = v - (basis_c[:step] @ v) @ basis[:step]
+                basis[step] = v / math.sqrt(np.vdot(v, v).real)
+                basis_c[step] = np.conj(basis[step])
+                direction = basis_c[step]
+            else:
+                _householder_downdate(live, live @ feats[row])
+                direction = live[0]
             if pos < size:
-                c = feats[pos:] @ basis_c[step]
+                c = feats[pos:] @ direction
+                if live is None:
+                    coef[pos:, step] = c
                 resid[pos:] -= c.real * c.real + c.imag * c.imag
     return out
+
+
+def _complement_rows(basis: np.ndarray) -> np.ndarray:
+    """Conjugated orthonormal rows spanning the complement of the
+    orthonormal rows of ``basis``, so that ``f @ comp.T`` holds the
+    complement coordinates of a row vector f.
+
+    They are the last n - k columns of the unitary Q in the QR of
+    ``basis.T``, formed by applying its k reflectors to the identity's
+    last columns rather than forming all of Q."""
+    k, n = basis.shape
+    qr, tau, _, _ = _lapack.zgeqrf(basis.T)
+    tail = np.zeros((n, n - k), dtype=complex, order="F")
+    np.fill_diagonal(tail[k:], 1.0)
+    # at least the blocked routine's optimum: 64 columns a block plus
+    # its 65 x 64 triangular factor
+    lwork = 64 * (n - k) + 65 * 64
+    tail = _lapack.zunmqr("L", "N", qr, tau, tail, lwork, overwrite_c=1)[0]
+    return np.ascontiguousarray(tail.T.conj())
+
+
+def _householder_downdate(live: np.ndarray, a: np.ndarray) -> None:
+    """Reflect the rows of ``live`` in place so that ``a``, the
+    coordinates of an accepted vector against them, maps onto the
+    first row alone: afterwards ``live[0]`` is the vector's direction
+    and ``live[1:]`` spans the rest of the complement."""
+    norm = math.sqrt(np.vdot(a, a).real)
+    head = a[0]
+    alpha = -norm * (head / abs(head) if head else 1.0)
+    u = a.copy()
+    u[0] -= alpha
+    # H = I - 2 u u^H / |u|^2, with |u|^2 = 2 |a| (|a| + |a_0|)
+    beta = 1.0 / (norm * (norm + abs(head)))
+    _zgeru(-beta, np.conj(u) @ live, u, a=live.T, overwrite_a=1)
 
 
 def _sq_norms(z: np.ndarray) -> np.ndarray:
@@ -234,12 +317,16 @@ def _ginibre_disk(intensity: float, beta: float, radius: float,
         t = np.maximum(gammaincinv(ks[pick] + 1.0, u * p_k[pick]), 1e-300)
         r = np.sqrt(t / c)
         th = rng.uniform(0.0, 2.0 * math.pi, size=m)
-        log_mag = (log_norm[None, :] + np.outer(np.log(r), ks)
-                   - 0.5 * (c * r * r)[:, None])
-        steps = np.exp(1j * np.outer(th, gaps))[:, gap_of]
-        feats = np.cumprod(steps, axis=1)
-        feats *= np.exp(log_mag)
-        return np.column_stack([r * np.cos(th), r * np.sin(th)]), feats
+        # one row per mode, so that the running products and the
+        # elementwise work run along contiguous proposals
+        mag = np.multiply.outer(ks, np.log(r))
+        mag += log_norm[:, None]
+        mag -= 0.5 * (c * r * r)
+        np.exp(mag, out=mag)
+        feats = np.cumprod(np.exp(1j * np.outer(gaps, th))[gap_of], axis=0)
+        feats *= mag
+        return (np.column_stack([r * np.cos(th), r * np.sin(th)]),
+                np.ascontiguousarray(feats.T))
 
     return _projection_sample(propose, n, rng)
 
@@ -271,6 +358,11 @@ def sample_beta_ginibre(intensity: float, beta: float, window: Window,
 # Gaussian / Cauchy families on a rectangle, Fourier side
 # ---------------------------------------------------------------------------
 
+# Specs whose mode setup is kept.  Envelopes draw one spec many times in
+# a row; a lattice at the default mode budget holds 48 MB.
+_MODE_CACHE = 4
+
+
 def _spectral_cutoff(spec: ModelSpec, tail_eps: float) -> float:
     """Radial frequency beyond which the discarded spectral mass is
     below ``tail_eps`` of the total."""
@@ -297,14 +389,33 @@ def _spectral_cutoff(spec: ModelSpec, tail_eps: float) -> float:
     return 1.15 * hi
 
 
+@functools.lru_cache(maxsize=_MODE_CACHE)
 def _mode_grid(spec: ModelSpec, window: Rectangle, enlargement: float,
                tail_eps: float):
+    """Periods (t1, t2) of the enlarged rectangle and the largest mode
+    indices (k1, k2) per axis."""
     l1 = window.x_max - window.x_min
     l2 = window.y_max - window.y_min
     t1, t2 = enlargement * l1, enlargement * l2
     s_cut = _spectral_cutoff(spec, tail_eps)
     k1, k2 = int(math.ceil(s_cut * t1)), int(math.ceil(s_cut * t2))
     return t1, t2, k1, k2
+
+
+@functools.lru_cache(maxsize=_MODE_CACHE)
+def _mode_lattice(spec: ModelSpec, window: Rectangle, enlargement: float,
+                  tail_eps: float):
+    """Eigenvalue of every mode of the truncated frequency lattice, and
+    its x and y indices shifted to start at 0, as read-only arrays."""
+    t1, t2, k1, k2 = _mode_grid(spec, window, enlargement, tail_eps)
+    gx, gy = np.meshgrid(np.arange(k1 + k1 + 1), np.arange(k2 + k2 + 1),
+                         indexing="ij")
+    gx, gy = gx.ravel(), gy.ravel()
+    rho = np.hypot((gx - k1) / t1, (gy - k2) / t2)
+    evals = np.clip(_spectral_density(spec, rho), 0.0, 1.0)
+    for arr in (evals, gx, gy):
+        arr.setflags(write=False)
+    return evals, gx, gy
 
 
 def spectral_mode_count(spec: ModelSpec, window: Window, *,
@@ -352,14 +463,10 @@ def sample_dpp_spectral(spec: ModelSpec, window: Window, stream, *,
     if n_modes > mode_budget:
         raise TruncationError(required=n_modes, budget=mode_budget)
 
-    gx, gy = np.meshgrid(np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1),
-                         indexing="ij")
-    fx = gx.ravel() / t1
-    fy = gy.ravel() / t2
-    evals = np.clip(_spectral_density(spec, np.hypot(fx, fy)), 0.0, 1.0)
+    evals, col_x, col_y = _mode_lattice(spec, window, enlargement, tail_eps)
     keep = rng.uniform(size=n_modes) < evals
-    ix, iy = gx.ravel()[keep], gy.ravel()[keep]
-    n = ix.size
+    col_x, col_y = col_x[keep], col_y[keep]
+    n = col_x.size
     if n == 0:
         return PointPattern(points=np.empty((0, 2)), window=window)
 
@@ -375,7 +482,7 @@ def sample_dpp_spectral(spec: ModelSpec, window: Window, stream, *,
         y = rng.uniform(0.0, t2, size=m)
         px = powers(np.exp(2j * math.pi / t1 * x), k1) * inv_sqrt_area
         py = powers(np.exp(2j * math.pi / t2 * y), k2)
-        feats = px[:, ix + k1] * py[:, iy + k2]
+        feats = px[:, col_x] * py[:, col_y]
         return np.column_stack([x, y]), feats
 
     torus_pts = _projection_sample(propose, n, rng)

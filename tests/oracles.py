@@ -6,9 +6,12 @@ against each other.
 """
 import numpy as np
 
-from cellpp.errors import ConfigError
+from cellpp.errors import ConfigError, SamplerStallError
 from cellpp.estimators import SummaryCurve
 from cellpp.models import BetaGinibre, GaussDpp, Poisson, check_valid
+from cellpp.samplers import (_BLOCK_ENTRIES, _BLOCK_FLOOR,
+                             _PROPOSALS_PER_POINT, _single_blas_thread,
+                             _sq_norms)
 
 
 def dpp_determinant_check(spec, points) -> float:
@@ -61,3 +64,61 @@ def j_second_order_approx(k_curve: SummaryCurve,
                         origin=k_curve.origin,
                         meta={"approx": "second-order",
                               "intensity": float(intensity)})
+
+
+def full_basis_projection_sample(propose, n: int, rng: np.random.Generator,
+                                 dim: int = 2) -> np.ndarray:
+    """The sequential projection sampler with one full basis of the
+    accepted directions at every step: the reference for the
+    production sampler, which holds the complement past the midpoint.
+
+    Same proposal stream, blocks, thresholds and stall bound; each
+    fresh proposal's residual is its squared norm less its squared
+    projection on the whole basis, and each accepted point joins the
+    basis by two Gram-Schmidt passes.  So for any ``propose`` and
+    ``rng`` state both samplers take the same decisions, up to
+    rounding in the residuals.
+    """
+    limit = _PROPOSALS_PER_POINT * n
+    floor = min(_BLOCK_FLOOR, n)
+    cap = max(floor, _BLOCK_ENTRIES // max(n, 1))
+    out = np.empty((n, dim))
+    basis = np.empty((n, n), dtype=complex)
+    basis_c = np.empty((n, n), dtype=complex)
+    pos = size = 0
+    with _single_blas_thread():
+        for step in range(n):
+            examined = 0
+            while True:
+                if pos == size:
+                    if examined >= limit:
+                        raise SamplerStallError(
+                            f"sampler stalled at point {step}: no proposal "
+                            f"accepted in {examined} draws")
+                    size = min(cap, max(floor, -(-n // (n - step))))
+                    pts, feats = propose(size)
+                    norm2 = _sq_norms(feats)
+                    thresh = rng.uniform(size=size) * norm2
+                    resid = norm2
+                    if step:
+                        resid = norm2 - _sq_norms(feats @ basis_c[:step].T)
+                    pos = 0
+                hit = thresh[pos:] < resid[pos:]
+                j = int(hit.argmax())
+                if hit[j]:
+                    examined += j + 1
+                    v = feats[pos + j]
+                    out[step] = pts[pos + j]
+                    pos += j + 1
+                    break
+                examined += size - pos
+                pos = size
+            # twice through Gram-Schmidt keeps the basis orthonormal
+            for _ in range(2 if step else 0):
+                v = v - (basis_c[:step] @ v) @ basis[:step]
+            basis[step] = v / np.linalg.norm(v)
+            basis_c[step] = np.conj(basis[step])
+            if pos < size:
+                c = feats[pos:] @ basis_c[step]
+                resid[pos:] -= c.real * c.real + c.imag * c.imag
+    return out

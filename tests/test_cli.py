@@ -277,6 +277,26 @@ class TestGof:
         assert len(counts) == 20
         assert set(counts) == {default_test_point_count(pat.n)}
 
+    def test_replicates_estimate_only_the_requested_statistics(
+            self, pp_csv, monkeypatch, capsys):
+        # K alone needs no F: the one estimate_F call is the data's
+        path, pat = pp_csv
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return estimate_F(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "estimate_F", spy)
+        rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
+                   "--family", "poisson",
+                   "--intensity", repr(pat.n / AREA),
+                   "--statistics", "K", "--replicates", "39",
+                   "--grid-points", "32", "--seed", "1"])
+        assert rc == 0
+        assert list(json.loads(capsys.readouterr().out)["verdicts"]) == ["K"]
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("flags, message", [
         (["--grid-points", "1"], "--grid-points 1"),
         (["--statistics", "K,L"], "--statistics 'K,L'"),

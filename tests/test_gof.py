@@ -210,6 +210,17 @@ class TestReplicateCurves:
         for arr in out.values():
             assert arr.shape == (19, 32)
 
+    def test_requested_kinds_only_and_unchanged(self):
+        grid = RadiusGrid(np.linspace(0.0, 0.25, 32))
+        args = (Poisson(100.0), UNIT_SQUARE, 19, grid)
+        full = replicate_curves(*args, stream=RngStreamSpec(78), n_test=500)
+        for kinds in (("K",), ("J",), ("G", "F")):
+            some = replicate_curves(*args, stream=RngStreamSpec(78),
+                                    n_test=500, kinds=kinds)
+            assert sorted(some) == sorted(kinds)
+            for kind in kinds:
+                assert np.array_equal(some[kind], full[kind], equal_nan=True)
+
     def test_degenerate_replicate_reports_index(self):
         grid = RadiusGrid(np.linspace(0.0, 0.25, 32))
         with pytest.raises(DegeneratePatternError, match="replicate 0"):

@@ -265,16 +265,19 @@ class TestGinibreFamilyCurves:
         assert np.max(np.abs(f6 - pois_peak)) < 1e-6
 
     def test_dense_window_product_stays_bounded(self):
-        # lam pi r^2 / beta reaches 4.7e9 at the last radius: the
-        # product length follows x, the underflow does not
+        # lam pi r^2 / beta reaches 4.7e9 (3.3e11 at beta 0.01) at the
+        # last radius: the product length follows x, the underflow does
+        # not, and at small beta it takes ~746 / beta factors
         import time
 
-        start = time.perf_counter()
-        f = theoretical_curve("F", BetaGinibre(100.0, 0.7), GRID_13KM).values
-        assert time.perf_counter() - start < 2.0
-        assert f[-1] == 1.0
+        for kind, beta in (("F", 0.7), ("G", 0.01)):
+            start = time.perf_counter()
+            curve = theoretical_curve(kind, BetaGinibre(100.0, beta),
+                                      GRID_13KM)
+            assert time.perf_counter() - start < 2.0, (kind, beta)
+            assert curve.values[-1] == 1.0
 
-    @pytest.mark.parametrize("beta", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("beta", [0.01, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("first_k", [1, 2])
     def test_underflow_shortcut_matches_full_product(self, beta, first_k):
         # the shortcut returns 0.0 exactly where the full product does,

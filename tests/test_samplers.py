@@ -16,13 +16,15 @@ from cellpp.errors import (ConfigError, ExistenceViolation,
                            TruncationError)
 from cellpp.estimators import RadiusGrid, estimate_G, estimate_K
 from cellpp.geom import Disk, PointPattern, Rectangle
+from cellpp import samplers
 from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp, theoretical_curve
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import (_projection_sample, sample_beta_ginibre,
+from cellpp.samplers import (_projection_sample, sample, sample_beta_ginibre,
                              sample_dpp_spectral, sample_poisson,
                              spectral_mode_count)
 
 from conftest import UNIT_SQUARE
+from oracles import full_basis_projection_sample
 
 
 def mean_k(sampler, n_seeds: int, grid: RadiusGrid) -> np.ndarray:
@@ -261,6 +263,20 @@ class TestSpectral:
         pat = sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1),
                                   mode_budget=need)
         assert pat.n >= 0
+        # a cached mode setup does not bypass the budget
+        with pytest.raises(TruncationError):
+            sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1),
+                                mode_budget=need - 1)
+
+    def test_mode_setup_cached_read_only(self):
+        spec = GaussDpp(intensity=50.0, scale=0.05)
+        first = samplers._mode_lattice(spec, UNIT_SQUARE, 1.25, 1e-6)
+        assert samplers._mode_lattice(spec, UNIT_SQUARE, 1.25, 1e-6) is first
+        evals, col_x, col_y = first
+        assert evals.size == col_x.size == col_y.size \
+            == spectral_mode_count(spec, UNIT_SQUARE)
+        for arr in first:
+            assert not arr.flags.writeable
 
     def test_mode_count_shrinks_with_scale(self):
         coarse = spectral_mode_count(GaussDpp(intensity=1.0, scale=0.2),
@@ -366,15 +382,18 @@ class TestProjectionSampler:
         # the bound is 1000 proposals per point, checked per batch
         assert 3 * 1000 <= sum(calls) <= 3 * 1000 + 512 + 8
 
-    def test_exact_law_on_a_finite_ground_set(self):
-        # Projection DPP on N=7 items with an orthonormal 7x3 feature
-        # matrix V: the law of the 3-subset S is |det V_S|^2.  Proposals
-        # pick item i with probability |V_i|^2 / 3, the mixture density.
+    @pytest.mark.parametrize("n_items, n", [(7, 3), (9, 6)])
+    def test_exact_law_on_a_finite_ground_set(self, n_items, n):
+        # Projection DPP on N items with an orthonormal N x n feature
+        # matrix V: the law of the n-subset S is |det V_S|^2.  Proposals
+        # pick item i with probability |V_i|^2 / n, the mixture density.
+        # At n = 6 three steps run on the basis and three (two of them
+        # with a Householder downdate) on the complement.
         from itertools import combinations
 
         from scipy.stats import chi2
 
-        n_items, n, draws = 7, 3, 20_000
+        draws = 20_000
         init = np.random.default_rng(5)
         v, _ = np.linalg.qr(init.normal(size=(n_items, n))
                             + 1j * init.normal(size=(n_items, n)))
@@ -404,3 +423,58 @@ class TestProjectionSampler:
         # blocks carried across steps: near the n * H_n ideal
         h_n = sum(1.0 / k for k in range(1, n + 1))
         assert sum(rows) / (draws * n) < 1.5 * h_n
+
+
+# Fitted-looking specs on the 13 km square, about 185 points a draw.
+SQUARE_13KM = Rectangle(0.0, 13000.0, 0.0, 13000.0)
+ORACLE_SPECS = {
+    "beta-ginibre": BetaGinibre(0.7e-6, 0.9),
+    "gauss-dpp": GaussDpp(0.7e-6, 664.0),
+    "cauchy-dpp": CauchyDpp(0.7e-6, 4695.0, 50.0),
+}
+
+
+def projection_draw(spec, window, stream, projection, monkeypatch):
+    """The unclipped points of one draw, sampled by ``projection``."""
+    drawn = []
+
+    def record(*args, **kwargs):
+        drawn.append(projection(*args, **kwargs))
+        return drawn[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(samplers, "_projection_sample", record)
+        sample(spec, window, stream)
+    (points,) = drawn
+    return points
+
+
+class TestAgainstFullBasis:
+    """The complement half of the production sampler changes only its
+    linear algebra: for every draw it must accept the same proposals,
+    in the same order, as the full-basis sampler of ``oracles``."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_same_points_at_13km(self, name, monkeypatch):
+        spec = ORACLE_SPECS[name]
+        for seed in range(3):
+            stream = RngStreamSpec(97, seed)
+            got = projection_draw(spec, SQUARE_13KM, stream,
+                                  _projection_sample, monkeypatch)
+            want = projection_draw(spec, SQUARE_13KM, stream,
+                                   full_basis_projection_sample,
+                                   monkeypatch)
+            assert len(got) > 150
+            np.testing.assert_array_equal(got, want)
+
+    def test_same_points_on_a_600_point_draw(self, monkeypatch):
+        # a 23.4 km square's covering disk holds ~600 Ginibre points
+        window = Rectangle(0.0, 23400.0, 0.0, 23400.0)
+        spec = ORACLE_SPECS["beta-ginibre"]
+        stream = RngStreamSpec(98)
+        got = projection_draw(spec, window, stream, _projection_sample,
+                              monkeypatch)
+        want = projection_draw(spec, window, stream,
+                               full_basis_projection_sample, monkeypatch)
+        assert 550 < len(got) < 650
+        np.testing.assert_array_equal(got, want)
