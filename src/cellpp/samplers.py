@@ -63,9 +63,10 @@ _BLOCK_FLOOR = 16
 _BLOCK_ENTRIES = 1 << 18
 
 
-# (wheel library directory, library glob, symbol suffix) of the
-# scipy-openblas builds that numpy>=2 and scipy Linux wheels ship: numpy
-# links the 64-bit-integer build, scipy.linalg its own 32-bit one.
+# (package whose <package>.libs holds it, library glob, symbol suffix)
+# of the scipy-openblas builds that numpy>=2 and scipy Linux wheels
+# ship: numpy links the 64-bit-integer build, scipy.linalg its own
+# 32-bit one.
 _OPENBLAS_BUILDS = (("numpy", "libscipy_openblas64_*", "64_"),
                     ("scipy", "libscipy_openblas-*", ""))
 
