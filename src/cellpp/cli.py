@@ -204,7 +204,7 @@ def _cmd_stats(args) -> int:
     grid = _grid_from_args(args, pattern.window)
     curves = empirical_curves(pattern, grid,
                               seed=RngStreamSpec(args.seed))
-    write_curves_csv(args.output, [curves[k] for k in ("K", "F", "G", "J")])
+    write_curves_csv(args.output, [curves[k] for k in CURVE_KINDS])
     lam = intensity_estimate(pattern)
     summary = {"n_points": pattern.n,
                "intensity": lam.value, "intensity_se": lam.se,

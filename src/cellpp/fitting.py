@@ -40,7 +40,7 @@ from .models import (
     model_to_dict,
     theoretical_curve,
 )
-from .samplers import spectral_mode_count
+from .samplers import _scale_floor
 
 FAMILY_NAMES = ("poisson", "beta-ginibre", "gauss-dpp", "cauchy-dpp")
 
@@ -50,38 +50,19 @@ DEFAULT_RANGE_FRACTION = 1060.0 / 13000.0
 
 # Shape-parameter search boxes.  The lower ends are the near-Poisson
 # limits; the upper ends are the existence bounds (resolved per fit).
+# On a rectangle a scale search starts at the smallest scale the
+# sampler accepts (``samplers._scale_floor``), so fitted models can be
+# sampled for their envelopes.
 BETA_SEARCH_MIN = 0.01
 SCALE_FRACTION_MIN = 1e-3
 CAUCHY_SHAPE_BOUNDS = (0.05, 50.0)
 
-# Spectral mode counts grow like (window extent / kernel scale)^2: at
-# the near-Poisson end of the scale box a 13 km window would need ~1e9
-# modes.  The search is clipped to scales the sampler can afford under
-# this budget (kept below the sampler default) so that the fitted
-# model can be sampled for its envelope replicates.
-FIT_MODE_BUDGET = 1_500_000
+# Relative parameter tolerance of the searches, and the points of the
+# golden-section search's coarse scan.
+_REL_TOL = 1e-6
+_SCAN = 17
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _scale_floor(make, lo: float, hi: float, window: Rectangle) -> float:
-    """Smallest kernel scale in [lo, hi] affordable under the sampler
-    mode budget on this window; returns lo unchanged when lo already
-    fits."""
-    if spectral_mode_count(make(lo), window) <= FIT_MODE_BUDGET:
-        return lo
-    if spectral_mode_count(make(hi), window) > FIT_MODE_BUDGET:
-        raise ConfigError(
-            "window too large for the spectral families: even the "
-            "existence-bound scale exceeds the sampler mode budget")
-    a, b = lo, hi
-    while b / a > 1.0001:
-        mid = math.sqrt(a * b)
-        if spectral_mode_count(make(mid), window) > FIT_MODE_BUDGET:
-            a = mid
-        else:
-            b = mid
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +190,7 @@ class FitResult:
 # Scalar search
 # ---------------------------------------------------------------------------
 
-def _golden_minimize(fn, lo: float, hi: float, rel_tol: float,
-                     budget: int, scan: int = 17):
+def _golden_minimize(fn, lo: float, hi: float, budget: int):
     """Coarse scan, then golden-section inside the best bracket.
 
     Deterministic; returns (x, fx, evaluations, converged, trace) with
@@ -224,12 +204,12 @@ def _golden_minimize(fn, lo: float, hi: float, rel_tol: float,
         trace.append((float(x), v))
         return v
 
-    xs = np.linspace(lo, hi, scan)
+    xs = np.linspace(lo, hi, _SCAN)
     fs = [ev(x) for x in xs]
     i = int(np.argmin(fs))
     a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, scan - 1)])
-    tol = rel_tol * max(abs(lo), abs(hi))
+    b = float(xs[min(i + 1, _SCAN - 1)])
+    tol = _REL_TOL * max(abs(lo), abs(hi))
 
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -255,8 +235,7 @@ def _golden_minimize(fn, lo: float, hi: float, rel_tol: float,
 def fit(pattern: PointPattern, family: str,
         cspec: ContrastSpec | None = None, *,
         curves: dict | None = None, grid: RadiusGrid | None = None,
-        max_evaluations: int = 500, rel_tol: float = 1e-6,
-        estimator_seed=0) -> FitResult:
+        max_evaluations: int = 500, estimator_seed=0) -> FitResult:
     """Fit one family to a pattern by minimum contrast.
 
     Parameters
@@ -325,30 +304,25 @@ def fit(pattern: PointPattern, family: str,
         model = Poisson(lam)
         value = poisson_value
         evaluations, converged, trace = 1, True, [(None, value)]
-    elif family == "beta-ginibre":
-        def obj(beta):
-            return objective_for(BetaGinibre(intensity=lam, beta=beta))
+    elif family in ("beta-ginibre", "gauss-dpp"):
+        if family == "beta-ginibre":
+            def make(beta):
+                return BetaGinibre(intensity=lam, beta=beta)
 
-        beta, value, evaluations, converged, trace = _golden_minimize(
-            obj, BETA_SEARCH_MIN, 1.0, rel_tol, max_evaluations)
-        model = BetaGinibre(intensity=lam, beta=beta)
-        pinned_low = beta <= BETA_SEARCH_MIN * (1.0 + 10.0 * rel_tol)
-        pinned_high = beta >= 1.0 - 10.0 * rel_tol
-    elif family == "gauss-dpp":
-        scale_max = 1.0 / math.sqrt(math.pi * lam)
+            lo, hi = BETA_SEARCH_MIN, 1.0
+        else:
+            def make(scale):
+                return GaussDpp(intensity=lam, scale=scale)
 
-        def obj(scale):
-            return objective_for(GaussDpp(intensity=lam, scale=scale))
-
-        lo = SCALE_FRACTION_MIN * scale_max
-        if isinstance(window, Rectangle):
-            lo = _scale_floor(lambda s: GaussDpp(intensity=lam, scale=s),
-                              lo, scale_max, window)
-        scale, value, evaluations, converged, trace = _golden_minimize(
-            obj, lo, scale_max, rel_tol, max_evaluations)
-        model = GaussDpp(intensity=lam, scale=scale)
-        pinned_low = scale <= lo * (1.0 + 10.0 * rel_tol)
-        pinned_high = scale >= scale_max * (1.0 - 10.0 * rel_tol)
+            hi = 1.0 / math.sqrt(math.pi * lam)
+            lo = SCALE_FRACTION_MIN * hi
+            if isinstance(window, Rectangle):
+                lo = _scale_floor(make, lo, hi, window)
+        x, value, evaluations, converged, trace = _golden_minimize(
+            lambda x: objective_for(make(x)), lo, hi, max_evaluations)
+        model = make(x)
+        pinned_low = x <= lo * (1.0 + 10.0 * _REL_TOL)
+        pinned_high = x >= hi * (1.0 - 10.0 * _REL_TOL)
     else:
         from scipy import optimize
 
@@ -380,7 +354,7 @@ def fit(pattern: PointPattern, family: str,
         res = optimize.minimize(
             obj, x0, method="Nelder-Mead",
             bounds=[(SCALE_FRACTION_MIN, 1.0), (lo_w, hi_w)],
-            options={"xatol": rel_tol, "fatol": 1e-10 * (1.0 + abs(f0)),
+            options={"xatol": _REL_TOL, "fatol": 1e-10 * (1.0 + abs(f0)),
                      "maxfev": max_evaluations,
                      "initial_simplex": np.array(
                          [[0.5, 0.0], [0.8, 0.0], [0.5, 1.0]])})
@@ -391,14 +365,14 @@ def fit(pattern: PointPattern, family: str,
         # tolerance can stay unmet on flat objectives.
         simplex = res.final_simplex[0]
         x_spread = float(np.max(np.abs(simplex - simplex[0])))
-        converged = bool(res.success) or x_spread <= 10.0 * rel_tol
+        converged = bool(res.success) or x_spread <= 10.0 * _REL_TOL
         raw_scale = (float(res.x[0])
                      * math.sqrt(math.exp(float(res.x[1])) / (math.pi * lam)))
-        pinned_low = (res.x[0] <= SCALE_FRACTION_MIN * (1.0 + 10.0 * rel_tol)
+        pinned_low = (res.x[0] <= SCALE_FRACTION_MIN * (1.0 + 10.0 * _REL_TOL)
                       or model.scale > raw_scale * (1.0 + 1e-9))
         # the box tops: the existence-bound scale and the largest shape
-        pinned_high = (res.x[0] >= 1.0 - 10.0 * rel_tol
-                       or res.x[1] >= hi_w - 10.0 * rel_tol)
+        pinned_high = (res.x[0] >= 1.0 - 10.0 * _REL_TOL
+                       or res.x[1] >= hi_w - 10.0 * _REL_TOL)
 
     if not converged:
         raise ConvergenceError(

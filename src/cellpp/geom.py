@@ -280,10 +280,9 @@ def _parse_float(text: str) -> float:
 def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
            lat_column: str = "lat", operator_column: str | None = None,
            technology_column: str | None = None,
-           delimiter: str | None = None, operator: str | None = None,
-           technology: str | None = None,
+           operator: str | None = None, technology: str | None = None,
            encoding: str = "utf-8") -> IngestResult:
-    """Read an antenna registry export (delimited text, header row).
+    """Read a registry export: header row, comma or semicolon delimited.
 
     Parameters
     ----------
@@ -293,8 +292,6 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
     operator_column, technology_column : str, optional
         When given, the values are attached to the records and the
         ``operator`` / ``technology`` filters apply to them.
-    delimiter : str, optional
-        Auto-detected between comma and semicolon when omitted.
 
     Raises
     ------
@@ -307,8 +304,7 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
         head = fh.readline()
         if not head.strip():
             raise EmptyInputError(f"{path}: empty input")
-        if delimiter is None:
-            delimiter = ";" if head.count(";") > head.count(",") else ","
+        delimiter = ";" if head.count(";") > head.count(",") else ","
         fh.seek(0)
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []
@@ -505,8 +501,12 @@ class PointPattern:
         return self.points.shape[0]
 
 
-def build_pattern(points, window: Window, *, on_duplicates: str = "reject",
-                  jitter_m: float = 1e-3) -> PointPattern:
+# How far "jitter" moves each repeat of a duplicate point, in metres.
+_JITTER_M = 1e-3
+
+
+def build_pattern(points, window: Window, *,
+                  on_duplicates: str = "reject") -> PointPattern:
     """Validate points against a window and construct a pattern.
 
     Parameters
@@ -516,7 +516,7 @@ def build_pattern(points, window: Window, *, on_duplicates: str = "reject",
     on_duplicates : {"reject", "jitter"}
         Coincident points usually indicate a data problem (one mast
         reported once per carrier), so the default refuses them.  With
-        ``"jitter"`` every repeat is displaced by ``jitter_m`` metres
+        ``"jitter"`` every repeat is displaced by ``_JITTER_M`` metres
         in a deterministic direction and a warning is emitted.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -536,7 +536,7 @@ def build_pattern(points, window: Window, *, on_duplicates: str = "reject",
         if on_duplicates == "reject":
             raise DataError(
                 f"{n_dup} duplicate point(s); pass on_duplicates='jitter' "
-                f"to keep them with a {jitter_m:g} m displacement")
+                f"to keep them with a {_JITTER_M:g} m displacement")
         if on_duplicates != "jitter":
             raise ValueError("on_duplicates must be 'reject' or 'jitter'")
         pts = pts.copy()
@@ -549,16 +549,17 @@ def build_pattern(points, window: Window, *, on_duplicates: str = "reject",
             seen[key] = k + 1
             if k > 0:
                 ang = 2.0 * math.pi * ((moved + 1) * golden % 1.0)
-                pts[i, 0] += jitter_m * math.cos(ang)
-                pts[i, 1] += jitter_m * math.sin(ang)
+                pts[i, 0] += _JITTER_M * math.cos(ang)
+                pts[i, 1] += _JITTER_M * math.sin(ang)
                 moved += 1
         warnings.warn(f"displaced {moved} duplicate point(s) by "
-                      f"{jitter_m:g} m", stacklevel=2)
+                      f"{_JITTER_M:g} m", stacklevel=2)
         pts = pts[window.contains(pts)]
     return PointPattern(points=pts, window=window)
 
 
-def clip(points, window: Window, **kwargs) -> PointPattern:
+def clip(points, window: Window, *,
+         on_duplicates: str = "reject") -> PointPattern:
     """Keep the points inside ``window`` (boundary inclusive).
 
     Raises
@@ -573,7 +574,7 @@ def clip(points, window: Window, **kwargs) -> PointPattern:
         raise DegeneratePatternError(
             f"only {kept.shape[0]} point(s) inside the window; "
             f"need at least 2")
-    return build_pattern(kept, window, **kwargs)
+    return build_pattern(kept, window, on_duplicates=on_duplicates)
 
 
 class IntensityEstimate(tuple):

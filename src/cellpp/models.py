@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaln, kv
@@ -121,15 +121,7 @@ def check_valid(spec: ModelSpec) -> None:
 
 
 def model_to_dict(spec: ModelSpec) -> dict:
-    params = {"intensity": spec.intensity}
-    if isinstance(spec, BetaGinibre):
-        params["beta"] = spec.beta
-    elif isinstance(spec, GaussDpp):
-        params["scale"] = spec.scale
-    elif isinstance(spec, CauchyDpp):
-        params["scale"] = spec.scale
-        params["shape"] = spec.shape
-    return {"model": spec.name, "params": params}
+    return {"model": spec.name, "params": asdict(spec)}
 
 
 def model_from_dict(d: dict) -> ModelSpec:

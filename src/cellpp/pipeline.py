@@ -12,6 +12,7 @@ wall-clock metadata goes to a sidecar file, never into the report.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -331,17 +332,14 @@ class Report:
                           allow_nan=False) + "\n"
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    class _StageContext:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, CellppError):
-                exc.stage = name
-            return False
-
-    return _StageContext()
+    """Tag a CellppError raised in the block with the stage name."""
+    try:
+        yield
+    except CellppError as exc:
+        exc.stage = name
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +499,12 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
             "grid_r_max": float(grid.r[-1]),
             "test_points": int(n_test),
         }
-        report = Report(config=config.to_dict(), dataset=dataset,
+        # the input's file name only, so that the same data read from
+        # another directory gives the same report bytes
+        echo = config.to_dict()
+        if config.input is not None:
+            echo["input"] = Path(config.input).name
+        report = Report(config=echo, dataset=dataset,
                         stationarity=stationarity, families=families,
                         winner=winner, near_poisson=near_poisson,
                         curves=curves, fit_results=fit_results,

@@ -38,6 +38,12 @@ from .models import (
 )
 from .rng import as_stream
 
+# The samplability rule, read at call time: a draw that needs more
+# Ginibre-disk rotational modes or Gauss/Cauchy Fourier modes raises
+# TruncationError (exit 4); fits search scales from ``_scale_floor`` up.
+K_BUDGET = 500_000
+MODE_BUDGET = 1_500_000
+
 
 def sample_poisson(intensity: float, window: Window, stream) -> PointPattern:
     """Homogeneous Poisson realization on the window."""
@@ -279,7 +285,7 @@ def _sq_norms(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _ginibre_disk(intensity: float, beta: float, radius: float,
-                  rng: np.random.Generator, k_budget: int) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Exact draw of the thinned-rescaled Ginibre process restricted to
     the centred disk of the given radius.
 
@@ -291,8 +297,8 @@ def _ginibre_disk(intensity: float, beta: float, radius: float,
     c = intensity * math.pi / beta
     t_cap = c * radius * radius
     k_hi = _bg_term_count(t_cap)
-    if k_hi > k_budget:
-        raise TruncationError(required=k_hi, budget=k_budget)
+    if k_hi > K_BUDGET:
+        raise TruncationError(required=k_hi, budget=K_BUDGET)
 
     ks = np.arange(k_hi, dtype=float)
     p_k = gammainc(ks + 1.0, t_cap)
@@ -333,7 +339,7 @@ def _ginibre_disk(intensity: float, beta: float, radius: float,
 
 
 def sample_beta_ginibre(intensity: float, beta: float, window: Window,
-                        stream, *, k_budget: int = 500_000) -> PointPattern:
+                        stream) -> PointPattern:
     """Thinned-rescaled Ginibre realization of the given intensity.
 
     Sampled exactly on the smallest centred disk covering the window
@@ -344,13 +350,12 @@ def sample_beta_ginibre(intensity: float, beta: float, window: Window,
     Raises
     ------
     TruncationError
-        If the window needs more rotational modes than ``k_budget``.
+        If the window needs more rotational modes than ``K_BUDGET``.
     """
     check_valid(BetaGinibre(intensity, beta))
     rng = as_stream(stream).generator()
     cx, cy = window.center()
-    pts = _ginibre_disk(intensity, beta, window.circumradius(), rng,
-                        k_budget)
+    pts = _ginibre_disk(intensity, beta, window.circumradius(), rng)
     pts = pts + np.array([cx, cy])
     return PointPattern(points=pts[window.contains(pts)], window=window)
 
@@ -360,16 +365,21 @@ def sample_beta_ginibre(intensity: float, beta: float, window: Window,
 # ---------------------------------------------------------------------------
 
 # Specs whose mode setup is kept.  Envelopes draw one spec many times in
-# a row; a lattice at the default mode budget holds 48 MB.
+# a row; a lattice at MODE_BUDGET holds 36 MB.
 _MODE_CACHE = 4
+# Periodic approximation (Lavancier, Moller & Rubak 2015, sec. 4): the
+# window enlarged by this factor per side, which pushes wrap-around
+# correlation past it, and the spectral mass the mode cutoff drops.
+_ENLARGEMENT = 1.25
+_TAIL_EPS = 1e-6
 
 
-def _spectral_cutoff(spec: ModelSpec, tail_eps: float) -> float:
+def _spectral_cutoff(spec: ModelSpec) -> float:
     """Radial frequency beyond which the discarded spectral mass is
-    below ``tail_eps`` of the total."""
+    below ``_TAIL_EPS`` of the total."""
     alpha = spec.scale
     if isinstance(spec, GaussDpp):
-        return 1.15 * math.sqrt(math.log(1.0 / tail_eps)) / (math.pi * alpha)
+        return 1.15 * math.sqrt(math.log(1.0 / _TAIL_EPS)) / (math.pi * alpha)
     nu = spec.shape
 
     def rel_tail(s):
@@ -378,12 +388,12 @@ def _spectral_cutoff(spec: ModelSpec, tail_eps: float) -> float:
                 / (math.gamma(nu + 1.0) * 2.0 ** nu))
 
     hi = 1.0 / alpha
-    while rel_tail(hi) > tail_eps:
+    while rel_tail(hi) > _TAIL_EPS:
         hi *= 2.0
     lo = hi / 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if rel_tail(mid) > tail_eps:
+        if rel_tail(mid) > _TAIL_EPS:
             lo = mid
         else:
             hi = mid
@@ -391,24 +401,22 @@ def _spectral_cutoff(spec: ModelSpec, tail_eps: float) -> float:
 
 
 @functools.lru_cache(maxsize=_MODE_CACHE)
-def _mode_grid(spec: ModelSpec, window: Rectangle, enlargement: float,
-               tail_eps: float):
+def _mode_grid(spec: ModelSpec, window: Rectangle):
     """Periods (t1, t2) of the enlarged rectangle and the largest mode
     indices (k1, k2) per axis."""
     l1 = window.x_max - window.x_min
     l2 = window.y_max - window.y_min
-    t1, t2 = enlargement * l1, enlargement * l2
-    s_cut = _spectral_cutoff(spec, tail_eps)
+    t1, t2 = _ENLARGEMENT * l1, _ENLARGEMENT * l2
+    s_cut = _spectral_cutoff(spec)
     k1, k2 = int(math.ceil(s_cut * t1)), int(math.ceil(s_cut * t2))
     return t1, t2, k1, k2
 
 
 @functools.lru_cache(maxsize=_MODE_CACHE)
-def _mode_lattice(spec: ModelSpec, window: Rectangle, enlargement: float,
-                  tail_eps: float):
+def _mode_lattice(spec: ModelSpec, window: Rectangle):
     """Eigenvalue of every mode of the truncated frequency lattice, and
     its x and y indices shifted to start at 0, as read-only arrays."""
-    t1, t2, k1, k2 = _mode_grid(spec, window, enlargement, tail_eps)
+    t1, t2, k1, k2 = _mode_grid(spec, window)
     gx, gy = np.meshgrid(np.arange(k1 + k1 + 1), np.arange(k2 + k2 + 1),
                          indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
@@ -419,32 +427,50 @@ def _mode_lattice(spec: ModelSpec, window: Rectangle, enlargement: float,
     return evals, gx, gy
 
 
-def spectral_mode_count(spec: ModelSpec, window: Window, *,
-                        enlargement: float = 1.25,
-                        tail_eps: float = 1e-6) -> int:
+def spectral_mode_count(spec: ModelSpec, window: Window) -> int:
     """Fourier modes the spectral sampler would need on this window.
 
     Grows like (window extent / kernel scale)^2; lets callers check a
-    parameter point against the mode budget before sampling.
+    parameter point against MODE_BUDGET before sampling.
     """
     if not isinstance(spec, (GaussDpp, CauchyDpp)):
         raise ConfigError("mode counts apply to the spectral families")
     if not isinstance(window, Rectangle):
         raise ConfigError("spectral sampler needs a rectangular window")
-    _, _, k1, k2 = _mode_grid(spec, window, enlargement, tail_eps)
+    _, _, k1, k2 = _mode_grid(spec, window)
     return (2 * k1 + 1) * (2 * k2 + 1)
 
 
-def sample_dpp_spectral(spec: ModelSpec, window: Window, stream, *,
-                        enlargement: float = 1.25, tail_eps: float = 1e-6,
-                        mode_budget: int = 2_000_000) -> PointPattern:
+def _scale_floor(make, lo: float, hi: float, window: Rectangle) -> float:
+    """Smallest kernel scale in [lo, hi] affordable under the sampler
+    mode budget on this window; returns lo unchanged when lo already
+    fits."""
+    if spectral_mode_count(make(lo), window) <= MODE_BUDGET:
+        return lo
+    if spectral_mode_count(make(hi), window) > MODE_BUDGET:
+        raise ConfigError(
+            "window too large for the spectral families: even the "
+            "existence-bound scale exceeds the sampler mode budget")
+    a, b = lo, hi
+    while b / a > 1.0001:
+        mid = math.sqrt(a * b)
+        if spectral_mode_count(make(mid), window) > MODE_BUDGET:
+            a = mid
+        else:
+            b = mid
+    return b
+
+
+def sample_dpp_spectral(spec: ModelSpec, window: Window,
+                        stream) -> PointPattern:
     """Gaussian or Cauchy determinantal realization on a rectangle.
 
     The stationary kernel is periodized on a rectangle enlarged by
-    ``enlargement`` (which pushes wrap-around correlation past the
-    window), diagonalized over Fourier modes, and sampled exactly as a
-    Bernoulli mixture of projection processes.  The mode cutoff keeps
-    the discarded spectral mass below ``tail_eps`` of the total.
+    ``_ENLARGEMENT`` per side, diagonalized over Fourier modes, and
+    sampled exactly as a Bernoulli mixture of projection processes.
+    The mode cutoff keeps the discarded spectral mass below
+    ``_TAIL_EPS`` of the total; past ``MODE_BUDGET`` modes the draw
+    raises TruncationError.
     """
     if not isinstance(spec, (GaussDpp, CauchyDpp)):
         raise ConfigError("spectral sampler covers the Gaussian and Cauchy "
@@ -457,14 +483,14 @@ def sample_dpp_spectral(spec: ModelSpec, window: Window, stream, *,
 
     l1 = window.x_max - window.x_min
     l2 = window.y_max - window.y_min
-    t1, t2, k1, k2 = _mode_grid(spec, window, enlargement, tail_eps)
+    t1, t2, k1, k2 = _mode_grid(spec, window)
     area = t1 * t2
 
     n_modes = (2 * k1 + 1) * (2 * k2 + 1)
-    if n_modes > mode_budget:
-        raise TruncationError(required=n_modes, budget=mode_budget)
+    if n_modes > MODE_BUDGET:
+        raise TruncationError(required=n_modes, budget=MODE_BUDGET)
 
-    evals, col_x, col_y = _mode_lattice(spec, window, enlargement, tail_eps)
+    evals, col_x, col_y = _mode_lattice(spec, window)
     keep = rng.uniform(size=n_modes) < evals
     col_x, col_y = col_x[keep], col_y[keep]
     n = col_x.size
@@ -493,11 +519,10 @@ def sample_dpp_spectral(spec: ModelSpec, window: Window, stream, *,
     return PointPattern(points=pts[window.contains(pts)], window=window)
 
 
-def sample(spec: ModelSpec, window: Window, stream, **kwargs) -> PointPattern:
+def sample(spec: ModelSpec, window: Window, stream) -> PointPattern:
     """Dispatch to the family's sampler."""
     if isinstance(spec, Poisson):
         return sample_poisson(spec.intensity, window, stream)
     if isinstance(spec, BetaGinibre):
-        return sample_beta_ginibre(spec.intensity, spec.beta, window, stream,
-                                   **kwargs)
-    return sample_dpp_spectral(spec, window, stream, **kwargs)
+        return sample_beta_ginibre(spec.intensity, spec.beta, window, stream)
+    return sample_dpp_spectral(spec, window, stream)

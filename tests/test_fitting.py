@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from cellpp.errors import (ConfigError, ConvergenceError,
-                           InsufficientDataError, InsufficientRangeError)
+                           InsufficientDataError, InsufficientRangeError,
+                           TruncationError)
 from cellpp.estimators import RadiusGrid, SummaryCurve, empirical_curves
 from cellpp.fitting import (CAUCHY_SHAPE_BOUNDS, DEFAULT_RANGE_FRACTION,
-                            FIT_MODE_BUDGET, ContrastSpec, FitResult,
+                            SCALE_FRACTION_MIN, ContrastSpec, FitResult,
                             contrast, fit)
 from cellpp.geom import PointPattern, Rectangle
-from cellpp.models import BetaGinibre
+from cellpp.models import BetaGinibre, GaussDpp
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import (sample_beta_ginibre, sample_poisson,
+from cellpp.samplers import (MODE_BUDGET, _scale_floor, sample,
+                             sample_beta_ginibre, sample_poisson,
                              spectral_mode_count)
 
 from conftest import UNIT_SQUARE, ppp
@@ -192,7 +194,7 @@ class TestFitSpectralFamilies:
         res = fit(bg_pattern, "gauss-dpp", ContrastSpec(statistic="K"))
         lam = res.diagnostics["intensity"]
         assert res.model.scale <= 1.0 / math.sqrt(math.pi * lam) + 1e-12
-        assert spectral_mode_count(res.model, KM13) <= FIT_MODE_BUDGET
+        assert spectral_mode_count(res.model, KM13) <= MODE_BUDGET
         assert res.diagnostics["converged"]
         # strongly repulsive input: the gauss fit runs to max repulsion
         assert not res.diagnostics["near_poisson"]
@@ -204,7 +206,25 @@ class TestFitSpectralFamilies:
         bound = math.sqrt(res.model.shape / (math.pi * lam))
         assert 0.0 < res.model.scale <= bound + 1e-9
         assert res.diagnostics["converged"]
-        assert spectral_mode_count(res.model, KM13) <= FIT_MODE_BUDGET
+        assert spectral_mode_count(res.model, KM13) <= MODE_BUDGET
+
+    def test_fit_floor_is_the_sampler_limit(self):
+        # the lowest Gauss scale the fit can reach on the 13 km window
+        # is one the sampler draws, and just below it the sampler
+        # refuses: fit and sampler share one budget
+        lam = 0.7e-6
+        scale_max = 1.0 / math.sqrt(math.pi * lam)
+
+        def make(scale):
+            return GaussDpp(intensity=lam, scale=scale)
+
+        floor = _scale_floor(make, SCALE_FRACTION_MIN * scale_max,
+                             scale_max, KM13)
+        assert 36.0 < floor < 36.5
+        assert sample(make(floor), KM13, RngStreamSpec(5)).n > 0
+        assert spectral_mode_count(make(floor / 1.001), KM13) > MODE_BUDGET
+        with pytest.raises(TruncationError):
+            sample(make(floor / 1.001), KM13, RngStreamSpec(5))
 
     def test_fits_pinned_at_either_bound_are_flagged(self, bg_pattern):
         # strong repulsion drives Gauss to its existence-bound scale and

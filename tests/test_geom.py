@@ -235,8 +235,7 @@ class TestBuildPattern:
         w = Rectangle(0.0, 100.0, 0.0, 100.0)
         pts = [[50.0, 50.0], [20.0, 20.0], [50.0, 50.0], [50.0, 50.0]]
         with pytest.warns(UserWarning, match="duplicate"):
-            pat = build_pattern(pts, w, on_duplicates="jitter",
-                                jitter_m=1e-3)
+            pat = build_pattern(pts, w, on_duplicates="jitter")
         assert pat.n == 4
         assert np.unique(pat.points, axis=0).shape[0] == 4
         moved = np.hypot(pat.points[:, 0] - np.array(pts)[:, 0],

@@ -2,6 +2,7 @@
 full runs on synthetic data, determinism of the written report."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -276,6 +277,19 @@ class TestFullRun:
         run_pipeline(PipelineConfig(**bg_config), out_dir=tmp_path)
         assert (tmp_path / "report.json").read_bytes() == \
             (out / "report.json").read_bytes()
+
+    def test_report_does_not_depend_on_input_directory(self, bg_config,
+                                                       tmp_path):
+        reports = []
+        for sub in ("a", "b"):
+            path = tmp_path / sub / "points.csv"
+            path.parent.mkdir()
+            shutil.copyfile(bg_config["input"], path)
+            cfg = dict(bg_config, input=str(path), families=("poisson",))
+            run_pipeline(PipelineConfig(**cfg), out_dir=tmp_path / sub)
+            reports.append((tmp_path / sub / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["input"] == "points.csv"
 
     def test_family_order_does_not_matter(self, bg_config, bg_report):
         report, _ = bg_report

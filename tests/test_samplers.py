@@ -72,13 +72,14 @@ class TestPoisson:
 
 
 class TestBetaGinibre:
-    def test_near_zero_beta_is_poisson_like(self):
-        # beta -> 0 at fixed intensity degenerates to a Poisson process
+    def test_near_zero_beta_is_poisson_like(self, monkeypatch):
+        # beta -> 0 at fixed intensity degenerates to a Poisson process;
+        # this spec needs 1,585,867 rotational modes
+        monkeypatch.setattr(samplers, "K_BUDGET", 3_000_000)
         grid = RadiusGrid(np.linspace(0.0, 0.25, 26))
         mk = mean_k(
             lambda i: sample_beta_ginibre(100.0, 1e-4, UNIT_SQUARE,
-                                          RngStreamSpec(21, i),
-                                          k_budget=3_000_000),
+                                          RngStreamSpec(21, i)),
             50, grid)
         sel = grid.r >= 0.05
         rel = np.abs(mk[sel] - math.pi * grid.r[sel] ** 2) / (
@@ -169,10 +170,10 @@ class TestBetaGinibre:
         inside = unthinned.points[rect.contains(unthinned.points)]
         assert np.array_equal(direct.points, inside)
 
-    def test_truncation_budget(self):
+    def test_truncation_budget(self, monkeypatch):
+        monkeypatch.setattr(samplers, "K_BUDGET", 100)
         with pytest.raises(TruncationError) as err:
-            sample_beta_ginibre(100.0, 1e-4, UNIT_SQUARE, RngStreamSpec(0),
-                                k_budget=100)
+            sample_beta_ginibre(100.0, 1e-4, UNIT_SQUARE, RngStreamSpec(0))
         assert err.value.budget == 100
         assert err.value.required > 100
 
@@ -251,27 +252,27 @@ class TestSpectral:
         with pytest.raises(ConfigError):
             sample_dpp_spectral(spec, Disk(0.0, 0.0, 1.0), RngStreamSpec(0))
 
-    def test_mode_budget_guard(self):
+    def test_mode_budget_guard(self, monkeypatch):
         spec = GaussDpp(intensity=50.0, scale=0.05)
         need = spectral_mode_count(spec, UNIT_SQUARE)
+        monkeypatch.setattr(samplers, "MODE_BUDGET", need - 1)
         with pytest.raises(TruncationError) as err:
-            sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(0),
-                                mode_budget=need - 1)
+            sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(0))
         assert err.value.required == need
         assert err.value.budget == need - 1
         # exactly at the budget the draw goes through
-        pat = sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1),
-                                  mode_budget=need)
+        monkeypatch.setattr(samplers, "MODE_BUDGET", need)
+        pat = sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1))
         assert pat.n >= 0
         # a cached mode setup does not bypass the budget
+        monkeypatch.setattr(samplers, "MODE_BUDGET", need - 1)
         with pytest.raises(TruncationError):
-            sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1),
-                                mode_budget=need - 1)
+            sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1))
 
     def test_mode_setup_cached_read_only(self):
         spec = GaussDpp(intensity=50.0, scale=0.05)
-        first = samplers._mode_lattice(spec, UNIT_SQUARE, 1.25, 1e-6)
-        assert samplers._mode_lattice(spec, UNIT_SQUARE, 1.25, 1e-6) is first
+        first = samplers._mode_lattice(spec, UNIT_SQUARE)
+        assert samplers._mode_lattice(spec, UNIT_SQUARE) is first
         evals, col_x, col_y = first
         assert evals.size == col_x.size == col_y.size \
             == spectral_mode_count(spec, UNIT_SQUARE)
