@@ -27,12 +27,10 @@ from .geom import (
     PointPattern,
     ProjectionSpec,
     Rectangle,
-    boundary_distance,
     build_pattern,
     clip,
     ingest,
     intensity_estimate,
     project,
     quadrat_stationarity,
-    unproject,
 )

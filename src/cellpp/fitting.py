@@ -29,7 +29,7 @@ from .estimators import (
     empirical_curves,
     require_same_grid,
 )
-from .geom import PointPattern, Rectangle, Window, intensity_estimate
+from .geom import PointPattern, Window, intensity_estimate
 from .models import (
     BetaGinibre,
     CauchyDpp,
@@ -50,8 +50,8 @@ DEFAULT_RANGE_FRACTION = 1060.0 / 13000.0
 
 # Shape-parameter search boxes.  The lower ends are the near-Poisson
 # limits; the upper ends are the existence bounds (resolved per fit).
-# On a rectangle a scale search starts at the smallest scale the
-# sampler accepts (``samplers._scale_floor``), so fitted models can be
+# A scale search starts at the smallest scale the sampler accepts on
+# the window (``samplers._scale_floor``), so fitted models can be
 # sampled for their envelopes.
 BETA_SEARCH_MIN = 0.01
 SCALE_FRACTION_MIN = 1e-3
@@ -234,8 +234,8 @@ def _golden_minimize(fn, lo: float, hi: float, budget: int):
 
 def fit(pattern: PointPattern, family: str,
         cspec: ContrastSpec | None = None, *,
-        curves: dict | None = None, grid: RadiusGrid | None = None,
-        max_evaluations: int = 500, estimator_seed=0) -> FitResult:
+        curves: dict | None = None, max_evaluations: int = 500,
+        estimator_seed=0) -> FitResult:
     """Fit one family to a pattern by minimum contrast.
 
     Parameters
@@ -276,10 +276,8 @@ def fit(pattern: PointPattern, family: str,
     window = pattern.window
 
     if curves is None:
-        curves = empirical_curves(pattern, grid, seed=estimator_seed)
+        curves = empirical_curves(pattern, seed=estimator_seed)
     emp_grid = require_same_grid(*curves.values())
-    if grid is not None and not grid.matches(emp_grid):
-        raise ConfigError("grid argument disagrees with supplied curves")
     spec = (cspec or ContrastSpec()).resolved(emp_grid, window)
     emp = curves[spec.statistic]
 
@@ -315,9 +313,7 @@ def fit(pattern: PointPattern, family: str,
                 return GaussDpp(intensity=lam, scale=scale)
 
             hi = 1.0 / math.sqrt(math.pi * lam)
-            lo = SCALE_FRACTION_MIN * hi
-            if isinstance(window, Rectangle):
-                lo = _scale_floor(make, lo, hi, window)
+            lo = _scale_floor(make, SCALE_FRACTION_MIN * hi, hi, window)
         x, value, evaluations, converged, trace = _golden_minimize(
             lambda x: objective_for(make(x)), lo, hi, max_evaluations)
         model = make(x)
@@ -335,11 +331,9 @@ def fit(pattern: PointPattern, family: str,
             u = float(x[0])
             shape = math.exp(float(x[1]))
             bound = math.sqrt(shape / (math.pi * lam))
-            scale = u * bound
-            if isinstance(window, Rectangle):
-                scale = _scale_floor(
-                    lambda s: CauchyDpp(intensity=lam, scale=s, shape=shape),
-                    scale, bound, window)
+            scale = _scale_floor(
+                lambda s: CauchyDpp(intensity=lam, scale=s, shape=shape),
+                u * bound, bound, window)
             return CauchyDpp(intensity=lam, scale=scale, shape=shape)
 
         trace = []

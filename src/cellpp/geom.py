@@ -222,37 +222,6 @@ def project(coords, spec: ProjectionSpec, record_ids=None) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def unproject(points, spec: ProjectionSpec) -> np.ndarray:
-    """Inverse of :func:`project`; returns (n, 2) lon/lat degrees."""
-    xy = np.atleast_2d(np.asarray(points, dtype=float))
-    x = xy[:, 0] - spec.false_easting_m
-    y = xy[:, 1] - spec.false_northing_m
-    lam0 = math.radians(spec.origin_lon_deg)
-
-    if spec.kind == "lambert-conformal-conic":
-        n, big_f, rho0 = _lcc_constants(spec)
-        rho = np.sign(n) * np.hypot(x, rho0 - y)
-        theta = np.arctan2(x, rho0 - y)
-        t = (rho / (_A * big_f)) ** (1.0 / n)
-        lam = theta / n + lam0
-        phi = np.pi / 2.0 - 2.0 * np.arctan(t)
-        for _ in range(12):
-            s = np.sin(phi)
-            phi_new = (np.pi / 2.0
-                       - 2.0 * np.arctan(t * ((1.0 - _E * s)
-                                              / (1.0 + _E * s)) ** (_E / 2.0)))
-            if np.max(np.abs(phi_new - phi)) < 1e-14:
-                phi = phi_new
-                break
-            phi = phi_new
-    else:
-        phi0 = math.radians(spec.origin_lat_deg)
-        mr, nu = _local_radii(phi0)
-        lam = lam0 + x / (nu * math.cos(phi0))
-        phi = phi0 + y / mr
-    return np.column_stack([np.degrees(lam), np.degrees(phi)])
-
-
 # ---------------------------------------------------------------------------
 # Registry ingest
 # ---------------------------------------------------------------------------
@@ -353,7 +322,7 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
 
 @dataclass(frozen=True)
 class Rectangle:
-    """Axis-aligned rectangular window, metre coordinates."""
+    """Axis-aligned rectangle, metre coordinates."""
 
     x_min: float
     x_max: float
@@ -389,6 +358,9 @@ class Rectangle:
     def circumradius(self) -> float:
         return 0.5 * math.hypot(self.x_max - self.x_min,
                                 self.y_max - self.y_min)
+
+    def bounding_box(self) -> "Rectangle":
+        return self
 
     def min_extent(self) -> float:
         return min(self.x_max - self.x_min, self.y_max - self.y_min)
@@ -436,6 +408,12 @@ class Disk:
     def circumradius(self) -> float:
         return self.radius
 
+    def bounding_box(self) -> Rectangle:
+        return Rectangle(self.center_x - self.radius,
+                         self.center_x + self.radius,
+                         self.center_y - self.radius,
+                         self.center_y + self.radius)
+
     def min_extent(self) -> float:
         return 2.0 * self.radius
 
@@ -459,26 +437,6 @@ def window_from_dict(d) -> "Window":
 
 
 Window = Rectangle | Disk
-
-
-def boundary_distance(points, window: Window) -> np.ndarray:
-    """Distance from points inside the window to its boundary.
-
-    Raises
-    ------
-    OutsideWindowError
-        If any query point lies outside the window.  The window
-        methods return signed distances instead (negative outside);
-        estimators use those internally.
-    """
-    d = window.boundary_distance(points)
-    if np.any(d < 0):
-        i = int(np.argmax(d < 0))
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        raise OutsideWindowError(
-            f"point {i} at ({p[i, 0]:.3f}, {p[i, 1]:.3f}) lies outside "
-            f"the window")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -673,15 +631,12 @@ def quadrat_stationarity(pattern: PointPattern,
             f"{pattern.n} points cannot fill a {m}x{m} quadrat grid")
 
     w = pattern.window
+    box = w.bounding_box()
+    x_edges = np.linspace(box.x_min, box.x_max, m + 1)
+    y_edges = np.linspace(box.y_min, box.y_max, m + 1)
     if isinstance(w, Rectangle):
-        x_edges = np.linspace(w.x_min, w.x_max, m + 1)
-        y_edges = np.linspace(w.y_min, w.y_max, m + 1)
         areas = np.full((m, m), w.area() / (m * m))
     else:
-        x_edges = np.linspace(w.center_x - w.radius, w.center_x + w.radius,
-                              m + 1)
-        y_edges = np.linspace(w.center_y - w.radius, w.center_y + w.radius,
-                              m + 1)
         areas = np.empty((m, m))
         for i in range(m):
             for j in range(m):

@@ -111,11 +111,13 @@ def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
     needs F and G), and a kind's values do not depend on which others
     are requested.  ``n_test`` is the data's F test-point count, so
     replicate curves carry the same estimator bias as the data curve
-    they calibrate.
+    they calibrate.  Fewer than ``MIN_REPLICATES`` replicates raise
+    ConfigError before the first draw.
     """
     from .samplers import sample
 
     check_valid(spec)
+    _require_replicates(replicates)
     base = as_stream(stream)
     out = {kind: np.empty((replicates, grid.size)) for kind in kinds}
     for i in range(int(replicates)):
@@ -132,6 +134,12 @@ def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
     return out
 
 
+def _require_replicates(m: int) -> None:
+    if m < MIN_REPLICATES:
+        raise ConfigError(f"envelope needs at least {MIN_REPLICATES} "
+                          f"replicates, got {m}")
+
+
 def _replicate_array(values, grid: RadiusGrid) -> np.ndarray:
     """``values`` as an (M, grid size) float array, M checked against
     the replicate minimum."""
@@ -141,9 +149,7 @@ def _replicate_array(values, grid: RadiusGrid) -> np.ndarray:
             f"replicate values have shape {values.shape}, expected "
             f"(replicates, {grid.size})")
     m = values.shape[0]
-    if m < MIN_REPLICATES:
-        raise ConfigError(f"envelope needs at least {MIN_REPLICATES} "
-                          f"replicates, got {m}")
+    _require_replicates(m)
     if m < RECOMMENDED_REPLICATES:
         warnings.warn(f"{m} replicates gives a weak test; "
                       f"{RECOMMENDED_REPLICATES} is the usual choice",

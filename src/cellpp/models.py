@@ -132,21 +132,6 @@ def model_from_dict(d: dict) -> ModelSpec:
         raise ConfigError(f"bad model description: {d!r}") from exc
 
 
-def normalized_lower_incomplete_gamma(k: int, x):
-    """Regularized lower incomplete gamma at integer shape ``k``.
-
-    Equals ``1 - exp(-x) * sum_{j<k} x^j / j!``, the probability that a
-    Poisson(x) count reaches ``k``.  Vectorized over ``x``.
-    """
-    if k != int(k) or k < 1:
-        raise ValueError("k must be a positive integer")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("x must be non-negative")
-    out = gammainc(int(k), x_arr)
-    return float(out) if np.isscalar(x) else out
-
-
 # ---------------------------------------------------------------------------
 # Ginibre-family products
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import contextlib
 import csv
 import json
 import math
+import numbers
 import platform
 import time
 import warnings
@@ -51,7 +52,14 @@ from .geom import (
     quadrat_stationarity,
     window_from_dict,
 )
-from .gof import global_envelope, pointwise_envelope, replicate_curves, verdict, write_band_csv
+from .gof import (
+    MIN_REPLICATES,
+    global_envelope,
+    pointwise_envelope,
+    replicate_curves,
+    verdict,
+    write_band_csv,
+)
 from .rng import RngStreamSpec
 
 # Published retention estimates for 2021-era antenna registries, by
@@ -83,6 +91,14 @@ _STREAM_GOF = {"poisson": 1_000_000, "beta-ginibre": 2_000_000,
 # ---------------------------------------------------------------------------
 # Config
 # ---------------------------------------------------------------------------
+
+def _require_int(value, name: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
 
 def _require_known(d: dict, allowed, where: str) -> None:
     unknown = sorted(set(d) - set(allowed))
@@ -188,16 +204,19 @@ class PipelineConfig:
         if mode != "both" and gate != mode:
             raise ConfigError(f"envelope gate {gate!r} needs mode "
                               f"{gate!r} or 'both'")
-        replicates = int(self.envelope.get("replicates", 39))
+        replicates = _require_int(self.envelope.get("replicates", 39),
+                                  "envelope replicates", MIN_REPLICATES)
         self.envelope = {"replicates": replicates, "mode": mode,
                          "gate": gate}
         _require_known(self.contrast,
                        {"statistic", "p", "q", "r_min", "r_max",
                         "step_weighted"}, "contrast")
-        if self.grid_points < 2:
-            raise ConfigError("grid_points must be at least 2")
-        if self.auto_window_min_points < 2:
-            raise ConfigError("auto_window_min_points must be at least 2")
+        self.grid_points = _require_int(self.grid_points, "grid_points", 2)
+        self.auto_window_min_points = _require_int(
+            self.auto_window_min_points, "auto_window_min_points", 2)
+        self.max_evaluations = _require_int(self.max_evaluations,
+                                            "max_evaluations", 1)
+        self.master_seed = _require_int(self.master_seed, "master_seed", 0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

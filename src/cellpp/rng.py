@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class RngStreamSpec:
@@ -22,9 +24,10 @@ class RngStreamSpec:
 
     def __post_init__(self):
         if not 0 <= int(self.master_seed) < 2 ** 64:
-            raise ValueError("master_seed must fit in 64 bits")
+            raise ConfigError(f"seed {self.master_seed} must lie in "
+                              f"[0, 2**64)")
         if int(self.stream_id) < 0:
-            raise ValueError("stream_id must be non-negative")
+            raise ConfigError("stream_id must be non-negative")
 
     def generator(self) -> np.random.Generator:
         """Instantiate the generator for this stream."""

@@ -7,7 +7,10 @@ eigenfunctions with incomplete-gamma eigenvalues; on a periodically
 extended rectangle the stationary Gaussian/Cauchy kernels diagonalize
 over Fourier modes weighted by the spectral density.  In both cases a
 Bernoulli draw per eigenvalue picks the active modes and the resulting
-projection process is sampled exactly by sequential rejection.
+projection process is sampled exactly by sequential rejection.  Any
+window is drawn on a set that covers it (the centred disk, or the
+window's bounding box) and clipped: the restriction of a DPP to a
+sub-window is the DPP with the restricted kernel.
 
 Realizations may be empty; estimators, not samplers, enforce minimum
 point counts.  Every routine is deterministic given its stream spec.
@@ -361,7 +364,7 @@ def sample_beta_ginibre(intensity: float, beta: float, window: Window,
 
 
 # ---------------------------------------------------------------------------
-# Gaussian / Cauchy families on a rectangle, Fourier side
+# Gaussian / Cauchy families on the bounding box, Fourier side
 # ---------------------------------------------------------------------------
 
 # Specs whose mode setup is kept.  Envelopes draw one spec many times in
@@ -401,11 +404,11 @@ def _spectral_cutoff(spec: ModelSpec) -> float:
 
 
 @functools.lru_cache(maxsize=_MODE_CACHE)
-def _mode_grid(spec: ModelSpec, window: Rectangle):
-    """Periods (t1, t2) of the enlarged rectangle and the largest mode
+def _mode_grid(spec: ModelSpec, box: Rectangle):
+    """Periods (t1, t2) of the enlarged box and the largest mode
     indices (k1, k2) per axis."""
-    l1 = window.x_max - window.x_min
-    l2 = window.y_max - window.y_min
+    l1 = box.x_max - box.x_min
+    l2 = box.y_max - box.y_min
     t1, t2 = _ENLARGEMENT * l1, _ENLARGEMENT * l2
     s_cut = _spectral_cutoff(spec)
     k1, k2 = int(math.ceil(s_cut * t1)), int(math.ceil(s_cut * t2))
@@ -413,10 +416,10 @@ def _mode_grid(spec: ModelSpec, window: Rectangle):
 
 
 @functools.lru_cache(maxsize=_MODE_CACHE)
-def _mode_lattice(spec: ModelSpec, window: Rectangle):
+def _mode_lattice(spec: ModelSpec, box: Rectangle):
     """Eigenvalue of every mode of the truncated frequency lattice, and
     its x and y indices shifted to start at 0, as read-only arrays."""
-    t1, t2, k1, k2 = _mode_grid(spec, window)
+    t1, t2, k1, k2 = _mode_grid(spec, box)
     gx, gy = np.meshgrid(np.arange(k1 + k1 + 1), np.arange(k2 + k2 + 1),
                          indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
@@ -430,18 +433,16 @@ def _mode_lattice(spec: ModelSpec, window: Rectangle):
 def spectral_mode_count(spec: ModelSpec, window: Window) -> int:
     """Fourier modes the spectral sampler would need on this window.
 
-    Grows like (window extent / kernel scale)^2; lets callers check a
-    parameter point against MODE_BUDGET before sampling.
+    Grows like (bounding-box extent / kernel scale)^2; lets callers
+    check a parameter point against MODE_BUDGET before sampling.
     """
     if not isinstance(spec, (GaussDpp, CauchyDpp)):
         raise ConfigError("mode counts apply to the spectral families")
-    if not isinstance(window, Rectangle):
-        raise ConfigError("spectral sampler needs a rectangular window")
-    _, _, k1, k2 = _mode_grid(spec, window)
+    _, _, k1, k2 = _mode_grid(spec, window.bounding_box())
     return (2 * k1 + 1) * (2 * k2 + 1)
 
 
-def _scale_floor(make, lo: float, hi: float, window: Rectangle) -> float:
+def _scale_floor(make, lo: float, hi: float, window: Window) -> float:
     """Smallest kernel scale in [lo, hi] affordable under the sampler
     mode budget on this window; returns lo unchanged when lo already
     fits."""
@@ -463,34 +464,35 @@ def _scale_floor(make, lo: float, hi: float, window: Rectangle) -> float:
 
 def sample_dpp_spectral(spec: ModelSpec, window: Window,
                         stream) -> PointPattern:
-    """Gaussian or Cauchy determinantal realization on a rectangle.
+    """Gaussian or Cauchy determinantal realization on any window.
 
-    The stationary kernel is periodized on a rectangle enlarged by
-    ``_ENLARGEMENT`` per side, diagonalized over Fourier modes, and
-    sampled exactly as a Bernoulli mixture of projection processes.
-    The mode cutoff keeps the discarded spectral mass below
-    ``_TAIL_EPS`` of the total; past ``MODE_BUDGET`` modes the draw
-    raises TruncationError.
+    The stationary kernel is periodized on the window's bounding box
+    enlarged by ``_ENLARGEMENT`` per side, diagonalized over Fourier
+    modes, and sampled exactly as a Bernoulli mixture of projection
+    processes; the points in the window are kept.  A rectangle is its
+    own box; a disk of radius r is drawn on a (2.5 r)^2 torus, about
+    twice its expected point count.  The mode cutoff keeps the
+    discarded spectral mass below ``_TAIL_EPS`` of the total; past
+    ``MODE_BUDGET`` modes the draw raises TruncationError.
     """
     if not isinstance(spec, (GaussDpp, CauchyDpp)):
         raise ConfigError("spectral sampler covers the Gaussian and Cauchy "
                           "families; Poisson and the Ginibre family have "
                           "dedicated samplers")
-    if not isinstance(window, Rectangle):
-        raise ConfigError("spectral sampler needs a rectangular window")
     check_valid(spec)
     rng = as_stream(stream).generator()
 
-    l1 = window.x_max - window.x_min
-    l2 = window.y_max - window.y_min
-    t1, t2, k1, k2 = _mode_grid(spec, window)
+    box = window.bounding_box()
+    l1 = box.x_max - box.x_min
+    l2 = box.y_max - box.y_min
+    t1, t2, k1, k2 = _mode_grid(spec, box)
     area = t1 * t2
 
     n_modes = (2 * k1 + 1) * (2 * k2 + 1)
     if n_modes > MODE_BUDGET:
         raise TruncationError(required=n_modes, budget=MODE_BUDGET)
 
-    evals, col_x, col_y = _mode_lattice(spec, window)
+    evals, col_x, col_y = _mode_lattice(spec, box)
     keep = rng.uniform(size=n_modes) < evals
     col_x, col_y = col_x[keep], col_y[keep]
     n = col_x.size
@@ -513,8 +515,8 @@ def sample_dpp_spectral(spec: ModelSpec, window: Window,
         return np.column_stack([x, y]), feats
 
     torus_pts = _projection_sample(propose, n, rng)
-    shift = np.array([window.x_min - 0.5 * (t1 - l1),
-                      window.y_min - 0.5 * (t2 - l2)])
+    shift = np.array([box.x_min - 0.5 * (t1 - l1),
+                      box.y_min - 0.5 * (t2 - l2)])
     pts = torus_pts + shift
     return PointPattern(points=pts[window.contains(pts)], window=window)
 

@@ -4,10 +4,13 @@ Each restates a property of the families from its definition rather
 than from the production curve code, so the two can be checked
 against each other.
 """
+import math
+
 import numpy as np
 
 from cellpp.errors import ConfigError, SamplerStallError
 from cellpp.estimators import SummaryCurve
+from cellpp.geom import _A, _E, ProjectionSpec, _lcc_constants, _local_radii
 from cellpp.models import BetaGinibre, GaussDpp, Poisson, check_valid
 from cellpp.samplers import (_BLOCK_ENTRIES, _BLOCK_FLOOR,
                              _PROPOSALS_PER_POINT, _single_blas_thread,
@@ -122,3 +125,35 @@ def full_basis_projection_sample(propose, n: int, rng: np.random.Generator,
                 c = feats[pos:] @ basis_c[step]
                 resid[pos:] -= c.real * c.real + c.imag * c.imag
     return out
+
+
+def unproject(points, spec: ProjectionSpec) -> np.ndarray:
+    """Inverse of ``geom.project``; returns (n, 2) lon/lat degrees, the
+    round-trip oracle of the projections."""
+    xy = np.atleast_2d(np.asarray(points, dtype=float))
+    x = xy[:, 0] - spec.false_easting_m
+    y = xy[:, 1] - spec.false_northing_m
+    lam0 = math.radians(spec.origin_lon_deg)
+
+    if spec.kind == "lambert-conformal-conic":
+        n, big_f, rho0 = _lcc_constants(spec)
+        rho = np.sign(n) * np.hypot(x, rho0 - y)
+        theta = np.arctan2(x, rho0 - y)
+        t = (rho / (_A * big_f)) ** (1.0 / n)
+        lam = theta / n + lam0
+        phi = np.pi / 2.0 - 2.0 * np.arctan(t)
+        for _ in range(12):
+            s = np.sin(phi)
+            phi_new = (np.pi / 2.0
+                       - 2.0 * np.arctan(t * ((1.0 - _E * s)
+                                              / (1.0 + _E * s)) ** (_E / 2.0)))
+            if np.max(np.abs(phi_new - phi)) < 1e-14:
+                phi = phi_new
+                break
+            phi = phi_new
+    else:
+        phi0 = math.radians(spec.origin_lat_deg)
+        mr, nu = _local_radii(phi0)
+        lam = lam0 + x / (nu * math.cos(phi0))
+        phi = phi0 + y / mr
+    return np.column_stack([np.degrees(lam), np.degrees(phi)])

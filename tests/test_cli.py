@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 import cellpp
-from cellpp import estimators
+from cellpp import estimators, samplers
 from cellpp.cli import main
 from cellpp.estimators import default_test_point_count, estimate_F
 from cellpp.geom import Rectangle
-from cellpp.models import Poisson
+from cellpp.fitting import FAMILY_NAMES
+from cellpp.geom import window_from_dict
+from cellpp.models import BetaGinibre, Poisson
 from cellpp.pipeline import read_points_csv, write_points_csv
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import sample, sample_poisson
@@ -87,6 +89,16 @@ class TestSimulate:
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["window"]["kind"] == "disk"
         assert sidecar["model"] == model
+
+    def test_gauss_on_disk_window(self, tmp_path):
+        out = tmp_path / "gauss.csv"
+        rc = main(["simulate", "--family", "gauss-dpp", "--intensity",
+                   "5e-5", "--scale", "40", "--window", "disk:100,-50,500",
+                   "--seed", "4", "--output", str(out)])
+        assert rc == 0
+        pts = np.asarray(read_points_csv(out)[0])
+        assert len(pts) > 0
+        assert np.all(np.hypot(pts[:, 0] - 100.0, pts[:, 1] + 50.0) <= 500.0)
 
     def test_inline_model_matches_file_model(self, tmp_path):
         model = '{"model": "poisson", "params": {"intensity": 1e-4}}'
@@ -461,6 +473,63 @@ class TestPipeline:
         with pytest.raises(SystemExit) as err:
             main(["fit", "--input", path, "--family", "bogus"])
         assert err.value.code == 2
+
+
+def test_pipeline_on_disk_window_tests_all_four_families(tmp_path,
+                                                        capsys):
+    # 111 thinned-Ginibre points in a 7 km disk, CLI defaults otherwise:
+    # every family is fitted and envelope-tested on the disk itself
+    disk = {"kind": "disk", "center_x": 7000.0, "center_y": 7000.0,
+            "radius": 7000.0}
+    pat = sample(BetaGinibre(0.7e-6, 0.9), window_from_dict(disk),
+                 RngStreamSpec(3))
+    assert pat.n == 111
+    data = tmp_path / "disk.csv"
+    write_points_csv(data, pat.points)
+    rc = main(["pipeline", "--config", json.dumps({"window": disk}),
+               "--input", str(data), "--planar", "--seed", "3",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert sorted(report["families"]) == sorted(FAMILY_NAMES)
+    for entry in report["families"].values():
+        assert sorted(entry["verdicts"]) == ["F", "G", "J", "K"]
+
+
+BAD_NUMBERS = {
+    "simulate-seed": ["simulate", "--family", "poisson", "--intensity",
+                      "1e-4", "--window", WINDOW_FLAG, "--seed", "-1",
+                      "--output", "{out}"],
+    "stats-seed": ["stats", "--input", "{input}", "--window", WINDOW_FLAG,
+                   "--seed", "-1", "--output", "{out}"],
+    "pipeline-seed": ["pipeline", "--families", "poisson", "--input",
+                      "{input}", "--planar", "--seed", "-1"],
+    "gof-replicates": ["gof", "--input", "{input}", "--window", WINDOW_FLAG,
+                       "--family", "poisson", "--intensity", "1.5e-4",
+                       "--replicates", "-1"],
+    "pipeline-replicates": ["pipeline", "--input", "{input}", "--planar",
+                            "--config", '{"envelope": {"replicates": -1}}'],
+    "pipeline-grid-points": ["pipeline", "--input", "{input}", "--planar",
+                             "--config", '{"grid_points": "x"}'],
+    "pipeline-few-replicates": ["pipeline", "--input", "{input}", "--planar",
+                                "--config",
+                                '{"envelope": {"replicates": 5}}'],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
+def test_bad_numbers_exit_2(pp_csv, tmp_path, capsys, monkeypatch, argv):
+    # envelope replicates draw through samplers.sample; none may start
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before refusing the numbers")
+
+    monkeypatch.setattr(samplers, "sample", no_draw)
+    path, _ = pp_csv
+    args = [a.replace("{input}", path).replace("{out}",
+                                               str(tmp_path / "out.csv"))
+            for a in argv]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

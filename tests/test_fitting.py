@@ -10,11 +10,11 @@ import pytest
 from cellpp.errors import (ConfigError, ConvergenceError,
                            InsufficientDataError, InsufficientRangeError,
                            TruncationError)
-from cellpp.estimators import RadiusGrid, SummaryCurve, empirical_curves
+from cellpp.estimators import RadiusGrid, SummaryCurve
 from cellpp.fitting import (CAUCHY_SHAPE_BOUNDS, DEFAULT_RANGE_FRACTION,
                             SCALE_FRACTION_MIN, ContrastSpec, FitResult,
                             contrast, fit)
-from cellpp.geom import PointPattern, Rectangle
+from cellpp.geom import Disk, PointPattern, Rectangle
 from cellpp.models import BetaGinibre, GaussDpp
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import (MODE_BUDGET, _scale_floor, sample,
@@ -226,6 +226,28 @@ class TestFitSpectralFamilies:
         with pytest.raises(TruncationError):
             sample(make(floor / 1.001), KM13, RngStreamSpec(5))
 
+    def test_scale_floor_reads_the_bounding_box(self):
+        lam = 0.7e-6
+        scale_max = 1.0 / math.sqrt(math.pi * lam)
+
+        def make(scale):
+            return GaussDpp(intensity=lam, scale=scale)
+
+        disk = Disk(1000.0, -2000.0, 6000.0)
+        args = (make, SCALE_FRACTION_MIN * scale_max, scale_max)
+        assert _scale_floor(*args, disk) \
+            == _scale_floor(*args, disk.bounding_box())
+
+    def test_gauss_fit_on_a_disk_is_samplable_there(self):
+        disk = Disk(7000.0, 7000.0, 7000.0)
+        pat = sample_beta_ginibre(0.7e-6, 0.9, disk, RngStreamSpec(3))
+        res = fit(pat, "gauss-dpp", ContrastSpec(statistic="K"))
+        assert res.diagnostics["converged"]
+        assert spectral_mode_count(res.model, disk) <= MODE_BUDGET
+        drawn = sample(res.model, disk, RngStreamSpec(5))
+        assert drawn.n > 0
+        assert np.all(disk.contains(drawn.points))
+
     def test_fits_pinned_at_either_bound_are_flagged(self, bg_pattern):
         # strong repulsion drives Gauss to its existence-bound scale and
         # Cauchy to its largest shape; a plain Ginibre draw drives beta
@@ -286,14 +308,6 @@ class TestFitContract:
         assert 20 <= pat.n < 80
         with pytest.warns(UserWarning, match="fitting on"):
             fit(pat, "beta-ginibre")
-
-    def test_grid_curve_mismatch(self):
-        pat = ppp(seed=5)
-        grid_a = RadiusGrid(np.linspace(0.0, 0.25, 64))
-        grid_b = RadiusGrid(np.linspace(0.0, 0.2, 64))
-        curves = empirical_curves(pat, grid_a)
-        with pytest.raises(ConfigError):
-            fit(pat, "beta-ginibre", curves=curves, grid=grid_b)
 
     def test_convergence_error_carries_trace(self):
         pat = sample_beta_ginibre(0.7e-6, 0.9, KM13, RngStreamSpec(90, 3))

@@ -18,16 +18,16 @@ from cellpp.geom import (
     PointPattern,
     ProjectionSpec,
     Rectangle,
-    boundary_distance,
     build_pattern,
     clip,
     ingest,
     intensity_estimate,
     project,
     quadrat_stationarity,
-    unproject,
     window_from_dict,
 )
+
+from oracles import unproject
 
 # GRS80, restated here independently of the implementation
 A_GRS80 = 6378137.0
@@ -164,11 +164,11 @@ class TestWindows:
         assert list(w.contains([[4.0, -2.0], [4.0 + 1e-9, -2.0]])) \
             == [True, False]
 
-    def test_module_boundary_distance_rejects_outside(self, unit_square):
-        d = boundary_distance([[0.5, 0.5], [0.9, 0.5]], unit_square)
-        assert np.allclose(d, [0.5, 0.1])
-        with pytest.raises(OutsideWindowError):
-            boundary_distance([[0.5, 0.5], [1.2, 0.5]], unit_square)
+    def test_bounding_boxes(self):
+        rect = Rectangle(-1.0, 4.0, 2.0, 3.0)
+        assert rect.bounding_box() is rect
+        assert Disk(1.0, -2.0, 0.5).bounding_box() \
+            == Rectangle(0.5, 1.5, -2.5, -1.5)
 
     @pytest.mark.parametrize("window", [Rectangle(0.0, 2.0, 0.0, 1.0),
                                         Disk(0.5, 0.5, 1.5)])

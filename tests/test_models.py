@@ -15,7 +15,6 @@ from cellpp.models import (
     check_valid,
     model_from_dict,
     model_to_dict,
-    normalized_lower_incomplete_gamma,
     theoretical_curve,
     validate,
 )
@@ -38,36 +37,6 @@ BG_J_1000 = 5.8413441860003200951
 CAUCHY_K_500 = 715059.37446572323124
 # K(alpha) / (pi alpha^2) for the Gaussian kernel: 1 - (1 - e^-2)/2
 GAUSS_K_AT_SCALE = 0.56766764161830634595
-
-
-class TestIncompleteGamma:
-    def test_known_values(self):
-        assert normalized_lower_incomplete_gamma(1, math.log(2.0)) \
-            == pytest.approx(0.5, rel=1e-14)
-        assert normalized_lower_incomplete_gamma(2, 1.0) \
-            == pytest.approx(1.0 - 2.0 / math.e, rel=1e-14)
-        assert normalized_lower_incomplete_gamma(3, 0.0) == 0.0
-
-    def test_monotone_in_x_and_k(self):
-        x = np.linspace(0.0, 8.0, 30)
-        p2 = normalized_lower_incomplete_gamma(2, x)
-        assert np.all(np.diff(p2) > 0)
-        p5 = normalized_lower_incomplete_gamma(5, x)
-        assert np.all(p5[1:] < p2[1:])
-
-    def test_scalar_and_array_forms(self):
-        out = normalized_lower_incomplete_gamma(1, 0.5)
-        assert isinstance(out, float)
-        arr = normalized_lower_incomplete_gamma(1, np.array([0.5, 1.0]))
-        assert arr.shape == (2,)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            normalized_lower_incomplete_gamma(0, 1.0)
-        with pytest.raises(ValueError):
-            normalized_lower_incomplete_gamma(1.5, 1.0)
-        with pytest.raises(ValueError):
-            normalized_lower_incomplete_gamma(1, -0.1)
 
 
 class TestExistence:

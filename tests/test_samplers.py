@@ -247,10 +247,23 @@ class TestSpectral:
             sample_dpp_spectral(BetaGinibre(1.0, 0.5), UNIT_SQUARE,
                                 RngStreamSpec(0))
 
-    def test_rejects_disk_window(self):
-        spec = GaussDpp(intensity=50.0, scale=0.05)
-        with pytest.raises(ConfigError):
-            sample_dpp_spectral(spec, Disk(0.0, 0.0, 1.0), RngStreamSpec(0))
+    @pytest.mark.parametrize("spec", [
+        GaussDpp(intensity=50.0, scale=0.05),
+        CauchyDpp(intensity=50.0, scale=0.05, shape=1.0),
+    ], ids=["gauss", "cauchy"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_disk_draw_is_the_bounding_box_draw_clipped(self, spec, seed):
+        # a DPP restricted to a sub-window is the DPP with the restricted
+        # kernel, so the disk draw is the box draw clipped, exactly
+        disk = Disk(0.3, -0.2, 0.5)
+        on_disk = sample(spec, disk, RngStreamSpec(seed))
+        on_box = sample(spec, disk.bounding_box(), RngStreamSpec(seed))
+        assert on_disk.window is disk
+        assert 0 < on_disk.n < on_box.n
+        assert np.array_equal(on_disk.points,
+                              on_box.points[disk.contains(on_box.points)])
+        assert spectral_mode_count(spec, disk) \
+            == spectral_mode_count(spec, disk.bounding_box())
 
     def test_mode_budget_guard(self, monkeypatch):
         spec = GaussDpp(intensity=50.0, scale=0.05)
