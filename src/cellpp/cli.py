@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CellppError, ConfigError, DataError, NumericalError
 from .estimators import (
     CURVE_KINDS,
@@ -23,30 +21,14 @@ from .estimators import (
     write_curves_csv,
 )
 from .fitting import FAMILY_NAMES, ContrastSpec, fit
-from .geom import (
-    Disk,
-    ProjectionSpec,
-    Rectangle,
-    clip,
-    ingest,
-    intensity_estimate,
-    project,
-    quadrat_stationarity,
-)
-from .gof import (
-    global_envelope,
-    pointwise_envelope,
-    replicate_curves,
-    verdict,
-    write_band_csv,
-)
+from .geom import Disk, Rectangle, intensity_estimate, quadrat_stationarity
+from .gof import gof, replicate_curves, write_band_csv
 from .models import model_from_dict, model_to_dict, theoretical_curve
 from .pipeline import (
     PipelineConfig,
-    auto_window,
     emit_table_one_regression,
-    projection_from_dict,
-    read_points_csv,
+    load_pattern,
+    load_points,
     run_pipeline,
     write_points_csv,
 )
@@ -70,11 +52,13 @@ def _parse_window(text: str):
 def _load_json_arg(text: str) -> dict:
     """A JSON object given inline or as ``@path``."""
     try:
-        if text.startswith("@"):
-            return json.loads(Path(text[1:]).read_text())
-        return json.loads(text)
+        value = json.loads(Path(text[1:]).read_text()
+                           if text.startswith("@") else text)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read JSON argument {text!r}: {exc}")
+    if not isinstance(value, dict):
+        raise ConfigError(f"JSON argument {text!r} is not an object")
+    return value
 
 
 def _model_from_args(args) -> object:
@@ -93,16 +77,15 @@ def _model_from_args(args) -> object:
     return model_from_dict({"model": args.family, "params": params})
 
 
-def _pattern_from_args(args):
+def _load_pattern(args):
     """Planar CSV plus window flags -> clipped pattern."""
-    points, rejects = read_points_csv(args.input, x_column=args.x_column,
-                                      y_column=args.y_column)
-    if args.window is not None:
-        window = _parse_window(args.window)
-    else:
-        window = auto_window(points, args.min_points)
-    pattern = clip(points, window, on_duplicates=args.duplicates)
-    return pattern, rejects
+    window = (None if args.window is None
+              else _parse_window(args.window).to_dict())
+    return load_pattern(PipelineConfig(
+        input=args.input, planar=True, window=window,
+        columns={"x": args.x_column, "y": args.y_column},
+        auto_window_min_points=args.min_points,
+        duplicates=args.duplicates))[0]
 
 
 def _grid_from_args(args, window) -> RadiusGrid:
@@ -157,50 +140,44 @@ def _cspec_from_args(args) -> ContrastSpec:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    result = ingest(args.input, id_column=args.id_column,
-                    lon_column=args.lon_column, lat_column=args.lat_column,
-                    operator_column=args.operator_column,
-                    technology_column=args.technology_column,
-                    operator=args.operator, technology=args.technology)
-    if not result.records:
-        raise DataError(f"{args.input}: no records left after filtering")
-    if args.projection == "local-tangent":
-        lons = [r.coordinate.lon_deg for r in result.records]
-        lats = [r.coordinate.lat_deg for r in result.records]
-        spec = ProjectionSpec.local_tangent(
-            args.origin_lon if args.origin_lon is not None
-            else float(np.mean(lons)),
-            args.origin_lat if args.origin_lat is not None
-            else float(np.mean(lats)))
-    else:
-        spec = ProjectionSpec.lambert_93()
-    points = project([r.coordinate for r in result.records], spec,
-                     record_ids=[r.record_id for r in result.records])
+    origin = {"origin_lon": args.origin_lon, "origin_lat": args.origin_lat}
+    points, info = load_points(PipelineConfig(
+        input=args.input,
+        columns={"id": args.id_column, "lon": args.lon_column,
+                 "lat": args.lat_column, "operator": args.operator_column,
+                 "technology": args.technology_column},
+        filters={"operator": args.operator, "technology": args.technology},
+        projection={"kind": args.projection,
+                    **{k: v for k, v in origin.items() if v is not None}}))
     write_points_csv(args.output, points)
     if args.rejects is not None:
         with open(args.rejects, "w") as fh:
-            for row in result.rejects:
+            for row in info["rejects"]:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-    print(f"{len(result.records)} records projected to {args.output}; "
-          f"{len(result.rejects)} rejected")
+    print(f"{info['n_projected']} records projected to {args.output}; "
+          f"{len(info['rejects'])} rejected")
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    sidecar_path = Path(args.output).with_suffix(".json")
+    if sidecar_path == Path(args.output):
+        raise ConfigError(f"--output {args.output}: the .json sidecar "
+                          f"would overwrite the points")
     spec = _model_from_args(args)
     window = _parse_window(args.window)
     pattern = sample(spec, window, RngStreamSpec(args.seed))
     write_points_csv(args.output, pattern.points)
     sidecar = {"model": model_to_dict(spec), "seed": args.seed,
                "window": window.to_dict(), "n_points": pattern.n}
-    Path(args.output).with_suffix(".json").write_text(
+    sidecar_path.write_text(
         json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     print(f"{pattern.n} points from {spec.name} written to {args.output}")
     return 0
 
 
 def _cmd_stats(args) -> int:
-    pattern, _ = _pattern_from_args(args)
+    pattern = _load_pattern(args)
     grid = _grid_from_args(args, pattern.window)
     curves = empirical_curves(pattern, grid,
                               seed=RngStreamSpec(args.seed))
@@ -221,7 +198,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    pattern, _ = _pattern_from_args(args)
+    pattern = _load_pattern(args)
     result = fit(pattern, args.family, _cspec_from_args(args),
                  max_evaluations=args.max_evaluations,
                  estimator_seed=RngStreamSpec(args.seed))
@@ -237,23 +214,19 @@ def _cmd_gof(args) -> int:
     if not set(kinds) <= set(CURVE_KINDS):
         raise ConfigError(f"--statistics {args.statistics!r}: expected a "
                           f"comma-separated subset of {','.join(CURVE_KINDS)}")
-    pattern, _ = _pattern_from_args(args)
+    pattern = _load_pattern(args)
     spec = _model_from_args(args)
     grid = _grid_from_args(args, pattern.window)
     curves = empirical_curves(pattern, grid, seed=RngStreamSpec(args.seed))
     reps = replicate_curves(spec, pattern.window, args.replicates, grid,
                             stream=RngStreamSpec(args.seed, 1),
                             n_test=curves["F"].meta["n_test"], kinds=kinds)
+    model_curves = ({kind: theoretical_curve(kind, spec, grid)
+                     for kind in reps} if args.mode == "global" else None)
+    tests = gof(reps, curves, (args.mode,), model_curves, r_max=args.r_max)
     out = {}
-    for kind in kinds:
-        if args.mode == "global":
-            band = global_envelope(reps[kind],
-                                   theoretical_curve(kind, spec, grid))
-        else:
-            band = pointwise_envelope(reps[kind], grid, kind)
-        v = verdict(band, curves[kind], r_max=args.r_max)
-        out[kind] = v.to_dict()
-        out[kind]["significance"] = band.significance
+    for (_, kind), (band, v) in tests.items():
+        out[kind] = {**v.to_dict(), "significance": band.significance}
         if args.bands_dir is not None:
             band_dir = Path(args.bands_dir)
             band_dir.mkdir(parents=True, exist_ok=True)
@@ -265,7 +238,15 @@ def _cmd_gof(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = [json.loads(Path(p).read_text()) for p in args.reports]
+    reports = []
+    for path in args.reports:
+        try:
+            reports.append(json.loads(Path(path).read_text()))
+        except ValueError as exc:  # JSON and text decoding errors
+            raise DataError(f"{path}: not a JSON report: {exc}") from exc
+        if not isinstance(reports[-1], dict):
+            raise DataError(f"{path}: not a JSON report: its top level is "
+                            f"not an object")
     sys.stdout.write(emit_table_one_regression(reports))
     return 0
 

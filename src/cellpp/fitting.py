@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -115,9 +115,7 @@ class ContrastSpec:
         return replace(self, r_max=r_max)
 
     def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "p": self.p, "q": self.q,
-                "r_min": self.r_min, "r_max": self.r_max,
-                "step_weighted": self.step_weighted}
+        return asdict(self)
 
 
 def contrast(empirical: SummaryCurve, model_curve: SummaryCurve,

@@ -16,6 +16,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc
@@ -535,21 +536,11 @@ def clip(points, window: Window, *,
     return build_pattern(kept, window, on_duplicates=on_duplicates)
 
 
-class IntensityEstimate(tuple):
+class IntensityEstimate(NamedTuple):
     """(value, se): points per square metre with its standard error."""
 
-    __slots__ = ()
-
-    def __new__(cls, value, se):
-        return tuple.__new__(cls, (float(value), float(se)))
-
-    @property
-    def value(self):
-        return self[0]
-
-    @property
-    def se(self):
-        return self[1]
+    value: float
+    se: float
 
 
 def intensity_estimate(pattern: PointPattern) -> IntensityEstimate:
@@ -562,7 +553,7 @@ def intensity_estimate(pattern: PointPattern) -> IntensityEstimate:
         raise DegeneratePatternError("cannot estimate intensity of an "
                                      "empty pattern")
     area = pattern.window.area()
-    lam = pattern.n / area
+    lam = float(pattern.n / area)
     return IntensityEstimate(lam, math.sqrt(lam / area))
 
 

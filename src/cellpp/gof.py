@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,11 +93,7 @@ class GofVerdict:
     r_max: float | None = None
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "passed": bool(self.passed),
-                "first_exit_radius": self.first_exit_radius,
-                "exceedance_fraction": float(self.exceedance_fraction),
-                "n_defined": int(self.n_defined),
-                "r_max": self.r_max}
+        return asdict(self)
 
 
 def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
@@ -237,6 +233,23 @@ def verdict(band: EnvelopeBand, empirical: SummaryCurve,
     return GofVerdict(kind=band.kind, passed=True, first_exit_radius=None,
                       exceedance_fraction=0.0, n_defined=n_defined,
                       r_max=r_max)
+
+
+def gof(replicates: dict, curves: dict, modes, model_curves=None,
+        r_max: float | None = None) -> dict:
+    """(mode, kind) -> (band, verdict) for each kind of ``replicates``
+    (from ``replicate_curves``) under each envelope mode; ``curves`` and
+    ``model_curves`` map kinds to the data and model curves."""
+    tests = {}
+    for kind, values in replicates.items():
+        for mode in modes:
+            if mode == "global":
+                band = global_envelope(values, model_curves[kind])
+            else:
+                band = pointwise_envelope(values, curves[kind].grid, kind)
+            tests[(mode, kind)] = (band, verdict(band, curves[kind],
+                                                 r_max=r_max))
+    return tests
 
 
 def write_band_csv(path, band: EnvelopeBand) -> None:

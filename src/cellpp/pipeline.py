@@ -52,14 +52,7 @@ from .geom import (
     quadrat_stationarity,
     window_from_dict,
 )
-from .gof import (
-    MIN_REPLICATES,
-    global_envelope,
-    pointwise_envelope,
-    replicate_curves,
-    verdict,
-    write_band_csv,
-)
+from .gof import MIN_REPLICATES, gof, replicate_curves, write_band_csv
 from .rng import RngStreamSpec
 
 # Published retention estimates for 2021-era antenna registries, by
@@ -118,18 +111,14 @@ def projection_from_dict(d: dict | None) -> ProjectionSpec:
                        "lon_min", "lon_max", "lat_min", "lat_max"},
                    "projection")
     kind = d.get("kind", "lambert-93")
-    if kind == "lambert-93":
-        return ProjectionSpec.lambert_93()
-    if kind == "local-tangent":
-        try:
+    try:
+        if kind == "lambert-93":
+            return ProjectionSpec.lambert_93()
+        if kind == "local-tangent":
             return ProjectionSpec.local_tangent(
                 float(d["origin_lon"]), float(d["origin_lat"]),
                 half_span_deg=float(d.get("half_span", 3.0)))
-        except KeyError as exc:
-            raise ConfigError("local-tangent projection needs origin_lon "
-                              "and origin_lat") from exc
-    if kind == "lambert-conformal-conic":
-        try:
+        if kind == "lambert-conformal-conic":
             return ProjectionSpec(
                 kind=kind,
                 origin_lon_deg=float(d["origin_lon"]),
@@ -142,8 +131,11 @@ def projection_from_dict(d: dict | None) -> ProjectionSpec:
                 lon_max_deg=float(d.get("lon_max", 180.0)),
                 lat_min_deg=float(d.get("lat_min", -89.0)),
                 lat_max_deg=float(d.get("lat_max", 89.0)))
-        except KeyError as exc:
-            raise ConfigError(f"conic projection config missing {exc}")
+    except KeyError as exc:
+        raise ConfigError(f"{kind} projection config missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} projection config {d!r}: "
+                          f"{exc}") from exc
     raise ConfigError(f"unknown projection kind {kind!r}")
 
 
@@ -174,6 +166,14 @@ class PipelineConfig:
     technology: str | None = None
 
     def __post_init__(self):
+        for name, kinds in (("columns", dict), ("filters", dict),
+                            ("envelope", dict), ("contrast", dict),
+                            ("projection", (dict, type(None))),
+                            ("window", (dict, type(None))),
+                            ("families", (list, tuple))):
+            if not isinstance(getattr(self, name), kinds):
+                raise ConfigError(f"{name} has the wrong type: "
+                                  f"{getattr(self, name)!r}")
         self.families = tuple(self.families)
         for name in self.families:
             if name not in FAMILY_NAMES:
@@ -211,6 +211,12 @@ class PipelineConfig:
         _require_known(self.contrast,
                        {"statistic", "p", "q", "r_min", "r_max",
                         "step_weighted"}, "contrast")
+        try:
+            # not a field: the report echoes the config as given
+            self.cspec = ContrastSpec(**self.contrast)
+        except TypeError as exc:
+            raise ConfigError(f"bad contrast {self.contrast!r}: "
+                              f"{exc}") from exc
         self.grid_points = _require_int(self.grid_points, "grid_points", 2)
         self.auto_window_min_points = _require_int(
             self.auto_window_min_points, "auto_window_min_points", 2)
@@ -220,11 +226,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {d!r}")
         _require_known(d, {f.name for f in fields(cls)}, "config")
         return cls(**d)
-
-    def contrast_spec(self) -> ContrastSpec:
-        return ContrastSpec(**self.contrast)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -365,11 +370,13 @@ def _stage(name: str):
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def load_pattern(config: PipelineConfig):
-    """Stages 1-3: records to a clipped planar pattern.
+def load_points(config: PipelineConfig):
+    """Stages 1-2: the input file to planar points.
 
-    Returns (pattern, info) where info holds counts and the reject
-    rows for the audit file.
+    A registry is read, filtered and projected; a local-tangent
+    projection with no origin centres on the mean lon/lat of the kept
+    records.  Returns (points, info) where info holds counts and the
+    reject rows for the audit file.
     """
     if config.input is None:
         raise ConfigError("config has no input path")
@@ -379,7 +386,6 @@ def load_pattern(config: PipelineConfig):
             points, rejects = read_points_csv(
                 config.input, x_column=cols.get("x", "x"),
                 y_column=cols.get("y", "y"))
-            n_read = points.shape[0] + len(rejects)
         else:
             result = ingest(
                 config.input,
@@ -391,16 +397,30 @@ def load_pattern(config: PipelineConfig):
                 operator=config.filters.get("operator"),
                 technology=config.filters.get("technology"))
             rejects = result.rejects
-            n_read = len(result.records) + len(rejects)
             if not result.records:
                 raise DataError(f"{config.input}: no records left after "
                                 f"filtering")
     with _stage("project"):
         if not config.planar:
-            projection = projection_from_dict(config.projection)
-            points = project([r.coordinate for r in result.records],
-                             projection,
+            coords = [r.coordinate for r in result.records]
+            projection = config.projection
+            if (projection or {}).get("kind") == "local-tangent":
+                projection = {
+                    "origin_lon": float(np.mean([c.lon_deg for c in coords])),
+                    "origin_lat": float(np.mean([c.lat_deg for c in coords])),
+                    **projection}
+            points = project(coords, projection_from_dict(projection),
                              record_ids=[r.record_id for r in result.records])
+    # project keeps every record or raises: a row read is a point or a reject
+    return points, {"n_read": points.shape[0] + len(rejects),
+                    "n_projected": points.shape[0], "rejects": rejects}
+
+
+def load_pattern(config: PipelineConfig):
+    """Stages 1-3: records to a clipped planar pattern; returns
+    (pattern, info), with the clipped count added to ``load_points``'s
+    info."""
+    points, info = load_points(config)
     with _stage("window"):
         if config.window is not None:
             try:
@@ -412,9 +432,7 @@ def load_pattern(config: PipelineConfig):
             window = auto_window(points, config.auto_window_min_points)
     with _stage("clip"):
         pattern = clip(points, window, on_duplicates=config.duplicates)
-    info = {"n_read": int(n_read), "n_projected": int(points.shape[0]),
-            "n_clipped": int(pattern.n), "rejects": rejects}
-    return pattern, info
+    return pattern, {**info, "n_clipped": pattern.n}
 
 
 def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
@@ -450,10 +468,10 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
             pattern, grid, seed=base.substream(_STREAM_TEST_POINTS),
             n_test=n_test)
 
-    cspec = config.contrast_spec()
+    cspec = config.cspec
     mode = config.envelope["mode"]
+    modes = ("pointwise", "global") if mode == "both" else (mode,)
     gate = config.envelope["gate"]
-    replicates = config.envelope["replicates"]
     # Verdicts cover the fitted range only: beyond it the model was
     # never asked to match and the border-corrected curves get noisy.
     verdict_r_max = cspec.resolved(grid, window).r_max
@@ -467,32 +485,21 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
             fit_results[family] = res
         with _stage(f"gof:{family}"):
             reps = replicate_curves(
-                res.model, window, replicates, grid,
+                res.model, window, config.envelope["replicates"], grid,
                 stream=base.substream(_STREAM_GOF[family]), n_test=n_test)
-            verdicts: dict[str, dict] = {m: {} for m in
-                                         ("pointwise", "global")}
-            for kind in CURVE_KINDS:
-                if mode in ("pointwise", "both"):
-                    band = pointwise_envelope(reps[kind], grid, kind)
-                    all_bands[(family, kind, "pointwise")] = band
-                    verdicts["pointwise"][kind] = verdict(
-                        band, curves[kind], r_max=verdict_r_max)
-                if mode in ("global", "both"):
-                    band = global_envelope(reps[kind],
-                                           res.model_curves[kind])
-                    all_bands[(family, kind, "global")] = band
-                    verdicts["global"][kind] = verdict(
-                        band, curves[kind], r_max=verdict_r_max)
-            all_pass = all(v.passed for v in verdicts[gate].values())
+            tests = gof(reps, curves, modes, res.model_curves,
+                        r_max=verdict_r_max)
+        verdicts = {}
+        for (m, kind), (band, v) in tests.items():
+            all_bands[(family, kind, m)] = band
+            verdicts.setdefault(m, {})[kind] = v.to_dict()
         families[family] = {
             "fit": res.to_dict(),
             "gate": gate,
-            "verdicts": {k: v.to_dict()
-                         for k, v in verdicts[gate].items()},
-            "diagnostic_verdicts": {
-                m: {k: v.to_dict() for k, v in verdicts[m].items()}
-                for m in verdicts if m != gate and verdicts[m]},
-            "all_pass": bool(all_pass),
+            "verdicts": verdicts[gate],
+            "diagnostic_verdicts": {m: verdicts[m] for m in verdicts
+                                    if m != gate},
+            "all_pass": all(v["passed"] for v in verdicts[gate].values()),
         }
 
     with _stage("report"):

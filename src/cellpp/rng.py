@@ -8,6 +8,7 @@ many streams are drawn around it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,15 @@ class RngStreamSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2 ** 64:
+        for value in (self.master_seed, self.stream_id):
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ConfigError(f"seed and stream id must be integers, "
+                                  f"got {value!r}")
+        if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError(f"seed {self.master_seed} must lie in "
                               f"[0, 2**64)")
-        if int(self.stream_id) < 0:
+        if self.stream_id < 0:
             raise ConfigError("stream_id must be non-negative")
 
     def generator(self) -> np.random.Generator:
@@ -37,11 +43,11 @@ class RngStreamSpec:
 
     def substream(self, offset: int) -> "RngStreamSpec":
         """Derive a sibling stream at ``stream_id + offset``."""
-        return RngStreamSpec(self.master_seed, self.stream_id + int(offset))
+        return RngStreamSpec(self.master_seed, self.stream_id + offset)
 
 
 def as_stream(seed) -> RngStreamSpec:
-    """Coerce an int or RngStreamSpec into an RngStreamSpec."""
+    """Coerce an integer seed or RngStreamSpec into an RngStreamSpec."""
     if isinstance(seed, RngStreamSpec):
         return seed
-    return RngStreamSpec(int(seed))
+    return RngStreamSpec(seed)

@@ -22,7 +22,8 @@ from cellpp.geom import Rectangle
 from cellpp.fitting import FAMILY_NAMES
 from cellpp.geom import window_from_dict
 from cellpp.models import BetaGinibre, Poisson
-from cellpp.pipeline import read_points_csv, write_points_csv
+from cellpp.pipeline import (PipelineConfig, load_pattern, read_points_csv,
+                             write_points_csv)
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import sample, sample_poisson
 
@@ -137,6 +138,16 @@ class TestSimulate:
         assert rc == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_output_that_is_its_own_sidecar_exits_2(self, tmp_path, capsys):
+        # the sidecar goes to <output>.json: a .json output would lose
+        # the points to it
+        out = tmp_path / "s.json"
+        rc = main(["simulate", "--family", "poisson", "--intensity", "1e-4",
+                   "--window", WINDOW_FLAG, "--output", str(out)])
+        assert rc == 2
+        assert "sidecar would overwrite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStats:
 
@@ -180,6 +191,16 @@ class TestStats:
                    "--output", str(tmp_path / "c.csv")])
         assert rc == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("min_points", ["-5", "1"])
+    def test_min_points_below_two_exits_2(self, pp_csv, tmp_path, capsys,
+                                          min_points):
+        path, _ = pp_csv
+        rc = main(["stats", "--input", path, "--min-points", min_points,
+                   "--output", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert "must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestFit:
@@ -372,7 +393,58 @@ class TestIngest:
                    "--technology-column", "tech",
                    "--technology", "gsm-900"])
         assert rc == 3
-        assert "data error" in capsys.readouterr().err
+        assert "data error [ingest]: " in capsys.readouterr().err
+
+    def test_pipeline_config_without_origin_matches_ingest(self, tmp_path,
+                                                           capsys):
+        # both front ends centre a local tangent plane with no origin on
+        # the mean lon/lat of the kept records
+        rng = np.random.default_rng(12)
+        rows = ["id,lon,lat"] + [
+            f"s{i},{5.57 + rng.uniform(-0.05, 0.05):.6f},"
+            f"{50.63 + rng.uniform(-0.05, 0.05):.6f}" for i in range(120)]
+        registry = tmp_path / "registry.csv"
+        registry.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "points.csv"
+        assert main(["ingest", "--input", str(registry), "--output",
+                     str(out), "--projection", "local-tangent"]) == 0
+        ingested = read_points_csv(out)[0]
+        assert abs(ingested.mean(axis=0)).max() < 50.0
+        (x_min, y_min), (x_max, y_max) = ingested.min(0), ingested.max(0)
+        config = {"projection": {"kind": "local-tangent"},
+                  "window": {"kind": "rectangle", "x_min": x_min,
+                             "x_max": x_max, "y_min": y_min, "y_max": y_max}}
+        pattern, _ = load_pattern(PipelineConfig(input=str(registry),
+                                                 **config))
+        assert np.array_equal(pattern.points, ingested)
+        rc = main(["pipeline", "--input", str(registry), "--families",
+                   "poisson", "--config", json.dumps(
+                       {**config, "grid_points": 64,
+                        "envelope": {"replicates": 19}}),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["dataset"]["n_points"] == 120
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("stats", ["--window", "5000,6000,5000,6000"],
+     "data error [clip]: only 0 point(s)"),
+    ("fit", ["--window", "5000,6000,5000,6000", "--family", "poisson"],
+     "data error [clip]: only 0 point(s)"),
+    ("gof", ["--window", "5000,6000,5000,6000", "--family", "poisson",
+             "--intensity", "1e-4"], "data error [clip]: only 0 point(s)"),
+    ("gof", ["--min-points", "1000", "--family", "poisson",
+             "--intensity", "1e-4"], "data error [window]: auto window"),
+], ids=["stats", "fit", "gof", "gof-auto-window"])
+def test_loading_errors_name_their_stage(pp_csv, tmp_path, capsys, command,
+                                         flags, message):
+    path, _ = pp_csv
+    argv = [command, "--input", path] + flags
+    if command == "stats":
+        argv += ["--output", str(tmp_path / "c.csv")]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 class TestReport:
@@ -389,6 +461,15 @@ class TestReport:
         assert "liege" in table
         assert "0.88" in table
         assert "0.91" in table
+
+    @pytest.mark.parametrize("text", ["place,technology\nliege,gsm-900\n",
+                                      "[1, 2]"], ids=["csv", "json-list"])
+    def test_not_a_json_object_exits_3(self, tmp_path, capsys, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: not a JSON report")
 
 
 class TestPipeline:
@@ -530,6 +611,28 @@ def test_bad_numbers_exit_2(pp_csv, tmp_path, capsys, monkeypatch, argv):
             for a in argv]
     assert main(args) == 2
     assert "config error" in capsys.readouterr().err
+
+
+BAD_CONFIGS = {
+    "not-an-object": "[1]",
+    "contrast-exponent": '{"contrast": {"p": "x"}}',
+    "contrast-r-max": '{"contrast": {"r_max": "5"}}',
+    "columns-list": '{"columns": ["x"]}',
+    "families-string": '{"families": "poisson"}',
+    "projection-origin": '{"projection": {"kind": "local-tangent", '
+                         '"origin_lon": "x", "origin_lat": 1}}',
+}
+
+
+@pytest.mark.parametrize("config", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_bad_pipeline_configs_exit_2(pp_csv, registry_csv, capsys, config):
+    # a registry input for the projection, planar points otherwise
+    data = (["--input", registry_csv] if "projection" in config
+            else ["--input", pp_csv[0], "--planar"])
+    assert main(["pipeline", "--config", config] + data) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "unknown family" not in err
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -87,6 +87,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(auto_window_min_points=1)
 
+    def test_non_object_config(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            PipelineConfig.from_dict([1])
+
     def test_round_trip_dict(self):
         cfg = PipelineConfig(families=("poisson",), master_seed=7)
         again = PipelineConfig.from_dict(cfg.to_dict())
