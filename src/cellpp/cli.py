@@ -13,24 +13,23 @@ import sys
 from pathlib import Path
 
 from .errors import CellppError, ConfigError, DataError, NumericalError
-from .estimators import (
-    CURVE_KINDS,
-    RadiusGrid,
-    clark_evans_index,
-    empirical_curves,
-    write_curves_csv,
-)
-from .fitting import FAMILY_NAMES, ContrastSpec, fit
-from .geom import Disk, Rectangle, intensity_estimate, quadrat_stationarity
-from .gof import gof, replicate_curves, write_band_csv
-from .models import model_from_dict, model_to_dict, theoretical_curve
+from .estimators import CURVE_KINDS, write_curves_csv
+from .fitting import FAMILY_NAMES
+from .geom import Disk, Rectangle
+from .gof import write_band_csv
+from .models import model_from_dict, model_to_dict
 from .pipeline import (
     PipelineConfig,
+    data_curves,
+    describe,
     emit_table_one_regression,
+    envelope_test,
+    fit_family,
     load_pattern,
     load_points,
     run_pipeline,
     write_points_csv,
+    write_rejects_jsonl,
 )
 from .rng import RngStreamSpec
 from .samplers import sample
@@ -67,32 +66,24 @@ def _model_from_args(args) -> object:
     if args.family is None or args.intensity is None:
         raise ConfigError("give either --model JSON or --family with "
                           "--intensity (plus shape flags)")
-    params = {"intensity": args.intensity}
-    if args.beta is not None:
-        params["beta"] = args.beta
-    if args.scale is not None:
-        params["scale"] = args.scale
-    if args.shape is not None:
-        params["shape"] = args.shape
+    shape = {"beta": args.beta, "scale": args.scale, "shape": args.shape}
+    params = {"intensity": args.intensity,
+              **{k: v for k, v in shape.items() if v is not None}}
     return model_from_dict({"model": args.family, "params": params})
 
 
-def _load_pattern(args):
-    """Planar CSV plus window flags -> clipped pattern."""
+def _load_data(args, **settings):
+    """Planar CSV plus window flags -> (config, clipped pattern, data
+    curves); the config also carries the command's other ``settings``."""
     window = (None if args.window is None
               else _parse_window(args.window).to_dict())
-    return load_pattern(PipelineConfig(
+    config = PipelineConfig(
         input=args.input, planar=True, window=window,
         columns={"x": args.x_column, "y": args.y_column},
         auto_window_min_points=args.min_points,
-        duplicates=args.duplicates))[0]
-
-
-def _grid_from_args(args, window) -> RadiusGrid:
-    try:
-        return RadiusGrid.default(window, args.grid_points)
-    except ValueError as exc:
-        raise ConfigError(f"--grid-points {args.grid_points}: {exc}") from exc
+        duplicates=args.duplicates, master_seed=args.seed, **settings)
+    pattern = load_pattern(config)[0]
+    return config, pattern, data_curves(config, pattern)
 
 
 def _add_pattern_args(p: argparse.ArgumentParser) -> None:
@@ -129,12 +120,6 @@ def _add_contrast_args(p: argparse.ArgumentParser) -> None:
                    help="index-sum contrast instead of step-weighted")
 
 
-def _cspec_from_args(args) -> ContrastSpec:
-    return ContrastSpec(statistic=args.statistic, p=args.p, q=args.q,
-                        r_min=args.r_min, r_max=args.r_max,
-                        step_weighted=not args.raw_sum)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -151,9 +136,7 @@ def _cmd_ingest(args) -> int:
                     **{k: v for k, v in origin.items() if v is not None}}))
     write_points_csv(args.output, points)
     if args.rejects is not None:
-        with open(args.rejects, "w") as fh:
-            for row in info["rejects"]:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        write_rejects_jsonl(args.rejects, info["rejects"])
     print(f"{info['n_projected']} records projected to {args.output}; "
           f"{len(info['rejects'])} rejected")
     return 0
@@ -177,31 +160,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    pattern = _load_pattern(args)
-    grid = _grid_from_args(args, pattern.window)
-    curves = empirical_curves(pattern, grid,
-                              seed=RngStreamSpec(args.seed))
+    _, pattern, curves = _load_data(args, grid_points=args.grid_points)
     write_curves_csv(args.output, [curves[k] for k in CURVE_KINDS])
-    lam = intensity_estimate(pattern)
-    summary = {"n_points": pattern.n,
-               "intensity": lam.value, "intensity_se": lam.se,
-               "clark_evans": clark_evans_index(pattern)}
-    try:
-        screen = quadrat_stationarity(pattern)
-        summary["quadrat_p_value"] = screen.p_value
-    except CellppError as exc:
-        summary["quadrat_p_value"] = None
-        summary["quadrat_skipped"] = str(exc)
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    print(json.dumps(describe(pattern), sort_keys=True, indent=2))
     print(f"curves written to {args.output}", file=sys.stderr)
     return 0
 
 
 def _cmd_fit(args) -> int:
-    pattern = _load_pattern(args)
-    result = fit(pattern, args.family, _cspec_from_args(args),
-                 max_evaluations=args.max_evaluations,
-                 estimator_seed=RngStreamSpec(args.seed))
+    config, pattern, curves = _load_data(
+        args, max_evaluations=args.max_evaluations,
+        contrast={"statistic": args.statistic, "p": args.p, "q": args.q,
+                  "r_min": args.r_min, "r_max": args.r_max,
+                  "step_weighted": not args.raw_sum})
+    result = fit_family(config, pattern, args.family, curves)
     text = json.dumps(result.to_dict(), sort_keys=True, indent=2)
     if args.output is not None:
         Path(args.output).write_text(text + "\n")
@@ -214,16 +186,12 @@ def _cmd_gof(args) -> int:
     if not set(kinds) <= set(CURVE_KINDS):
         raise ConfigError(f"--statistics {args.statistics!r}: expected a "
                           f"comma-separated subset of {','.join(CURVE_KINDS)}")
-    pattern = _load_pattern(args)
     spec = _model_from_args(args)
-    grid = _grid_from_args(args, pattern.window)
-    curves = empirical_curves(pattern, grid, seed=RngStreamSpec(args.seed))
-    reps = replicate_curves(spec, pattern.window, args.replicates, grid,
-                            stream=RngStreamSpec(args.seed, 1),
-                            n_test=curves["F"].meta["n_test"], kinds=kinds)
-    model_curves = ({kind: theoretical_curve(kind, spec, grid)
-                     for kind in reps} if args.mode == "global" else None)
-    tests = gof(reps, curves, (args.mode,), model_curves, r_max=args.r_max)
+    config, pattern, curves = _load_data(
+        args, grid_points=args.grid_points,
+        envelope={"replicates": args.replicates, "mode": args.mode})
+    tests = envelope_test(config, pattern, spec, curves, kinds=kinds,
+                          r_max=args.r_max)
     out = {}
     for (_, kind), (band, v) in tests.items():
         out[kind] = {**v.to_dict(), "significance": band.significance}
@@ -259,12 +227,10 @@ def _cmd_pipeline(args) -> int:
         "master_seed": args.seed,
         "place": args.place,
         "technology": args.technology,
+        "families": (None if args.families is None
+                     else [f.strip() for f in args.families.split(",")]),
     }
-    if args.families is not None:
-        overrides["families"] = [f.strip() for f in args.families.split(",")]
-    for key, value in overrides.items():
-        if value is not None:
-            config_dict[key] = value
+    config_dict.update({k: v for k, v in overrides.items() if v is not None})
     config = PipelineConfig.from_dict(config_dict)
     report = run_pipeline(config, out_dir=args.out)
     for family, entry in report.families.items():
@@ -383,7 +349,7 @@ def main(argv=None) -> int:
             label, code = "config error", 2
         print(f"{label}{where}: {exc}", file=sys.stderr)
         return code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

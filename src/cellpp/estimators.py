@@ -118,20 +118,6 @@ def write_curves_csv(path, curves) -> None:
                               c.kind, c.origin])
 
 
-def read_curves_csv(path) -> list[SummaryCurve]:
-    """Inverse of :func:`write_curves_csv`."""
-    groups: dict = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["kind"], row["origin"])
-            rs, vs = groups.setdefault(key, ([], []))
-            rs.append(float(row["r"]))
-            vs.append(float(row["value"]) if row["value"] != "" else math.nan)
-    return [SummaryCurve(grid=RadiusGrid(np.array(rs)), values=np.array(vs),
-                         kind=kind, origin=origin)
-            for (kind, origin), (rs, vs) in groups.items()]
-
-
 # ---------------------------------------------------------------------------
 # Reduced-sample counting
 # ---------------------------------------------------------------------------

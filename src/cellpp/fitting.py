@@ -232,8 +232,8 @@ def _golden_minimize(fn, lo: float, hi: float, budget: int):
 
 def fit(pattern: PointPattern, family: str,
         cspec: ContrastSpec | None = None, *,
-        curves: dict | None = None, max_evaluations: int = 500,
-        estimator_seed=0) -> FitResult:
+        curves: dict | None = None,
+        max_evaluations: int = 500) -> FitResult:
     """Fit one family to a pattern by minimum contrast.
 
     Parameters
@@ -247,7 +247,7 @@ def fit(pattern: PointPattern, family: str,
         the default range.
     curves : dict, optional
         Precomputed empirical curves keyed by kind (all four); computed
-        here when omitted.
+        here, with F test locations on seed 0, when omitted.
 
     Notes
     -----
@@ -274,7 +274,7 @@ def fit(pattern: PointPattern, family: str,
     window = pattern.window
 
     if curves is None:
-        curves = empirical_curves(pattern, seed=estimator_seed)
+        curves = empirical_curves(pattern)
     emp_grid = require_same_grid(*curves.values())
     spec = (cspec or ContrastSpec()).resolved(emp_grid, window)
     emp = curves[spec.statistic]

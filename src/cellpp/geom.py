@@ -12,6 +12,7 @@ coordinates throughout.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -247,11 +248,20 @@ def _parse_float(text: str) -> float:
         return float(text.replace(",", "."))
 
 
+@contextlib.contextmanager
+def utf8_errors(path):
+    """Raise a decoding error in reading ``path`` as DataError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
            lat_column: str = "lat", operator_column: str | None = None,
            technology_column: str | None = None,
-           operator: str | None = None, technology: str | None = None,
-           encoding: str = "utf-8") -> IngestResult:
+           operator: str | None = None,
+           technology: str | None = None) -> IngestResult:
     """Read a registry export: header row, comma or semicolon delimited.
 
     Parameters
@@ -269,8 +279,10 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
         If a mandatory column is missing.
     EmptyInputError
         If the file holds no data rows.
+    DataError
+        If the file is not UTF-8 text.
     """
-    with open(path, newline="", encoding=encoding) as fh:
+    with open(path, newline="", encoding="utf-8") as fh, utf8_errors(path):
         head = fh.readline()
         if not head.strip():
             raise EmptyInputError(f"{path}: empty input")

@@ -36,7 +36,7 @@ from .errors import (
 from .estimators import (
     CURVE_KINDS,
     RadiusGrid,
-    default_test_point_count,
+    clark_evans_index,
     empirical_curves,
     write_curves_csv,
 )
@@ -50,9 +50,11 @@ from .geom import (
     intensity_estimate,
     project,
     quadrat_stationarity,
+    utf8_errors,
     window_from_dict,
 )
 from .gof import MIN_REPLICATES, gof, replicate_curves, write_band_csv
+from .models import theoretical_curve
 from .rng import RngStreamSpec
 
 # Published retention estimates for 2021-era antenna registries, by
@@ -100,11 +102,11 @@ def _require_known(d: dict, allowed, where: str) -> None:
                           f"allowed: {', '.join(sorted(allowed))}")
 
 
-def projection_from_dict(d: dict | None) -> ProjectionSpec:
+def projection_from_dict(d: dict | None, origin=None) -> ProjectionSpec:
     """Resolve a projection config: a named grid, a tangent plane, or
-    a fully spelled-out conic."""
-    if d is None:
-        return ProjectionSpec.lambert_93()
+    a fully spelled-out conic.  ``origin``, a (lon, lat) pair, stands
+    in for a tangent plane's missing origin."""
+    d = d or {}
     _require_known(d, {"kind", "origin_lon", "origin_lat", "half_span",
                        "std_parallel_1", "std_parallel_2",
                        "false_easting", "false_northing",
@@ -115,6 +117,8 @@ def projection_from_dict(d: dict | None) -> ProjectionSpec:
         if kind == "lambert-93":
             return ProjectionSpec.lambert_93()
         if kind == "local-tangent":
+            if origin is not None:
+                d = {"origin_lon": origin[0], "origin_lat": origin[1], **d}
             return ProjectionSpec.local_tangent(
                 float(d["origin_lon"]), float(d["origin_lat"]),
                 half_span_deg=float(d.get("half_span", 3.0)))
@@ -217,6 +221,9 @@ class PipelineConfig:
         except TypeError as exc:
             raise ConfigError(f"bad contrast {self.contrast!r}: "
                               f"{exc}") from exc
+        # not a field either; resolved here so that a bad projection fails
+        # before ingest (load_points centres an originless tangent plane)
+        self.pspec = projection_from_dict(self.projection, origin=(0.0, 0.0))
         self.grid_points = _require_int(self.grid_points, "grid_points", 2)
         self.auto_window_min_points = _require_int(
             self.auto_window_min_points, "auto_window_min_points", 2)
@@ -277,7 +284,7 @@ def read_points_csv(path, x_column: str = "x", y_column: str = "y"):
     from .errors import EmptyInputError, SchemaError
 
     points, rejects = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, utf8_errors(path):
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in (x_column, y_column):
@@ -321,6 +328,14 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
+
+
+def write_rejects_jsonl(path, rejects) -> None:
+    """The rejected input rows, one JSON object a line; the extra fields
+    of an overlong row (``csv``'s key None) appear under "None"."""
+    with open(path, "w") as fh:
+        for row in rejects:
+            fh.write(json.dumps(_jsonable(row), sort_keys=True) + "\n")
 
 
 @dataclass
@@ -403,13 +418,12 @@ def load_points(config: PipelineConfig):
     with _stage("project"):
         if not config.planar:
             coords = [r.coordinate for r in result.records]
-            projection = config.projection
-            if (projection or {}).get("kind") == "local-tangent":
-                projection = {
-                    "origin_lon": float(np.mean([c.lon_deg for c in coords])),
-                    "origin_lat": float(np.mean([c.lat_deg for c in coords])),
-                    **projection}
-            points = project(coords, projection_from_dict(projection),
+            pspec = config.pspec
+            if pspec.kind == "local-tangent":
+                pspec = projection_from_dict(config.projection, origin=(
+                    float(np.mean([c.lon_deg for c in coords])),
+                    float(np.mean([c.lat_deg for c in coords]))))
+            points = project(coords, pspec,
                              record_ids=[r.record_id for r in result.records])
     # project keeps every record or raises: a row read is a point or a reject
     return points, {"n_read": points.shape[0] + len(rejects),
@@ -435,16 +449,12 @@ def load_pattern(config: PipelineConfig):
     return pattern, {**info, "n_clipped": pattern.n}
 
 
-def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
-                    info: dict | None = None) -> Report:
-    """Stages 4-8 on an already-built pattern."""
-    info = info or {}
-    base = RngStreamSpec(master_seed=config.master_seed)
+def describe(pattern: PointPattern) -> dict:
+    """Stage 4: the pattern's count, intensity and Clark-Evans index,
+    and under ``stationarity`` the quadrat screen for gross
+    inhomogeneity, which warns when it rejects."""
     lam = intensity_estimate(pattern)
-    window = pattern.window
-
     with _stage("stationarity"):
-        stationarity = None
         try:
             screen = quadrat_stationarity(pattern)
             stationarity = {"statistic": screen.statistic,
@@ -460,35 +470,69 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
                     stacklevel=2)
         except InsufficientDataError as exc:
             stationarity = {"skipped": str(exc)}
+    return {"n_points": int(pattern.n), "intensity": lam.value,
+            "intensity_se": lam.se, "clark_evans": clark_evans_index(pattern),
+            "stationarity": stationarity}
 
+
+def data_curves(config: PipelineConfig, pattern: PointPattern) -> dict:
+    """Stage 5: the pattern's K, F, G and J on the configured grid; the
+    F test locations come from the master seed's test-point stream."""
     with _stage("curves"):
-        grid = RadiusGrid.default(window, config.grid_points)
-        n_test = default_test_point_count(pattern.n)
-        curves = empirical_curves(
-            pattern, grid, seed=base.substream(_STREAM_TEST_POINTS),
-            n_test=n_test)
+        grid = RadiusGrid.default(pattern.window, config.grid_points)
+        seed = RngStreamSpec(config.master_seed).substream(_STREAM_TEST_POINTS)
+        return empirical_curves(pattern, grid, seed=seed)
 
-    cspec = config.cspec
+
+def fit_family(config: PipelineConfig, pattern: PointPattern, family: str,
+               curves: dict) -> FitResult:
+    """Stage 6, one family: minimum-contrast fit to the data curves."""
+    with _stage(f"fit:{family}"):
+        return fit(pattern, family, config.cspec, curves=curves,
+                   max_evaluations=config.max_evaluations)
+
+
+def envelope_test(config: PipelineConfig, pattern: PointPattern, model,
+                  curves: dict, *, model_curves=None, kinds=CURVE_KINDS,
+                  r_max: float | None = None) -> dict:
+    """Stage 7, one model: ``gof.gof`` of the data ``curves`` against
+    replicates drawn on the family's stream; global bands centre on
+    ``model_curves``, computed here when not given."""
     mode = config.envelope["mode"]
     modes = ("pointwise", "global") if mode == "both" else (mode,)
+    grid = curves["F"].grid
+    with _stage(f"gof:{model.name}"):
+        reps = replicate_curves(
+            model, pattern.window, config.envelope["replicates"], grid,
+            stream=RngStreamSpec(config.master_seed).substream(
+                _STREAM_GOF[model.name]),
+            n_test=curves["F"].meta["n_test"], kinds=kinds)
+        if model_curves is None and "global" in modes:
+            model_curves = {kind: theoretical_curve(kind, model, grid)
+                            for kind in reps}
+        return gof(reps, curves, modes, model_curves, r_max=r_max)
+
+
+def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
+                    info: dict | None = None) -> Report:
+    """Stages 4-8 on an already-built pattern."""
+    info = info or {}
+    summary = describe(pattern)
+    stationarity = summary.pop("stationarity")
+    curves = data_curves(config, pattern)
+    grid = curves["F"].grid
+
     gate = config.envelope["gate"]
     # Verdicts cover the fitted range only: beyond it the model was
     # never asked to match and the border-corrected curves get noisy.
-    verdict_r_max = cspec.resolved(grid, window).r_max
-    families = {}
-    fit_results: dict[str, FitResult] = {}
-    all_bands: dict = {}
+    verdict_r_max = config.cspec.resolved(grid, pattern.window).r_max
+    families, fit_results, all_bands = {}, {}, {}
     for family in config.families:
-        with _stage(f"fit:{family}"):
-            res = fit(pattern, family, cspec, curves=curves,
-                      max_evaluations=config.max_evaluations)
-            fit_results[family] = res
-        with _stage(f"gof:{family}"):
-            reps = replicate_curves(
-                res.model, window, config.envelope["replicates"], grid,
-                stream=base.substream(_STREAM_GOF[family]), n_test=n_test)
-            tests = gof(reps, curves, modes, res.model_curves,
-                        r_max=verdict_r_max)
+        res = fit_results[family] = fit_family(config, pattern, family,
+                                               curves)
+        tests = envelope_test(config, pattern, res.model, curves,
+                              model_curves=res.model_curves,
+                              r_max=verdict_r_max)
         verdicts = {}
         for (m, kind), (band, v) in tests.items():
             all_bands[(family, kind, m)] = band
@@ -515,15 +559,13 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
             fit_results[f].diagnostics["near_poisson"] for f in repulsive)
 
         dataset = {
-            "n_points": int(pattern.n),
+            **summary,
             "n_read": info.get("n_read"),
             "n_rejected": len(info.get("rejects", [])),
-            "window": window.to_dict(),
-            "intensity": lam.value,
-            "intensity_se": lam.se,
+            "window": pattern.window.to_dict(),
             "grid_points": int(grid.size),
             "grid_r_max": float(grid.r[-1]),
-            "test_points": int(n_test),
+            "test_points": curves["F"].meta["n_test"],
         }
         # the input's file name only, so that the same data read from
         # another directory gives the same report bytes
@@ -557,9 +599,7 @@ def write_outputs(report: Report, out_dir, rejects=None) -> None:
     for (name, kind, mode), band in (report.bands or {}).items():
         write_band_csv(out / "bands" / f"{name}_{kind}_{mode}.csv", band)
 
-    with open(out / "rejects.jsonl", "w") as fh:
-        for row in rejects or []:
-            fh.write(json.dumps(_jsonable(row), sort_keys=True) + "\n")
+    write_rejects_jsonl(out / "rejects.jsonl", rejects or [])
 
     meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "python": platform.python_version(),
@@ -595,17 +635,12 @@ def emit_table_one_regression(reports) -> str:
     lines = [header, "-" * len(header)]
     for report in reports:
         if isinstance(report, Report):
-            config, families = report.config, report.families
-        else:
-            config = report.get("config", {})
-            families = report.get("families", {})
+            report = report.to_dict()
+        config = report.get("config", {})
         place = (config.get("place") or "?")
         tech = (config.get("technology") or "?")
-        entry = families.get("beta-ginibre")
-        if entry is None:
-            fitted = None
-        else:
-            fitted = entry["fit"]["params"].get("beta")
+        entry = report.get("families", {}).get("beta-ginibre")
+        fitted = None if entry is None else entry["fit"]["params"].get("beta")
         ref = REFERENCE_RETENTION.get((place, tech))
         fitted_s = "/" if fitted is None else f"{fitted:.2f}"
         ref_s = "/" if ref is None else f"{ref:.2f}"

@@ -4,12 +4,13 @@ Each restates a property of the families from its definition rather
 than from the production curve code, so the two can be checked
 against each other.
 """
+import csv
 import math
 
 import numpy as np
 
 from cellpp.errors import ConfigError, SamplerStallError
-from cellpp.estimators import SummaryCurve
+from cellpp.estimators import RadiusGrid, SummaryCurve
 from cellpp.geom import _A, _E, ProjectionSpec, _lcc_constants, _local_radii
 from cellpp.models import BetaGinibre, GaussDpp, Poisson, check_valid
 from cellpp.samplers import (_BLOCK_ENTRIES, _BLOCK_FLOOR,
@@ -157,3 +158,18 @@ def unproject(points, spec: ProjectionSpec) -> np.ndarray:
         lam = lam0 + x / (nu * math.cos(phi0))
         phi = phi0 + y / mr
     return np.column_stack([np.degrees(lam), np.degrees(phi)])
+
+
+def read_curves_csv(path) -> list:
+    """Inverse of ``estimators.write_curves_csv``: the round-trip
+    oracle of the curve file format."""
+    groups: dict = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            key = (row["kind"], row["origin"])
+            rs, vs = groups.setdefault(key, ([], []))
+            rs.append(float(row["r"]))
+            vs.append(float(row["value"]) if row["value"] != "" else math.nan)
+    return [SummaryCurve(grid=RadiusGrid(np.array(rs)), values=np.array(vs),
+                         kind=kind, origin=origin)
+            for (kind, origin), (rs, vs) in groups.items()]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import cellpp
-from cellpp import estimators, samplers
+from cellpp import estimators, pipeline, samplers
 from cellpp.cli import main
 from cellpp.estimators import default_test_point_count, estimate_F
 from cellpp.geom import Rectangle
@@ -163,7 +163,7 @@ class TestStats:
         assert summary["intensity"] == pytest.approx(pat.n / AREA)
         assert summary["intensity_se"] > 0
         assert 0.8 < summary["clark_evans"] < 1.2
-        assert 0.0 <= summary["quadrat_p_value"] <= 1.0
+        assert 0.0 <= summary["stationarity"]["p_value"] <= 1.0
         assert "curves written" in captured.err
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -184,7 +184,8 @@ class TestStats:
                    "--grid-points", "1", "--output",
                    str(tmp_path / "curves.csv")])
         assert rc == 2
-        assert "config error: --grid-points 1" in capsys.readouterr().err
+        assert ("config error: grid_points must be at least 2, got 1"
+                in capsys.readouterr().err)
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         rc = main(["stats", "--input", str(tmp_path / "absent.csv"),
@@ -331,9 +332,11 @@ class TestGof:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("flags, message", [
-        (["--grid-points", "1"], "--grid-points 1"),
-        (["--statistics", "K,L"], "--statistics 'K,L'"),
-        (["--r-max", "-1"], "no K radius up to r_max=-1.0 has"),
+        (["--grid-points", "1"],
+         "config error: grid_points must be at least 2, got 1"),
+        (["--statistics", "K,L"], "config error: --statistics 'K,L'"),
+        (["--r-max", "-1"], "config error [gof:poisson]: no K radius up "
+                            "to r_max=-1.0 has"),
     ], ids=["grid-points", "statistics", "r-max"])
     def test_bad_flags_exit_2(self, pp_csv, capsys, flags, message):
         path, pat = pp_csv
@@ -341,7 +344,7 @@ class TestGof:
                    "--family", "poisson",
                    "--intensity", repr(pat.n / AREA)] + flags)
         assert rc == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_model_flags_required_exits_2(self, pp_csv, capsys):
         path, _ = pp_csv
@@ -385,6 +388,20 @@ class TestIngest:
         # pairwise distances survive the conic projection to ~0.1%
         d01 = np.hypot(*(pts[0] - pts[1]))
         assert 300.0 < d01 < 450.0
+
+    def test_overlong_reject_row_is_written(self, tmp_path, capsys):
+        # csv files the extra field of the bad row under the key None
+        registry = tmp_path / "registry.csv"
+        registry.write_text("id,lon,lat\n1,2.35,48.85\n2,n/a,48.9,extra\n")
+        rejects = tmp_path / "rejects.jsonl"
+        rc = main(["ingest", "--input", str(registry), "--output",
+                   str(tmp_path / "p.csv"), "--rejects", str(rejects)])
+        assert rc == 0, capsys.readouterr().err
+        [line] = rejects.read_text().splitlines()
+        reject = json.loads(line)
+        assert reject["reason"] == "unparsable coordinate"
+        assert reject["row"] == {"id": "2", "lon": "n/a", "lat": "48.9",
+                                 "None": ["extra"]}
 
     def test_filter_leaves_nothing_exits_3(self, registry_csv, tmp_path,
                                            capsys):
@@ -445,6 +462,100 @@ def test_loading_errors_name_their_stage(pp_csv, tmp_path, capsys, command,
         argv += ["--output", str(tmp_path / "c.csv")]
     assert main(argv) == 3
     assert message in capsys.readouterr().err
+
+
+class TestStagesMatchThePipeline:
+    """``stats``, ``fit`` and ``gof`` at seed s reproduce the numbers of
+    a one-family ``pipeline --seed s`` run on the same window."""
+
+    SEED = "7"
+    FAMILY = "beta-ginibre"
+
+    @pytest.fixture(scope="class")
+    def run(self, pp_csv, tmp_path_factory):
+        out = tmp_path_factory.mktemp("stages") / "out"
+        config = {"window": {"kind": "rectangle", "x_min": 0.0,
+                             "x_max": 1000.0, "y_min": 0.0, "y_max": 1000.0},
+                  "envelope": {"replicates": 19}}
+        assert main(["pipeline", "--config", json.dumps(config),
+                     "--input", pp_csv[0], "--planar", "--families",
+                     self.FAMILY, "--seed", self.SEED,
+                     "--out", str(out)]) == 0
+        return out, json.loads((out / "report.json").read_text())
+
+    def stage(self, pp_csv, argv):
+        return ([argv[0], "--input", pp_csv[0], "--window", WINDOW_FLAG,
+                 "--seed", self.SEED] + argv[1:])
+
+    def test_stats_prints_and_writes_the_pipeline_description(
+            self, pp_csv, run, tmp_path, capsys):
+        out, report = run
+        capsys.readouterr()
+        curves = tmp_path / "curves.csv"
+        assert main(self.stage(pp_csv, ["stats", "--output",
+                                        str(curves)])) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert curves.read_bytes() == (out / "curves" /
+                                       "empirical.csv").read_bytes()
+        keys = ("n_points", "intensity", "intensity_se", "clark_evans")
+        assert summary == {**{k: report["dataset"][k] for k in keys},
+                           "stationarity": report["stationarity"]}
+
+    def test_fit_prints_the_report_fit(self, pp_csv, run, capsys):
+        _, report = run
+        capsys.readouterr()
+        assert main(self.stage(pp_csv, ["fit", "--family",
+                                        self.FAMILY])) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == report["families"][self.FAMILY]["fit"]
+
+    @pytest.mark.parametrize("mode", ["pointwise", "global"])
+    def test_gof_writes_the_pipeline_bands(self, pp_csv, run, tmp_path,
+                                           capsys, mode):
+        out, report = run
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(report["families"][self.FAMILY]["fit"]))
+        bands = tmp_path / "bands"
+        assert main(self.stage(pp_csv, [
+            "gof", "--model", f"@{model}", "--replicates", "19",
+            "--mode", mode, "--bands-dir", str(bands)])) == 0
+        for kind in ("K", "F", "G", "J"):
+            name = f"{self.FAMILY}_{kind}_{mode}.csv"
+            assert ((bands / name).read_bytes()
+                    == (out / "bands" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("command", ["ingest", "stats", "pipeline"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, command):
+    # a Latin-1 operator name in a registry or a planar CSV
+    path = tmp_path / "latin1.csv"
+    if command == "ingest":
+        path.write_bytes(b"id,lon,lat,operator\n1,2.35,48.85,Soci\xe9t\xe9\n")
+        argv = ["ingest", "--input", str(path), "--output",
+                str(tmp_path / "p.csv")]
+    else:
+        path.write_bytes(b"x,y,operator\n1.0,2.0,Soci\xe9t\xe9\n")
+        argv = ([command, "--input", str(path)]
+                + (["--output", str(tmp_path / "c.csv")]
+                   if command == "stats" else ["--planar"]))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error [ingest]: {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "{dir}"],
+    ["stats", "--input", "{dir}", "--output", "{out}"],
+    ["stats", "--input", "{input}", "--window", WINDOW_FLAG,
+     "--grid-points", "32", "--output", "{dir}"],
+], ids=["report", "stats-input", "stats-output"])
+def test_unreadable_paths_exit_3(pp_csv, tmp_path, capsys, argv):
+    # a directory where a file is expected: the tests run as root, so
+    # file permissions would not stop them
+    args = [a.replace("{dir}", str(tmp_path)).replace("{input}", pp_csv[0])
+            .replace("{out}", str(tmp_path / "c.csv")) for a in argv]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 class TestReport:
@@ -633,6 +744,19 @@ def test_bad_pipeline_configs_exit_2(pp_csv, registry_csv, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert "unknown family" not in err
+
+
+def test_bad_projection_exits_2_before_ingest(registry_csv, capsys,
+                                              monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "ingest",
+                        lambda *args, **kwargs: calls.append(args))
+    config = {"projection": {"kind": "local-tangent", "origin_lon": "x",
+                             "origin_lat": 1}}
+    assert main(["pipeline", "--config", json.dumps(config),
+                 "--input", registry_csv]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert calls == []
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

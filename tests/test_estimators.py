@@ -15,13 +15,12 @@ from cellpp.estimators import (
     estimate_G,
     estimate_J,
     estimate_K,
-    read_curves_csv,
     require_same_grid,
     write_curves_csv,
 )
 from cellpp.geom import Disk, PointPattern, Rectangle
 from conftest import UNIT_SQUARE, ppp
-from oracles import j_second_order_approx
+from oracles import j_second_order_approx, read_curves_csv
 
 # empty-space probability of a unit-rate-100 Poisson process at r=0.05,
 # 1 - exp(-100 pi 0.05^2), evaluated at 50 digits and frozen
