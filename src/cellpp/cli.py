@@ -72,9 +72,10 @@ def _model_from_args(args) -> object:
     return model_from_dict({"model": args.family, "params": params})
 
 
-def _load_data(args, **settings):
+def _load_data(args, kinds=CURVE_KINDS, **settings):
     """Planar CSV plus window flags -> (config, clipped pattern, data
-    curves); the config also carries the command's other ``settings``."""
+    curves ``kinds``); the config also carries the command's other
+    ``settings``."""
     window = (None if args.window is None
               else _parse_window(args.window).to_dict())
     config = PipelineConfig(
@@ -83,7 +84,7 @@ def _load_data(args, **settings):
         auto_window_min_points=args.min_points,
         duplicates=args.duplicates, master_seed=args.seed, **settings)
     pattern = load_pattern(config)[0]
-    return config, pattern, data_curves(config, pattern)
+    return config, pattern, data_curves(config, pattern, kinds)
 
 
 def _add_pattern_args(p: argparse.ArgumentParser) -> None:
@@ -188,7 +189,7 @@ def _cmd_gof(args) -> int:
                           f"comma-separated subset of {','.join(CURVE_KINDS)}")
     spec = _model_from_args(args)
     config, pattern, curves = _load_data(
-        args, grid_points=args.grid_points,
+        args, kinds, grid_points=args.grid_points,
         envelope={"replicates": args.replicates, "mode": args.mode})
     tests = envelope_test(config, pattern, spec, curves, kinds=kinds,
                           r_max=args.r_max)

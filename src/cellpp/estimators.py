@@ -137,8 +137,8 @@ def _retention_stop(window: Window, locations: np.ndarray,
     radius.
     """
     if correction == "border":
-        return np.searchsorted(radii, window.boundary_distance(locations),
-                               side="right")
+        return _radius_index(radii, window.boundary_distance(locations),
+                             "right")
     if correction == "none":
         return np.full(len(locations), radii.size)
     raise ValueError("correction must be 'border' or 'none'")
@@ -146,7 +146,45 @@ def _retention_stop(window: Window, locations: np.ndarray,
 
 def _event_index(radii: np.ndarray, distances: np.ndarray) -> np.ndarray:
     # first radius whose closed ball reaches the distance
-    return np.searchsorted(radii, distances, side="left")
+    return _radius_index(radii, distances, "left")
+
+
+def _radius_index(radii: np.ndarray, values: np.ndarray,
+                  side: str) -> np.ndarray:
+    """``np.searchsorted(radii, values, side)``, bit for bit.
+
+    On a uniform grid, every radius within a quarter step of
+    ``i * step``, the quotient ``values / step`` lands within one of
+    the answer, and one comparison with each neighbouring radius
+    settles it; that replaces a binary search per value.  Other grids
+    use ``np.searchsorted``.
+    """
+    n = radii.size
+    step = radii[-1] / (n - 1)
+    if not (step > 0.0
+            and np.abs(radii - step * np.arange(n)).max() <= step / 4.0):
+        return np.searchsorted(radii, values, side=side)
+    q = np.divide(values, step, dtype=float)
+    if side == "left":
+        np.ceil(q, out=q)
+    else:
+        np.floor(q, out=q)
+        q += 1.0
+    # maximum keeps NaN and fmin maps it to n, where searchsorted sorts it
+    np.maximum(q, 0.0, out=q)
+    np.fmin(q, n, out=q)
+    idx = q.astype(np.intp)
+    # padded[idx] is radii[idx - 1], padded[idx + 1] is radii[idx]; the
+    # NaN ends compare false, so no index steps past 0 or n
+    padded = np.concatenate(([np.nan], radii, [np.nan]))
+    below, above = padded[idx], padded[idx + 1]
+    if side == "left":
+        idx += above < values
+        idx -= below >= values
+    else:
+        idx += above <= values
+        idx -= below > values
+    return idx
 
 
 def _live_counts(first: np.ndarray, stop: np.ndarray,
@@ -176,18 +214,30 @@ def _reduced_sample_fraction(event: np.ndarray, stop: np.ndarray,
 
 
 def _close_pairs(points: np.ndarray, reach: float):
-    """Unordered pairs ``i < j`` within ``reach`` of each other, as
-    ``(i, j, distance)`` arrays, ``_K_BLOCK_ROWS`` rows of ``i`` at a
-    time."""
+    """Unordered pairs within ``reach`` of each other, as ``(i, j,
+    distance)`` arrays, ``_K_BLOCK_ROWS`` rows of ``i`` at a time.
+
+    The points are sorted by x once; each block of rows is paired only
+    with the later points in its x band, those at most ``reach`` past
+    its last x.
+    """
     x = np.ascontiguousarray(points[:, 0])
     y = np.ascontiguousarray(points[:, 1])
+    order = np.argsort(x, kind="stable")
+    by_x = points[order]
+    xs = by_x[:, 0]
+    # the tree compares rounded squared distances: a relative margin
+    # keeps every partner it can accept inside the band
+    band = reach * (1.0 + 1e-9)
     for start in range(0, len(points), _K_BLOCK_ROWS):
-        rows = cKDTree(points[start:start + _K_BLOCK_ROWS])
-        pairs = rows.sparse_distance_matrix(cKDTree(points[start:]), reach,
+        stop = min(start + _K_BLOCK_ROWS, len(points))
+        end = np.searchsorted(xs, xs[stop - 1] + band, side="right")
+        rows = cKDTree(by_x[start:stop])
+        pairs = rows.sparse_distance_matrix(cKDTree(by_x[start:end]), reach,
                                             output_type="ndarray")
         later = pairs["j"] > pairs["i"]
-        i = pairs["i"][later] + start
-        j = pairs["j"][later] + start
+        i = order[pairs["i"][later] + start]
+        j = order[pairs["j"][later] + start]
         del pairs, later
         # sqrt(dx*dx + dy*dy): the bits of scipy's euclidean distances
         dx = x[i] - x[j]

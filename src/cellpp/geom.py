@@ -257,12 +257,62 @@ def utf8_errors(path):
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def table_rows(fh, path, columns, delimiter: str = ","):
+    """The header, column positions and data records of delimited text.
+
+    Returns ``(header, positions, records)``.  ``positions`` holds the
+    position of each name in ``columns``: its last occurrence, whose
+    value ``csv.DictReader`` keeps.  ``records`` yields ``(line,
+    fields)`` for each non-blank record as ``csv.reader`` lists, with
+    ``line`` the physical line the record starts on.
+
+    Raises
+    ------
+    SchemaError
+        If a name in ``columns`` is not in the header.
+    """
+    reader = csv.reader(fh, delimiter=delimiter)
+    header = next(reader, [])
+    positions = []
+    for col in columns:
+        if col not in header:
+            raise SchemaError(f"{path}: missing column {col!r}; "
+                              f"header has {header}")
+        positions.append(len(header) - 1 - header[::-1].index(col))
+
+    def records():
+        end = reader.line_num
+        for fields in reader:
+            line, end = end + 1, reader.line_num
+            if fields:
+                yield line, fields
+
+    return header, positions, records()
+
+
+def row_dict(header, fields) -> dict:
+    """One record keyed as ``csv.DictReader`` keys it: the last of
+    duplicate header names wins, missing trailing fields are None and
+    the extras of an overlong row are a list under key None."""
+    row = dict(zip(header, fields))
+    if len(header) < len(fields):
+        row[None] = fields[len(header):]
+    else:
+        for key in header[len(fields):]:
+            row[key] = None
+    return row
+
+
 def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
            lat_column: str = "lat", operator_column: str | None = None,
            technology_column: str | None = None,
            operator: str | None = None,
            technology: str | None = None) -> IngestResult:
     """Read a registry export: header row, comma or semicolon delimited.
+
+    Rows with an unparsable or out-of-range coordinate, or too short to
+    hold the id, operator or technology field, are rejects; the others
+    that pass the filters are records.
 
     Parameters
     ----------
@@ -288,41 +338,51 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
             raise EmptyInputError(f"{path}: empty input")
         delimiter = ";" if head.count(";") > head.count(",") else ","
         fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        header = reader.fieldnames or []
-        needed = [id_column, lon_column, lat_column]
-        needed += [c for c in (operator_column, technology_column) if c]
-        for col in needed:
-            if col not in header:
-                raise SchemaError(f"{path}: missing column {col!r}; "
-                                  f"header has {header}")
+        names = [id_column, lon_column, lat_column]
+        names += [c for c in (operator_column, technology_column) if c]
+        header, positions, rows = table_rows(fh, path, names, delimiter)
+        id_i, lon_i, lat_i = positions[:3]
+        op_i = positions[3] if operator_column else None
+        tech_i = positions[-1] if technology_column else None
+        # the fields a record needs besides its coordinates
+        named = [(i, col) for i, col in ((id_i, id_column),
+                                         (op_i, operator_column),
+                                         (tech_i, technology_column))
+                 if i is not None]
+        width = 1 + max(i for i, _ in named)
 
         records, rejects = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for line, fields in rows:
             try:
-                lon = _parse_float(row[lon_column])
-                lat = _parse_float(row[lat_column])
-            except (ValueError, TypeError):
-                rejects.append({"line": line_no,
+                lon = _parse_float(fields[lon_i])
+                lat = _parse_float(fields[lat_i])
+            except (ValueError, IndexError):
+                rejects.append({"line": line,
                                 "reason": "unparsable coordinate",
-                                "row": dict(row)})
+                                "row": row_dict(header, fields)})
                 continue
             if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-                rejects.append({"line": line_no,
+                rejects.append({"line": line,
                                 "reason": "coordinate out of range",
-                                "row": dict(row)})
+                                "row": row_dict(header, fields)})
                 continue
-            op = row[operator_column].strip() if operator_column else ""
-            tech = (row[technology_column].strip()
-                    if technology_column else "")
-            if operator is not None and op != operator:
+            if len(fields) < width:
+                missing = next(col for i, col in named if i >= len(fields))
+                rejects.append({"line": line,
+                                "reason": f"no {missing!r} field",
+                                "row": row_dict(header, fields)})
                 continue
+            tech = fields[tech_i].strip() if tech_i is not None else ""
             if technology is not None and tech != technology:
                 continue
+            op = fields[op_i].strip() if op_i is not None else ""
+            if operator is not None and op != operator:
+                continue
             records.append(AntennaRecord(
-                record_id=str(row[id_column]),
+                record_id=fields[id_i],
                 coordinate=GeoCoordinate(lon_deg=lon, lat_deg=lat),
-                operator=op, technology=tech, attributes=dict(row)))
+                operator=op, technology=tech,
+                attributes=row_dict(header, fields)))
 
     if not records and not rejects:
         raise EmptyInputError(f"{path}: no data rows")

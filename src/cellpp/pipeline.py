@@ -37,6 +37,7 @@ from .estimators import (
     CURVE_KINDS,
     RadiusGrid,
     clark_evans_index,
+    default_test_point_count,
     empirical_curves,
     write_curves_csv,
 )
@@ -50,6 +51,8 @@ from .geom import (
     intensity_estimate,
     project,
     quadrat_stationarity,
+    row_dict,
+    table_rows,
     utf8_errors,
     window_from_dict,
 )
@@ -102,17 +105,29 @@ def _require_known(d: dict, allowed, where: str) -> None:
                           f"allowed: {', '.join(sorted(allowed))}")
 
 
+# The keys besides "kind" that each projection kind reads.
+_PROJECTION_KEYS = {
+    "lambert-93": set(),
+    "local-tangent": {"origin_lon", "origin_lat", "half_span"},
+    "lambert-conformal-conic": {"origin_lon", "origin_lat",
+                                "std_parallel_1", "std_parallel_2",
+                                "false_easting", "false_northing",
+                                "lon_min", "lon_max", "lat_min", "lat_max"},
+}
+
+
 def projection_from_dict(d: dict | None, origin=None) -> ProjectionSpec:
     """Resolve a projection config: a named grid, a tangent plane, or
     a fully spelled-out conic.  ``origin``, a (lon, lat) pair, stands
-    in for a tangent plane's missing origin."""
+    in for a tangent plane's missing origin.  A key the kind does not
+    read is a ConfigError, so that an origin given to the named grid
+    is not silently dropped."""
     d = d or {}
-    _require_known(d, {"kind", "origin_lon", "origin_lat", "half_span",
-                       "std_parallel_1", "std_parallel_2",
-                       "false_easting", "false_northing",
-                       "lon_min", "lon_max", "lat_min", "lat_max"},
-                   "projection")
     kind = d.get("kind", "lambert-93")
+    if kind not in _PROJECTION_KEYS:
+        raise ConfigError(f"unknown projection kind {kind!r}")
+    _require_known(d, {"kind"} | _PROJECTION_KEYS[kind],
+                   f"{kind} projection")
     try:
         if kind == "lambert-93":
             return ProjectionSpec.lambert_93()
@@ -140,7 +155,6 @@ def projection_from_dict(d: dict | None, origin=None) -> ProjectionSpec:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} projection config {d!r}: "
                           f"{exc}") from exc
-    raise ConfigError(f"unknown projection kind {kind!r}")
 
 
 @dataclass
@@ -281,23 +295,18 @@ def write_points_csv(path, points) -> None:
 
 def read_points_csv(path, x_column: str = "x", y_column: str = "y"):
     """Planar points from CSV; returns (points, rejects)."""
-    from .errors import EmptyInputError, SchemaError
+    from .errors import EmptyInputError
 
     points, rejects = [], []
     with open(path, newline="", encoding="utf-8") as fh, utf8_errors(path):
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (x_column, y_column):
-            if col not in header:
-                raise SchemaError(f"{path}: missing column {col!r}; "
-                                  f"header has {header}")
-        for line_no, row in enumerate(reader, start=2):
+        header, (x_i, y_i), rows = table_rows(fh, path, (x_column, y_column))
+        for line, fields in rows:
             try:
-                points.append((float(row[x_column]), float(row[y_column])))
-            except (TypeError, ValueError):
-                rejects.append({"line": line_no,
+                points.append((float(fields[x_i]), float(fields[y_i])))
+            except (IndexError, ValueError):
+                rejects.append({"line": line,
                                 "reason": "unparsable coordinate",
-                                "row": dict(row)})
+                                "row": row_dict(header, fields)})
     if not points and not rejects:
         raise EmptyInputError(f"{path}: no data rows")
     if not points:
@@ -475,13 +484,15 @@ def describe(pattern: PointPattern) -> dict:
             "stationarity": stationarity}
 
 
-def data_curves(config: PipelineConfig, pattern: PointPattern) -> dict:
-    """Stage 5: the pattern's K, F, G and J on the configured grid; the
-    F test locations come from the master seed's test-point stream."""
+def data_curves(config: PipelineConfig, pattern: PointPattern,
+                kinds=CURVE_KINDS) -> dict:
+    """Stage 5: the pattern's curves ``kinds`` (J brings F and G) on
+    the configured grid; the F test locations come from the master
+    seed's test-point stream."""
     with _stage("curves"):
         grid = RadiusGrid.default(pattern.window, config.grid_points)
         seed = RngStreamSpec(config.master_seed).substream(_STREAM_TEST_POINTS)
-        return empirical_curves(pattern, grid, seed=seed)
+        return empirical_curves(pattern, grid, seed=seed, kinds=kinds)
 
 
 def fit_family(config: PipelineConfig, pattern: PointPattern, family: str,
@@ -496,17 +507,18 @@ def envelope_test(config: PipelineConfig, pattern: PointPattern, model,
                   curves: dict, *, model_curves=None, kinds=CURVE_KINDS,
                   r_max: float | None = None) -> dict:
     """Stage 7, one model: ``gof.gof`` of the data ``curves`` against
-    replicates drawn on the family's stream; global bands centre on
-    ``model_curves``, computed here when not given."""
+    replicates drawn on the family's stream, with the data's F
+    test-point count; global bands centre on ``model_curves``, computed
+    here when not given."""
     mode = config.envelope["mode"]
     modes = ("pointwise", "global") if mode == "both" else (mode,)
-    grid = curves["F"].grid
+    grid = curves[kinds[0]].grid
     with _stage(f"gof:{model.name}"):
         reps = replicate_curves(
             model, pattern.window, config.envelope["replicates"], grid,
             stream=RngStreamSpec(config.master_seed).substream(
                 _STREAM_GOF[model.name]),
-            n_test=curves["F"].meta["n_test"], kinds=kinds)
+            n_test=default_test_point_count(pattern.n), kinds=kinds)
         if model_curves is None and "global" in modes:
             model_curves = {kind: theoretical_curve(kind, model, grid)
                             for kind in reps}

@@ -11,7 +11,9 @@ import numpy as np
 
 from cellpp.errors import ConfigError, SamplerStallError
 from cellpp.estimators import RadiusGrid, SummaryCurve
-from cellpp.geom import _A, _E, ProjectionSpec, _lcc_constants, _local_radii
+from cellpp.geom import (_A, _E, AntennaRecord, GeoCoordinate, IngestResult,
+                         ProjectionSpec, _lcc_constants, _local_radii,
+                         _parse_float)
 from cellpp.models import BetaGinibre, GaussDpp, Poisson, check_valid
 from cellpp.samplers import (_BLOCK_ENTRIES, _BLOCK_FLOOR,
                              _PROPOSALS_PER_POINT, _single_blas_thread,
@@ -173,3 +175,60 @@ def read_curves_csv(path) -> list:
     return [SummaryCurve(grid=RadiusGrid(np.array(rs)), values=np.array(vs),
                          kind=kind, origin=origin)
             for (kind, origin), (rs, vs) in groups.items()]
+
+
+def dictreader_ingest(path, *, id_column="id", lon_column="lon",
+                      lat_column="lat", operator_column=None,
+                      technology_column=None, operator=None,
+                      technology=None) -> IngestResult:
+    """``geom.ingest`` as a ``csv.DictReader`` loop: the reference for
+    the rows it keys, rejects and keeps.
+
+    A row's line is the reader's line count after the row, less the
+    line breaks inside its fields; a field DictReader fills with None
+    (a short row) is missing.  The schema and empty-input errors are
+    not restated.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        head = fh.readline()
+        fh.seek(0)
+        delimiter = ";" if head.count(";") > head.count(",") else ","
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        records, rejects = [], []
+        for row in reader:
+            texts = [v for vs in row.values()
+                     for v in (vs if isinstance(vs, list) else [vs])
+                     if v is not None]
+            line = reader.line_num - sum(v.count("\n") for v in texts)
+
+            def reject(reason):
+                rejects.append({"line": line, "reason": reason,
+                                "row": dict(row)})
+
+            try:
+                lon = _parse_float(row[lon_column])
+                lat = _parse_float(row[lat_column])
+            except (ValueError, TypeError):
+                reject("unparsable coordinate")
+                continue
+            if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+                reject("coordinate out of range")
+                continue
+            missing = [c for c in (id_column, operator_column,
+                                   technology_column)
+                       if c and row[c] is None]
+            if missing:
+                reject(f"no {missing[0]!r} field")
+                continue
+            op = row[operator_column].strip() if operator_column else ""
+            tech = (row[technology_column].strip()
+                    if technology_column else "")
+            if operator is not None and op != operator:
+                continue
+            if technology is not None and tech != technology:
+                continue
+            records.append(AntennaRecord(
+                record_id=str(row[id_column]),
+                coordinate=GeoCoordinate(lon_deg=lon, lat_deg=lat),
+                operator=op, technology=tech, attributes=dict(row)))
+    return IngestResult(records=records, rejects=rejects)

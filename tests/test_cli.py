@@ -313,7 +313,7 @@ class TestGof:
 
     def test_replicates_estimate_only_the_requested_statistics(
             self, pp_csv, monkeypatch, capsys):
-        # K alone needs no F: the one estimate_F call is the data's
+        # K alone needs no F, for the data or for the replicates
         path, pat = pp_csv
         calls = []
 
@@ -329,7 +329,7 @@ class TestGof:
                    "--grid-points", "32", "--seed", "1"])
         assert rc == 0
         assert list(json.loads(capsys.readouterr().out)["verdicts"]) == ["K"]
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("flags, message", [
         (["--grid-points", "1"],
@@ -402,6 +402,46 @@ class TestIngest:
         assert reject["reason"] == "unparsable coordinate"
         assert reject["row"] == {"id": "2", "lon": "n/a", "lat": "48.9",
                                  "None": ["extra"]}
+
+    def test_short_row_is_a_reject(self, tmp_path, capsys):
+        registry = tmp_path / "registry.csv"
+        registry.write_text("id,lon,lat,operator,technology\n"
+                            "1,2.35,48.85,alpha,lte\n"
+                            "2,2.1,48.1\n")
+        rejects = tmp_path / "rejects.jsonl"
+        rc = main(["ingest", "--input", str(registry), "--output",
+                   str(tmp_path / "p.csv"), "--operator-column", "operator",
+                   "--rejects", str(rejects)])
+        assert rc == 0, capsys.readouterr().err
+        assert "1 records projected" in capsys.readouterr().out
+        [line] = rejects.read_text().splitlines()
+        assert json.loads(line) == {
+            "line": 3, "reason": "no 'operator' field",
+            "row": {"id": "2", "lon": "2.1", "lat": "48.1",
+                    "operator": None, "technology": None}}
+
+    def test_reject_lines_count_blank_and_quoted_lines(self, tmp_path,
+                                                       capsys):
+        registry = tmp_path / "registry.csv"
+        registry.write_text('id,lon,lat\n"a\nb",2.35,48.85\n\n'
+                            "c,n/a,48.9\n")
+        rejects = tmp_path / "rejects.jsonl"
+        rc = main(["ingest", "--input", str(registry), "--output",
+                   str(tmp_path / "p.csv"), "--rejects", str(rejects)])
+        assert rc == 0, capsys.readouterr().err
+        [line] = rejects.read_text().splitlines()
+        assert json.loads(line)["line"] == 5
+
+    def test_origin_on_the_named_grid_exits_2(self, registry_csv, tmp_path,
+                                              capsys):
+        rc = main(["ingest", "--input", registry_csv,
+                   "--output", str(tmp_path / "p.csv"),
+                   "--origin-lon", "5", "--origin-lat", "50"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown lambert-93 projection "
+                              "key(s): origin_lat, origin_lon")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_filter_leaves_nothing_exits_3(self, registry_csv, tmp_path,
                                            capsys):

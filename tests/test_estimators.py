@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from naive_estimators import naive_F, naive_G, naive_K
 
+from cellpp import estimators
 from cellpp.errors import DegeneratePatternError, GridMismatchError
 from cellpp.estimators import (
     RadiusGrid,
@@ -18,7 +19,9 @@ from cellpp.estimators import (
     require_same_grid,
     write_curves_csv,
 )
+from cellpp.estimators import _close_pairs, _radius_index
 from cellpp.geom import Disk, PointPattern, Rectangle
+from scipy.spatial import cKDTree
 from conftest import UNIT_SQUARE, ppp
 from oracles import j_second_order_approx, read_curves_csv
 
@@ -195,6 +198,83 @@ def test_closed_ball_ties_on_grid_radii(window):
             np.testing.assert_array_equal(
                 estimate_G(pat, grid, correction=corr).values,
                 naive_G(TIE_POINTS, window, grid.r, correction=corr))
+
+
+UNIFORM_GRIDS = {
+    "linspace-512": np.linspace(0.0, 3250.0, 512),
+    "linspace-7": np.linspace(0.0, 0.3, 7),
+    "arange-int": np.arange(11.0),
+    "arange-0.01": np.arange(0.0, 1.0, 0.01),
+    "arange-0.1": np.arange(0.0, 2.05, 0.1),
+}
+
+
+def _index_probes(radii, rng):
+    """Random values over and past the grid, every radius and its two
+    neighbouring floats, zero of both signs, infinities and NaN."""
+    top = radii[-1]
+    return np.concatenate([
+        rng.uniform(-0.1 * top, 1.2 * top, 20000),
+        radii, np.nextafter(radii, np.inf), np.nextafter(radii, -np.inf),
+        [0.0, -0.0, top, 1e300, -1e300, np.inf, -np.inf, np.nan]])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("radii", UNIFORM_GRIDS.values(), ids=UNIFORM_GRIDS)
+def test_radius_index_is_searchsorted_on_uniform_grids(radii, side, rng,
+                                                       monkeypatch):
+    values = _index_probes(radii, rng)
+    want = np.searchsorted(radii, values, side=side)
+    calls = []
+    monkeypatch.setattr(estimators.np, "searchsorted",
+                        lambda *a, **k: calls.append(1))
+    got = _radius_index(radii, values, side)
+    assert calls == []
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("radii", [
+    np.sqrt(np.linspace(0.0, 1.0, 50)),
+    np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 40)]),
+    # uniform but for one radius moved by more than a quarter step
+    np.linspace(0.0, 1.0, 11) + np.eye(11)[4] * 0.03,
+], ids=["sqrt", "geometric", "one-moved"])
+def test_radius_index_falls_back_on_other_grids(radii, side, rng,
+                                                monkeypatch):
+    values = _index_probes(radii, rng)
+    want = np.searchsorted(radii, values, side=side)
+    calls = []
+    searchsorted = np.searchsorted
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(estimators.np, "searchsorted", spy)
+    np.testing.assert_array_equal(_radius_index(radii, values, side), want)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("points", [
+    # integer lattice: many equal x, pairs at exactly the reach
+    np.stack(np.meshgrid(np.arange(40.0), np.arange(30.0)),
+             axis=-1).reshape(-1, 2),
+    np.random.default_rng(5).uniform(0.0, 100.0, (3000, 2)),
+], ids=["lattice", "uniform"])
+def test_close_pairs_are_the_tree_pairs(points):
+    reach = np.nextafter(3.0, np.inf)
+    i, j, d = (np.concatenate(parts)
+               for parts in zip(*_close_pairs(points, reach)))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    got = np.unique(lo * len(points) + hi)
+    assert got.size == i.size
+    want = cKDTree(points).query_pairs(reach, output_type="ndarray")
+    np.testing.assert_array_equal(
+        got, np.sort(want[:, 0] * len(points) + want[:, 1]))
+    dx, dy = (points[i] - points[j]).T
+    np.testing.assert_array_equal(d, np.sqrt(dx * dx + dy * dy))
 
 
 def test_K_memory_stays_linear(rng):

@@ -27,7 +27,7 @@ from cellpp.geom import (
     window_from_dict,
 )
 
-from oracles import unproject
+from oracles import dictreader_ingest, unproject
 
 # GRS80, restated here independently of the implementation
 A_GRS80 = 6378137.0
@@ -426,6 +426,63 @@ class TestIngest:
         res = ingest(path, id_column="site", lon_column="longitude",
                      lat_column="latitude")
         assert res.records[0].record_id == "q7"
+
+
+# A duplicate "lon" header (the last one is read), a quoted id over two
+# lines, blank lines, overlong rows, short rows with and without their
+# coordinates, decimal commas and bad coordinates.
+MESSY_REGISTRY = (
+    "id;lon;lat;lon;operator;tech\n"
+    "m1;9,9;50,1;5,5;alpha;lte-1800\n"
+    "\n"
+    "m2;1;50.2;5.6;beta;gsm-900;extra;more\n"
+    '"m3\nsecond line";0;50.3;5.7;alpha;lte-1800\n'
+    "m4;0;50.4;n/a;alpha;lte-1800\n"
+    "m5;0;50.5\n"
+    "\n"
+    "\n"
+    "m6;5.8;50.6;5.8;alpha;lte-1800\n"
+    "m7;0;95;5.9;beta;gsm-900\n"
+    "m8;0;50.8;5.9;gamma\n"
+    "m9;0;50,9;5,95\n"
+    "m10;5,95;50,95;5,95;gamma;gsm-900;\n"
+)
+
+
+@pytest.mark.parametrize("options", [
+    {},
+    {"operator_column": "operator"},
+    {"operator_column": "operator", "technology_column": "tech"},
+    {"technology_column": "tech", "technology": "lte-1800"},
+    {"operator_column": "operator", "operator": "alpha"},
+    {"lon_column": "lat", "lat_column": "lat", "id_column": "tech"},
+], ids=["plain", "operator", "both", "technology-filter", "operator-filter",
+        "other-columns"])
+def test_ingest_matches_the_dictreader_loop(tmp_path, options):
+    path = tmp_path / "messy.csv"
+    path.write_text(MESSY_REGISTRY)
+    got, want = ingest(path, **options), dictreader_ingest(path, **options)
+    assert got.records == want.records
+    assert got.rejects == want.rejects
+
+
+def test_reject_lines_are_physical_lines(tmp_path):
+    path = tmp_path / "messy.csv"
+    path.write_text(MESSY_REGISTRY)
+    res = ingest(path, operator_column="operator", technology_column="tech")
+    assert {r["row"]["id"]: (r["line"], r["reason"])
+            for r in res.rejects} == {
+        "m4": (7, "unparsable coordinate"),
+        "m5": (8, "unparsable coordinate"),
+        "m7": (12, "coordinate out of range"),
+        "m8": (13, "no 'tech' field"),
+        "m9": (14, "no 'operator' field"),
+    }
+    assert [r.record_id for r in res.records] == [
+        "m1", "m2", "m3\nsecond line", "m6", "m10"]
+    assert res.records[0].coordinate == GeoCoordinate(5.5, 50.1)
+    assert res.records[1].attributes[None] == ["extra", "more"]
+    assert res.records[-1].attributes[None] == [""]
 
 
 def test_ingest_project_clip_chain(tmp_path):

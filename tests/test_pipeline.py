@@ -117,6 +117,19 @@ class TestProjectionConfig:
         with pytest.raises(ConfigError):
             projection_from_dict({"zone": 31})
 
+    @pytest.mark.parametrize("config", [
+        {"origin_lon": 5.0, "origin_lat": 50.0},
+        {"kind": "lambert-93", "std_parallel_1": 10.0},
+        {"kind": "lambert-93", "false_easting": 0.0},
+        {"kind": "local-tangent", "origin_lon": 5.0, "origin_lat": 50.0,
+         "std_parallel_2": 49.0},
+    ], ids=["origin", "parallel", "easting", "tangent-parallel"])
+    def test_keys_the_kind_does_not_read(self, config):
+        with pytest.raises(ConfigError, match="projection key"):
+            projection_from_dict(config)
+        with pytest.raises(ConfigError, match="projection key"):
+            PipelineConfig(projection=config)
+
     def test_conic_missing_parallels(self):
         with pytest.raises(ConfigError):
             projection_from_dict({"kind": "lambert-conformal-conic",
@@ -164,6 +177,16 @@ class TestPointsCsv:
         pts, rejects = read_points_csv(path)
         assert pts.shape == (2, 2)
         assert [r["line"] for r in rejects] == [3, 4]
+
+    def test_reject_lines_and_rows_after_blank_lines(self, tmp_path):
+        # the last "x" column is read, as csv.DictReader keys it
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,x\n\n0,1.0,2.0\n\n\n3.0,oops\n"
+                        "0,4.0,5.0,6.0\n")
+        pts, rejects = read_points_csv(path)
+        assert pts.tolist() == [[2.0, 1.0], [5.0, 4.0]]
+        assert rejects == [{"line": 6, "reason": "unparsable coordinate",
+                            "row": {"x": None, "y": "oops"}}]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "pts.csv"
