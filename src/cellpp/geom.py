@@ -257,50 +257,55 @@ def utf8_errors(path):
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def table_rows(fh, path, columns, delimiter: str = ","):
-    """The header, column positions and data records of delimited text.
+class DelimitedTable:
+    """Delimited text read with ``csv.reader``: the header, the
+    positions of the named columns, and the records as lists.
 
-    Returns ``(header, positions, records)``.  ``positions`` holds the
-    position of each name in ``columns``: its last occurrence, whose
-    value ``csv.DictReader`` keeps.  ``records`` yields ``(line,
-    fields)`` for each non-blank record as ``csv.reader`` lists, with
-    ``line`` the physical line the record starts on.
+    ``positions`` holds the position of each name in ``columns``: its
+    last occurrence, whose value ``csv.DictReader`` keeps.  Iterating
+    ``reader`` gives the records after the header; a blank line is an
+    empty list.  Only the rows a caller keeps or rejects are turned
+    into dicts, by ``row`` and ``reject``.
 
     Raises
     ------
     SchemaError
         If a name in ``columns`` is not in the header.
     """
-    reader = csv.reader(fh, delimiter=delimiter)
-    header = next(reader, [])
-    positions = []
-    for col in columns:
-        if col not in header:
-            raise SchemaError(f"{path}: missing column {col!r}; "
-                              f"header has {header}")
-        positions.append(len(header) - 1 - header[::-1].index(col))
 
-    def records():
-        end = reader.line_num
-        for fields in reader:
-            line, end = end + 1, reader.line_num
-            if fields:
-                yield line, fields
+    def __init__(self, fh, path, columns, delimiter: str = ","):
+        self.reader = csv.reader(fh, delimiter=delimiter)
+        self.header = next(self.reader, [])
+        self.positions = []
+        for col in columns:
+            if col not in self.header:
+                raise SchemaError(f"{path}: missing column {col!r}; "
+                                  f"header has {self.header}")
+            self.positions.append(
+                len(self.header) - 1 - self.header[::-1].index(col))
 
-    return header, positions, records()
+    def row(self, fields) -> dict:
+        """``fields`` keyed as ``csv.DictReader`` keys them: the last
+        of duplicate header names wins, missing trailing fields are
+        None and the extras of an overlong row are a list under key
+        None."""
+        header = self.header
+        row = dict(zip(header, fields))
+        if len(header) < len(fields):
+            row[None] = fields[len(header):]
+        else:
+            for key in header[len(fields):]:
+                row[key] = None
+        return row
 
-
-def row_dict(header, fields) -> dict:
-    """One record keyed as ``csv.DictReader`` keys it: the last of
-    duplicate header names wins, missing trailing fields are None and
-    the extras of an overlong row are a list under key None."""
-    row = dict(zip(header, fields))
-    if len(header) < len(fields):
-        row[None] = fields[len(header):]
-    else:
-        for key in header[len(fields):]:
-            row[key] = None
-    return row
+    def reject(self, fields, reason: str) -> dict:
+        """The reject entry of the record just read: the physical line
+        it starts on (the reader's line count less the line breaks in
+        its quoted fields), ``reason`` and its row."""
+        breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n")
+                     for f in fields)
+        return {"line": self.reader.line_num - breaks, "reason": reason,
+                "row": self.row(fields)}
 
 
 def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
@@ -340,10 +345,10 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
         fh.seek(0)
         names = [id_column, lon_column, lat_column]
         names += [c for c in (operator_column, technology_column) if c]
-        header, positions, rows = table_rows(fh, path, names, delimiter)
-        id_i, lon_i, lat_i = positions[:3]
-        op_i = positions[3] if operator_column else None
-        tech_i = positions[-1] if technology_column else None
+        table = DelimitedTable(fh, path, names, delimiter)
+        id_i, lon_i, lat_i = table.positions[:3]
+        op_i = table.positions[3] if operator_column else None
+        tech_i = table.positions[-1] if technology_column else None
         # the fields a record needs besides its coordinates
         named = [(i, col) for i, col in ((id_i, id_column),
                                          (op_i, operator_column),
@@ -352,25 +357,22 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
         width = 1 + max(i for i, _ in named)
 
         records, rejects = [], []
-        for line, fields in rows:
+        for fields in table.reader:
             try:
                 lon = _parse_float(fields[lon_i])
                 lat = _parse_float(fields[lat_i])
             except (ValueError, IndexError):
-                rejects.append({"line": line,
-                                "reason": "unparsable coordinate",
-                                "row": row_dict(header, fields)})
+                if fields:
+                    rejects.append(table.reject(fields,
+                                                "unparsable coordinate"))
                 continue
             if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-                rejects.append({"line": line,
-                                "reason": "coordinate out of range",
-                                "row": row_dict(header, fields)})
+                rejects.append(table.reject(fields,
+                                            "coordinate out of range"))
                 continue
             if len(fields) < width:
                 missing = next(col for i, col in named if i >= len(fields))
-                rejects.append({"line": line,
-                                "reason": f"no {missing!r} field",
-                                "row": row_dict(header, fields)})
+                rejects.append(table.reject(fields, f"no {missing!r} field"))
                 continue
             tech = fields[tech_i].strip() if tech_i is not None else ""
             if technology is not None and tech != technology:
@@ -381,8 +383,7 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
             records.append(AntennaRecord(
                 record_id=fields[id_i],
                 coordinate=GeoCoordinate(lon_deg=lon, lat_deg=lat),
-                operator=op, technology=tech,
-                attributes=row_dict(header, fields)))
+                operator=op, technology=tech, attributes=table.row(fields)))
 
     if not records and not rejects:
         raise EmptyInputError(f"{path}: no data rows")

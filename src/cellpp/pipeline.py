@@ -43,6 +43,7 @@ from .estimators import (
 )
 from .fitting import FAMILY_NAMES, ContrastSpec, FitResult, fit
 from .geom import (
+    DelimitedTable,
     PointPattern,
     ProjectionSpec,
     Rectangle,
@@ -51,8 +52,6 @@ from .geom import (
     intensity_estimate,
     project,
     quadrat_stationarity,
-    row_dict,
-    table_rows,
     utf8_errors,
     window_from_dict,
 )
@@ -299,14 +298,15 @@ def read_points_csv(path, x_column: str = "x", y_column: str = "y"):
 
     points, rejects = [], []
     with open(path, newline="", encoding="utf-8") as fh, utf8_errors(path):
-        header, (x_i, y_i), rows = table_rows(fh, path, (x_column, y_column))
-        for line, fields in rows:
+        table = DelimitedTable(fh, path, (x_column, y_column))
+        x_i, y_i = table.positions
+        for fields in table.reader:
             try:
                 points.append((float(fields[x_i]), float(fields[y_i])))
             except (IndexError, ValueError):
-                rejects.append({"line": line,
-                                "reason": "unparsable coordinate",
-                                "row": row_dict(header, fields)})
+                if fields:
+                    rejects.append(table.reject(fields,
+                                                "unparsable coordinate"))
     if not points and not rejects:
         raise EmptyInputError(f"{path}: no data rows")
     if not points:

@@ -184,22 +184,31 @@ def dictreader_ingest(path, *, id_column="id", lon_column="lon",
     """``geom.ingest`` as a ``csv.DictReader`` loop: the reference for
     the rows it keys, rejects and keeps.
 
-    A row's line is the reader's line count after the row, less the
-    line breaks inside its fields; a field DictReader fills with None
-    (a short row) is missing.  The schema and empty-input errors are
-    not restated.
+    A row starts on the first line after the previous row that is not
+    blank, blank lines being the ones DictReader skips; a field
+    DictReader fills with None (a short row) is missing.  The schema
+    and empty-input errors are not restated.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         head = fh.readline()
         fh.seek(0)
         delimiter = ";" if head.count(";") > head.count(",") else ","
-        reader = csv.DictReader(fh, delimiter=delimiter)
+        lines = []
+
+        def read_lines():
+            for text in fh:
+                lines.append(text)
+                yield text
+
+        reader = csv.DictReader(read_lines(), delimiter=delimiter)
+        reader.fieldnames
+        done = len(lines)
         records, rejects = [], []
         for row in reader:
-            texts = [v for vs in row.values()
-                     for v in (vs if isinstance(vs, list) else [vs])
-                     if v is not None]
-            line = reader.line_num - sum(v.count("\n") for v in texts)
+            line = 1 + done + next(
+                k for k, text in enumerate(lines[done:])
+                if text not in ("\n", "\r\n", "\r"))
+            done = len(lines)
 
             def reject(reason):
                 rejects.append({"line": line, "reason": reason,

@@ -428,15 +428,16 @@ class TestIngest:
         assert res.records[0].record_id == "q7"
 
 
-# A duplicate "lon" header (the last one is read), a quoted id over two
-# lines, blank lines, overlong rows, short rows with and without their
-# coordinates, decimal commas and bad coordinates.
+# A duplicate "lon" header (the last one is read), quoted ids broken by
+# LF, CRLF and CR, blank lines, overlong rows, short rows with and
+# without their coordinates, decimal commas and bad coordinates.
 MESSY_REGISTRY = (
     "id;lon;lat;lon;operator;tech\n"
     "m1;9,9;50,1;5,5;alpha;lte-1800\n"
     "\n"
     "m2;1;50.2;5.6;beta;gsm-900;extra;more\n"
     '"m3\nsecond line";0;50.3;5.7;alpha;lte-1800\n'
+    '"m3b\r\nthird\rfourth";0;50.3;5.7;alpha;lte-1800\n'
     "m4;0;50.4;n/a;alpha;lte-1800\n"
     "m5;0;50.5\n"
     "\n"
@@ -472,14 +473,15 @@ def test_reject_lines_are_physical_lines(tmp_path):
     res = ingest(path, operator_column="operator", technology_column="tech")
     assert {r["row"]["id"]: (r["line"], r["reason"])
             for r in res.rejects} == {
-        "m4": (7, "unparsable coordinate"),
-        "m5": (8, "unparsable coordinate"),
-        "m7": (12, "coordinate out of range"),
-        "m8": (13, "no 'tech' field"),
-        "m9": (14, "no 'operator' field"),
+        "m4": (10, "unparsable coordinate"),
+        "m5": (11, "unparsable coordinate"),
+        "m7": (15, "coordinate out of range"),
+        "m8": (16, "no 'tech' field"),
+        "m9": (17, "no 'operator' field"),
     }
     assert [r.record_id for r in res.records] == [
-        "m1", "m2", "m3\nsecond line", "m6", "m10"]
+        "m1", "m2", "m3\nsecond line", "m3b\r\nthird\rfourth", "m6",
+        "m10"]
     assert res.records[0].coordinate == GeoCoordinate(5.5, 50.1)
     assert res.records[1].attributes[None] == ["extra", "more"]
     assert res.records[-1].attributes[None] == [""]
