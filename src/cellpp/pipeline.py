@@ -123,7 +123,7 @@ def projection_from_dict(d: dict | None, origin=None) -> ProjectionSpec:
     is not silently dropped."""
     d = d or {}
     kind = d.get("kind", "lambert-93")
-    if kind not in _PROJECTION_KEYS:
+    if not isinstance(kind, str) or kind not in _PROJECTION_KEYS:
         raise ConfigError(f"unknown projection kind {kind!r}")
     _require_known(d, {"kind"} | _PROJECTION_KEYS[kind],
                    f"{kind} projection")

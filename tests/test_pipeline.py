@@ -115,6 +115,8 @@ class TestProjectionConfig:
         with pytest.raises(ConfigError):
             projection_from_dict({"kind": "mercator"})
         with pytest.raises(ConfigError):
+            projection_from_dict({"kind": ["lambert-93"]})
+        with pytest.raises(ConfigError):
             projection_from_dict({"zone": 31})
 
     @pytest.mark.parametrize("config", [
