@@ -161,10 +161,9 @@ def _radius_index(radii: np.ndarray, values: np.ndarray,
     """
     n = radii.size
     step = radii[-1] / (n - 1)
-    if not (step > 0.0
-            and np.abs(radii - step * np.arange(n)).max() <= step / 4.0):
+    if not np.abs(radii - step * np.arange(n)).max() <= step / 4.0:
         return np.searchsorted(radii, values, side=side)
-    q = np.divide(values, step, dtype=float)
+    q = values / step
     if side == "left":
         np.ceil(q, out=q)
     else:

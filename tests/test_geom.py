@@ -438,7 +438,7 @@ MESSY_REGISTRY = (
     "m2;1;50.2;5.6;beta;gsm-900;extra;more\n"
     '"m3\nsecond line";0;50.3;5.7;alpha;lte-1800\n'
     '"m3b\r\nthird\rfourth";0;50.3;5.7;alpha;lte-1800\n'
-    "m4;0;50.4;n/a;alpha;lte-1800\n"
+    '"m4\r\nbad";0;50.4;n/a;alpha;lte-1800\n'
     "m5;0;50.5\n"
     "\n"
     "\n"
@@ -473,11 +473,11 @@ def test_reject_lines_are_physical_lines(tmp_path):
     res = ingest(path, operator_column="operator", technology_column="tech")
     assert {r["row"]["id"]: (r["line"], r["reason"])
             for r in res.rejects} == {
-        "m4": (10, "unparsable coordinate"),
-        "m5": (11, "unparsable coordinate"),
-        "m7": (15, "coordinate out of range"),
-        "m8": (16, "no 'tech' field"),
-        "m9": (17, "no 'operator' field"),
+        "m4\r\nbad": (10, "unparsable coordinate"),
+        "m5": (12, "unparsable coordinate"),
+        "m7": (16, "coordinate out of range"),
+        "m8": (17, "no 'tech' field"),
+        "m9": (18, "no 'operator' field"),
     }
     assert [r.record_id for r in res.records] == [
         "m1", "m2", "m3\nsecond line", "m3b\r\nthird\rfourth", "m6",
