@@ -54,9 +54,21 @@ class RadiusGrid:
         object.__setattr__(self, "r", arr)
 
     @staticmethod
-    def default(window: Window, n: int = 512) -> "RadiusGrid":
-        """Equally spaced grid up to a quarter of the shorter side."""
-        return RadiusGrid(np.linspace(0.0, window.min_extent() / 4.0, n))
+    def default(window: Window, n: int = 512,
+                intensity: float | None = None) -> "RadiusGrid":
+        """``n`` equally spaced radii up to a quarter of the shorter
+        window side.
+
+        Given the pattern's ``intensity``, the grid ends at
+        ``sqrt(1000 / (pi * intensity))`` where that is shorter, the
+        r_max rule for K of Baddeley, Rubak & Turner (2015, sec. 7.3):
+        there a typical point has about 1000 neighbours.  It binds
+        above ``16000 / pi``, about 5,093 points in a square window.
+        """
+        r_max = window.min_extent() / 4.0
+        if intensity is not None:
+            r_max = min(r_max, math.sqrt(1000.0 / (math.pi * intensity)))
+        return RadiusGrid(np.linspace(0.0, r_max, n))
 
     @property
     def size(self) -> int:
@@ -69,6 +81,11 @@ class RadiusGrid:
     def spacing(self) -> np.ndarray:
         """Local grid step (central differences, one-sided at ends)."""
         return np.gradient(self.r)
+
+
+def _default_grid(pattern: PointPattern) -> RadiusGrid:
+    return RadiusGrid.default(pattern.window,
+                              intensity=pattern.n / pattern.window.area())
 
 
 def require_same_grid(*curves) -> RadiusGrid:
@@ -277,13 +294,13 @@ def estimate_K(pattern: PointPattern, grid: RadiusGrid | None = None,
     ----------
     pattern : PointPattern
     grid : RadiusGrid, optional
-        Defaults to 512 radii up to a quarter of the shorter window
-        side.
+        Defaults to ``RadiusGrid.default`` with the pattern's
+        intensity.
     correction : {"border", "none"}
     """
     _check_size(pattern, 2, "K estimate")
     if grid is None:
-        grid = RadiusGrid.default(pattern.window)
+        grid = _default_grid(pattern)
     pts, radii = pattern.points, grid.r
     n = pattern.n
     area = pattern.window.area()
@@ -328,7 +345,7 @@ def estimate_F(pattern: PointPattern, grid: RadiusGrid | None = None,
     """
     _check_size(pattern, 1, "F estimate")
     if grid is None:
-        grid = RadiusGrid.default(pattern.window)
+        grid = _default_grid(pattern)
     if test_points is None:
         if n_test is None:
             n_test = default_test_point_count(pattern.n)
@@ -353,7 +370,7 @@ def estimate_G(pattern: PointPattern, grid: RadiusGrid | None = None,
     other point."""
     _check_size(pattern, 2, "G estimate")
     if grid is None:
-        grid = RadiusGrid.default(pattern.window)
+        grid = _default_grid(pattern)
 
     stop = _retention_stop(pattern.window, pattern.points, grid.r,
                            correction)
@@ -391,7 +408,7 @@ def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
     """The empirical statistics ``kinds`` of one pattern on a shared
     grid, as a dict of kind -> curve; J brings F and G along."""
     if grid is None:
-        grid = RadiusGrid.default(pattern.window)
+        grid = _default_grid(pattern)
     need = set(kinds) | ({"F", "G"} if "J" in kinds else set())
     out = {}
     if "K" in need:

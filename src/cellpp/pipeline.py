@@ -490,7 +490,8 @@ def data_curves(config: PipelineConfig, pattern: PointPattern,
     the configured grid; the F test locations come from the master
     seed's test-point stream."""
     with _stage("curves"):
-        grid = RadiusGrid.default(pattern.window, config.grid_points)
+        grid = RadiusGrid.default(pattern.window, config.grid_points,
+                                  intensity=pattern.n / pattern.window.area())
         seed = RngStreamSpec(config.master_seed).substream(_STREAM_TEST_POINTS)
         return empirical_curves(pattern, grid, seed=seed, kinds=kinds)
 

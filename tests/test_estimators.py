@@ -44,6 +44,21 @@ class TestRadiusGrid:
         assert g.r[0] == 0.0
         assert g.r[-1] == pytest.approx(3250.0)
 
+    def test_default_cap_at_a_thousand_neighbours(self):
+        square = Rectangle(0.0, 13000.0, 0.0, 13000.0)
+        # the 13 km reference intensity: the cap, ~21 km, does not bind
+        assert RadiusGrid.default(square, intensity=0.7e-6).matches(
+            RadiusGrid.default(square))
+        lam = 10000 / square.area()
+        g = RadiusGrid.default(square, 64, intensity=lam)
+        assert g.size == 64
+        assert g.r[-1] == pytest.approx(math.sqrt(1000.0 / (math.pi * lam)))
+        assert lam * math.pi * g.r[-1] ** 2 == pytest.approx(1000.0)
+        # it binds from 16000 / pi points in a square on
+        for n, binds in ((5092, False), (5094, True)):
+            capped = RadiusGrid.default(square, intensity=n / square.area())
+            assert (capped.r[-1] < 3250.0) == binds
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RadiusGrid(np.array([0.1, 0.2]))
@@ -287,6 +302,21 @@ def test_K_memory_stays_linear(rng):
     finally:
         tracemalloc.stop()
     # a dense 5000 x 5000 float64 distance matrix alone is 200 MB
+    assert peak < 64e6
+
+
+def test_K_memory_on_the_capped_default_grid(rng):
+    window = Rectangle(0.0, 13000.0, 0.0, 13000.0)
+    pat = PointPattern(window.sample_uniform(30000, rng), window)
+    tracemalloc.start()
+    try:
+        k = estimate_K(pat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1000 neighbours per point within the last radius
+    assert k.grid.r[-1] == pytest.approx(
+        math.sqrt(1000.0 / (math.pi * pat.n / window.area())))
     assert peak < 64e6
 
 
