@@ -25,6 +25,7 @@ from .pipeline import (
     emit_table_one_regression,
     envelope_test,
     fit_family,
+    json_text,
     load_pattern,
     load_points,
     run_pipeline,
@@ -154,8 +155,7 @@ def _cmd_simulate(args) -> int:
     write_points_csv(args.output, pattern.points)
     sidecar = {"model": model_to_dict(spec), "seed": args.seed,
                "window": window.to_dict(), "n_points": pattern.n}
-    sidecar_path.write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    sidecar_path.write_text(json_text(sidecar) + "\n")
     print(f"{pattern.n} points from {spec.name} written to {args.output}")
     return 0
 
@@ -163,7 +163,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_stats(args) -> int:
     _, pattern, curves = _load_data(args, grid_points=args.grid_points)
     write_curves_csv(args.output, [curves[k] for k in CURVE_KINDS])
-    print(json.dumps(describe(pattern), sort_keys=True, indent=2))
+    print(json_text(describe(pattern)))
     print(f"curves written to {args.output}", file=sys.stderr)
     return 0
 
@@ -175,7 +175,7 @@ def _cmd_fit(args) -> int:
                   "r_min": args.r_min, "r_max": args.r_max,
                   "step_weighted": not args.raw_sum})
     result = fit_family(config, pattern, args.family, curves)
-    text = json.dumps(result.to_dict(), sort_keys=True, indent=2)
+    text = json_text(result.to_dict())
     if args.output is not None:
         Path(args.output).write_text(text + "\n")
     print(text)
@@ -201,8 +201,7 @@ def _cmd_gof(args) -> int:
             band_dir.mkdir(parents=True, exist_ok=True)
             write_band_csv(band_dir / f"{spec.name}_{kind}_{args.mode}.csv",
                            band)
-    print(json.dumps({"model": model_to_dict(spec), "verdicts": out},
-                     sort_keys=True, indent=2))
+    print(json_text({"model": model_to_dict(spec), "verdicts": out}))
     return 0
 
 

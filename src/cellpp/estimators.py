@@ -14,7 +14,6 @@ All estimators count closed balls: a neighbour at distance exactly
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegeneratePatternError, GridMismatchError
-from .geom import PointPattern, Window
+from .geom import PointPattern, Window, write_csv
 from .rng import as_stream
 
 CURVE_KINDS = ("K", "F", "G", "J")
@@ -122,17 +121,15 @@ class SummaryCurve:
 
 
 def write_curves_csv(path, curves) -> None:
-    """Write curves as rows of ``r,value,kind,origin`` (NaN -> empty)."""
+    """Write curves as rows of ``r,value,kind,origin`` (NaN, +-inf ->
+    empty)."""
     if isinstance(curves, SummaryCurve):
         curves = [curves]
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["r", "value", "kind", "origin"])
-        for c in curves:
-            for r, v in zip(c.grid.r, c.values):
-                out.writerow([repr(float(r)),
-                              "" if math.isnan(v) else repr(float(v)),
-                              c.kind, c.origin])
+    write_csv(path, ["r", "value", "kind", "origin"], [
+        np.concatenate([c.grid.r for c in curves]),
+        np.concatenate([c.values for c in curves]),
+        [c.kind for c in curves for _ in range(c.grid.size)],
+        [c.origin for c in curves for _ in range(c.grid.size)]])
 
 
 # ---------------------------------------------------------------------------

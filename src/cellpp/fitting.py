@@ -169,18 +169,12 @@ class FitResult:
     model_curves: dict | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        def _num(v):
-            v = float(v)
-            return v if math.isfinite(v) else None
-
         return {
             **model_to_dict(self.model),
             "contrast": self.cspec.to_dict(),
-            "contrast_value": _num(self.contrast_value),
-            "distances": {k: _num(v)
-                          for k, v in sorted(self.cross_distances.items())},
-            "diagnostics": {k: self.diagnostics[k]
-                            for k in sorted(self.diagnostics)},
+            "contrast_value": self.contrast_value,
+            "distances": self.cross_distances,
+            "diagnostics": self.diagnostics,
         }
 
 

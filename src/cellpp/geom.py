@@ -308,6 +308,22 @@ class DelimitedTable:
                 "row": self.row(fields)}
 
 
+def write_csv(path, header, columns) -> None:
+    """``columns`` as CSV rows under ``header``.  A float array column
+    writes each finite value as its ``repr`` and NaN or +-inf as an
+    empty cell; any other column is written as its values are."""
+    cells = []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column = [repr(v) if ok else "" for v, ok in
+                      zip(column.tolist(), np.isfinite(column).tolist())]
+        cells.append(column)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
+
+
 def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
            lat_column: str = "lat", operator_column: str | None = None,
            technology_column: str | None = None,

@@ -9,7 +9,6 @@ the maximum deviation around the model curve (global band).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -26,7 +25,7 @@ from .estimators import (
     SummaryCurve,
     empirical_curves,
 )
-from .geom import Window
+from .geom import Window, write_csv
 from .models import ModelSpec, check_valid
 from .rng import as_stream
 
@@ -255,17 +254,9 @@ def gof(replicates: dict, curves: dict, modes, model_curves=None,
 def write_band_csv(path, band: EnvelopeBand) -> None:
     """One band as CSV: r, lower, upper, and the model curve when the
     band has one (global mode)."""
-    def cell(v):
-        return "" if not np.isfinite(v) else repr(float(v))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["r", "lower", "upper"]
-        if band.reference is not None:
-            header.append("theoretical")
-        writer.writerow(header)
-        for i, r in enumerate(band.grid.r):
-            row = [repr(float(r)), cell(band.lower[i]), cell(band.upper[i])]
-            if band.reference is not None:
-                row.append(cell(band.reference[i]))
-            writer.writerow(row)
+    header = ["r", "lower", "upper"]
+    columns = [band.grid.r, band.lower, band.upper]
+    if band.reference is not None:
+        header.append("theoretical")
+        columns.append(band.reference)
+    write_csv(path, header, columns)

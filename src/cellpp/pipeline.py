@@ -13,7 +13,6 @@ wall-clock metadata goes to a sidecar file, never into the report.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import numbers
@@ -54,6 +53,7 @@ from .geom import (
     quadrat_stationarity,
     utf8_errors,
     window_from_dict,
+    write_csv,
 )
 from .gof import MIN_REPLICATES, gof, replicate_curves, write_band_csv
 from .models import theoretical_curve
@@ -285,11 +285,7 @@ def auto_window(points, min_points: int = 80) -> Rectangle:
 def write_points_csv(path, points) -> None:
     """Planar points as two-column CSV (x, y in metres)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for x, y in pts:
-            writer.writerow([repr(float(x)), repr(float(y))])
+    write_csv(path, ["x", "y"], [pts[:, 0], pts[:, 1]])
 
 
 def read_points_csv(path, x_column: str = "x", y_column: str = "y"):
@@ -339,12 +335,19 @@ def _jsonable(obj):
     return obj
 
 
+def json_text(obj, one_line: bool = False) -> str:
+    """``obj`` as strict JSON text: ``_jsonable`` types, sorted keys,
+    no NaN or Infinity; indented by 2, or on one line."""
+    return json.dumps(_jsonable(obj), sort_keys=True, allow_nan=False,
+                      indent=None if one_line else 2)
+
+
 def write_rejects_jsonl(path, rejects) -> None:
     """The rejected input rows, one JSON object a line; the extra fields
     of an overlong row (``csv``'s key None) appear under "None"."""
     with open(path, "w") as fh:
         for row in rejects:
-            fh.write(json.dumps(_jsonable(row), sort_keys=True) + "\n")
+            fh.write(json_text(row, one_line=True) + "\n")
 
 
 @dataclass
@@ -376,8 +379,7 @@ class Report:
         })
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        return json_text(self.to_dict()) + "\n"
 
 
 @contextlib.contextmanager
@@ -561,10 +563,10 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
 
     with _stage("report"):
         candidates = [
-            (families[f]["fit"]["distances"]["F"], f)
+            (fit_results[f].cross_distances["F"], f)
             for f in config.families
             if families[f]["all_pass"]
-            and families[f]["fit"]["distances"]["F"] is not None
+            and math.isfinite(fit_results[f].cross_distances["F"])
         ]
         winner = min(candidates)[1] if candidates else None
         repulsive = [f for f in config.families if f != "poisson"]
@@ -618,8 +620,7 @@ def write_outputs(report: Report, out_dir, rejects=None) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "version": __version__}
-    (out / "run_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    (out / "run_meta.json").write_text(json_text(meta) + "\n")
 
 
 def run_pipeline(config: PipelineConfig, out_dir=None) -> Report:

@@ -2,6 +2,7 @@
 handling, and parameter recovery on synthetic data with frozen streams.
 """
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from cellpp.fitting import (CAUCHY_SHAPE_BOUNDS, DEFAULT_RANGE_FRACTION,
                             contrast, fit)
 from cellpp.geom import Disk, PointPattern, Rectangle
 from cellpp.models import BetaGinibre, GaussDpp
+from cellpp.pipeline import json_text
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import (MODE_BUDGET, _scale_floor, sample,
                              sample_beta_ginibre, sample_poisson,
@@ -324,11 +326,9 @@ class TestFitContract:
                                          "J": float("nan"), "K": 4.0},
                         cspec=spec,
                         diagnostics={"evaluations": 40, "converged": True})
-        d = res.to_dict()
+        d = json.loads(json_text(res.to_dict()))
         assert d["model"] == "beta-ginibre"
         assert d["params"]["beta"] == 0.5
         assert d["distances"]["J"] is None
         assert d["distances"]["K"] == 4.0
         assert d["contrast"]["statistic"] == "F"
-        import json
-        json.dumps(d)
