@@ -399,6 +399,18 @@ def _cached_log_void(spec: ModelSpec, radii: bytes, palm: bool,
 # Exact curves
 # ---------------------------------------------------------------------------
 
+def _void_complement(spec: ModelSpec, r: np.ndarray, palm: bool):
+    """One minus the void probability of the disks of radii ``r``: F,
+    or G for the reduced Palm process when ``palm``."""
+    if isinstance(spec, Poisson):
+        return 1.0 - np.exp(-spec.intensity * np.pi * r * r)
+    if isinstance(spec, BetaGinibre):
+        x = spec.intensity * np.pi * r * r / spec.beta
+        return np.array([1.0 - _bg_survival(xi, spec.beta, 2 if palm else 1)
+                         for xi in x])
+    return -np.expm1(_dpp_log_void(spec, r, palm=palm))
+
+
 def theoretical_curve(kind: str, spec: ModelSpec,
                       grid: RadiusGrid) -> SummaryCurve:
     """Exact model curve of the given kind (K, F, G or J) on the grid.
@@ -410,16 +422,14 @@ def theoretical_curve(kind: str, spec: ModelSpec,
     1 for Poisson and
     ``1 / (1 - beta + beta * exp(-intensity*pi*r^2/beta))`` for the
     Ginibre family; the other two take the ratio (1 - G) / (1 - F) from
-    the log void probabilities, NaN where F is within
-    ``J_F_SATURATION`` of 1, as for the empirical J.  Unknown kinds
-    raise KeyError.
+    the log void probabilities.  For every family J is NaN where F is
+    within ``J_F_SATURATION`` of 1, as for the empirical J.  Unknown
+    kinds raise KeyError.
     """
     if kind not in CURVE_KINDS:
         raise KeyError(kind)
     check_valid(spec)
     r = grid.r
-    if isinstance(spec, BetaGinibre):
-        x = spec.intensity * np.pi * r * r / spec.beta
     if kind == "K":
         values = np.pi * r * r
         if isinstance(spec, GaussDpp):
@@ -431,26 +441,24 @@ def theoretical_curve(kind: str, spec: ModelSpec,
             values = values - (np.pi * a2 / e) * (
                 1.0 - (1.0 + r * r / a2) ** -e)
         elif isinstance(spec, BetaGinibre):
+            x = spec.intensity * np.pi * r * r / spec.beta
             values = values - (spec.beta / spec.intensity) * (
                 1.0 - np.exp(-x))
     elif kind == "J":
+        values = np.full_like(r, np.nan)
+        defined = _void_complement(spec, r, palm=False) < 1.0 - J_F_SATURATION
         if isinstance(spec, Poisson):
-            values = np.ones_like(r)
+            values[defined] = 1.0
         elif isinstance(spec, BetaGinibre):
-            values = 1.0 / ((1.0 - spec.beta) + spec.beta * np.exp(-x))
+            rd = r[defined]
+            x = spec.intensity * np.pi * rd * rd / spec.beta
+            values[defined] = 1.0 / ((1.0 - spec.beta)
+                                     + spec.beta * np.exp(-x))
         else:
-            log_f = _dpp_log_void(spec, r, palm=False)
-            log_g = _dpp_log_void(spec, r, palm=True)
-            with np.errstate(invalid="ignore"):
-                values = np.where(-np.expm1(log_f) < 1.0 - J_F_SATURATION,
-                                  np.exp(log_g - log_f), np.nan)
-    elif isinstance(spec, Poisson):
-        values = 1.0 - np.exp(-spec.intensity * np.pi * r * r)
-    elif isinstance(spec, BetaGinibre):
-        first_k = 2 if kind == "G" else 1
-        values = np.array([1.0 - _bg_survival(xi, spec.beta, first_k)
-                           for xi in x])
+            log_g = _dpp_log_void(spec, r, palm=True)[defined]
+            log_f = _dpp_log_void(spec, r, palm=False)[defined]
+            values[defined] = np.exp(log_g - log_f)
     else:
-        values = -np.expm1(_dpp_log_void(spec, r, palm=kind == "G"))
+        values = _void_complement(spec, r, palm=kind == "G")
     return SummaryCurve(grid=grid, values=values, kind=kind,
                         origin="theoretical", meta=model_to_dict(spec))

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gammainc as scipy_gammainc
 
 from cellpp.errors import ConfigError, ExistenceViolation
-from cellpp.estimators import RadiusGrid, estimate_F, estimate_G, estimate_J
+from cellpp.estimators import (J_F_SATURATION, RadiusGrid, estimate_F,
+                               estimate_G, estimate_J)
 from cellpp.geom import Rectangle
 from cellpp.models import (
     BetaGinibre,
@@ -204,10 +206,13 @@ class TestGinibreFamilyCurves:
         np.testing.assert_allclose(j[ok], ratio, rtol=1e-10)
 
     def test_J_limit_at_large_radius(self):
+        # J nears 1 / (1 - beta) while F is still below saturation, and
+        # is undefined past it
         spec = BetaGinibre(intensity=100.0, beta=0.5)
-        grid = RadiusGrid(np.array([0.0, 10.0]))
-        assert theoretical_curve("J", spec, grid).values[1] \
-            == pytest.approx(2.0, rel=1e-12)
+        grid = RadiusGrid(np.array([0.0, 0.15, 10.0]))
+        j = theoretical_curve("J", spec, grid).values
+        assert j[1] == pytest.approx(2.0, rel=1e-5)
+        assert math.isnan(j[2])
 
     def test_truncation_converged(self):
         grid = RadiusGrid(np.linspace(0.0, 3250.0, 9))
@@ -319,6 +324,22 @@ GAUSS_HALF = GaussDpp(LAM_13KM, math.sqrt(0.5 / (math.pi * LAM_13KM)))
 CAUCHY_SHAPES = {nu: CauchyDpp(LAM_13KM,
                                math.sqrt(0.5 * nu / (math.pi * LAM_13KM)), nu)
                  for nu in (0.5, 50.0)}
+
+
+@pytest.mark.parametrize("spec", [
+    Poisson(LAM_13KM), BetaGinibre(LAM_13KM, 1.0), BetaGinibre(LAM_13KM, 0.5),
+    GaussDpp(LAM_13KM, 664.0), CauchyDpp(LAM_13KM, 4695.0, 50.0)],
+    ids=["poisson", "ginibre", "beta-ginibre-0.5", "gauss", "cauchy"])
+def test_J_undefined_exactly_where_F_saturates(spec):
+    # one rule for every family, as for the empirical J, and the full
+    # Ginibre repulsion (beta = 1) gets there without a RuntimeWarning
+    f = theoretical_curve("F", spec, GRID_13KM).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = theoretical_curve("J", spec, GRID_13KM).values
+    saturated = f >= 1.0 - J_F_SATURATION
+    assert saturated.any() and not saturated.all()
+    np.testing.assert_array_equal(np.isnan(j), saturated)
 
 
 class TestFredholmCurves:
