@@ -28,6 +28,7 @@ from .pipeline import (
     json_text,
     load_pattern,
     load_points,
+    retention_row,
     run_pipeline,
     write_points_csv,
     write_rejects_jsonl,
@@ -215,6 +216,10 @@ def _cmd_report(args) -> int:
         if not isinstance(reports[-1], dict):
             raise DataError(f"{path}: not a JSON report: its top level is "
                             f"not an object")
+        try:
+            retention_row(reports[-1])
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     sys.stdout.write(emit_table_one_regression(reports))
     return 0
 

@@ -75,15 +75,18 @@ class NumericalError(CellppError):
 
 
 class TruncationError(NumericalError):
-    """A spectral truncation budget was exceeded.
+    """A sampler's size budget was exceeded, or its spectral truncation
+    cannot be computed.
 
-    ``required`` is the number of basis elements the request would
-    need, ``budget`` the configured cap.
+    ``required`` is the size the request would need (by default a
+    number of basis elements), ``budget`` the configured cap;
+    ``detail``, when given, replaces the default message text and
+    names the parameter at fault.
     """
 
-    def __init__(self, required, budget):
-        super().__init__(f"truncation budget exceeded: need {required} "
-                         f"basis elements, budget is {budget}")
+    def __init__(self, required, budget, detail=None):
+        super().__init__("truncation budget exceeded: " + (
+            detail or f"need {required} basis elements, budget is {budget}"))
         self.required = required
         self.budget = budget
 

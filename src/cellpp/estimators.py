@@ -371,8 +371,7 @@ def estimate_G(pattern: PointPattern, grid: RadiusGrid | None = None,
 
     stop = _retention_stop(pattern.window, pattern.points, grid.r,
                            correction)
-    nn = cKDTree(pattern.points).query(pattern.points, k=2)[0][:, 1]
-    values = _reduced_sample_fraction(nn, stop, grid.r)
+    values = _reduced_sample_fraction(pattern.nn_distances, stop, grid.r)
     return SummaryCurve(grid=grid, values=values, kind="G",
                         origin="empirical",
                         meta={"n": pattern.n, "correction": correction})
@@ -430,6 +429,5 @@ def clark_evans_index(pattern: PointPattern) -> float:
     """
     if pattern.n < 2:
         raise DegeneratePatternError("Clark-Evans index needs >= 2 points")
-    nn = cKDTree(pattern.points).query(pattern.points, k=2)[0][:, 1]
     lam = pattern.n / pattern.window.area()
-    return float(nn.mean() * 2.0 * math.sqrt(lam))
+    return float(pattern.nn_distances.mean() * 2.0 * math.sqrt(lam))

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import chdtrc
 
 from .errors import (
@@ -547,6 +549,14 @@ class PointPattern:
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @functools.cached_property
+    def nn_distances(self) -> np.ndarray:
+        """Distance from each point to its nearest other point, computed
+        once per pattern; inf for a lone point."""
+        nn = cKDTree(self.points).query(self.points, k=2)[0][:, 1]
+        nn.setflags(write=False)
+        return nn
 
 
 # How far "jitter" moves each repeat of a duplicate point, in metres.

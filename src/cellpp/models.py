@@ -84,7 +84,11 @@ _EXISTENCE_SLACK = 1e-12
 
 def validate(spec: ModelSpec) -> ExistenceViolation | None:
     """Return the binding existence violation, or None if the spec is
-    admissible.  Boundary parameters are admissible."""
+    admissible.  Boundary parameters are admissible; a parameter that is
+    not finite is not."""
+    for name, value in vars(spec).items():
+        if not math.isfinite(value):
+            return ExistenceViolation(f"{name} is finite", value)
     if not spec.intensity > 0:
         return ExistenceViolation("intensity > 0", -spec.intensity)
     if isinstance(spec, Poisson):

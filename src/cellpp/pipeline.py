@@ -637,6 +637,30 @@ def run_pipeline(config: PipelineConfig, out_dir=None) -> Report:
 # Reference comparison table
 # ---------------------------------------------------------------------------
 
+def retention_row(report: dict) -> tuple:
+    """(place, technology, fitted beta or None) of a loaded report.json;
+    a field of the wrong type raises DataError naming it."""
+    config = report.get("config", {})
+    families = report.get("families", {})
+    for name, value in (("config", config), ("families", families)):
+        if not isinstance(value, dict):
+            raise DataError(f"field {name!r} is not an object: {value!r}")
+    entry = families.get("beta-ginibre")
+    beta = None
+    if entry is not None:
+        try:
+            beta = entry["fit"]["params"].get("beta")
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"field 'families.beta-ginibre.fit.params' is "
+                            f"missing or not an object: {exc!r}") from exc
+    if beta is not None and (isinstance(beta, bool)
+                             or not isinstance(beta, numbers.Real)):
+        raise DataError(f"field 'families.beta-ginibre.fit.params.beta' is "
+                        f"not a number: {beta!r}")
+    return (str(config.get("place") or "?"),
+            str(config.get("technology") or "?"), beta)
+
+
 def emit_table_one_regression(reports) -> str:
     """Fitted retention per report next to the published reference
     value for the same (place, technology); "/" marks cells the
@@ -650,11 +674,7 @@ def emit_table_one_regression(reports) -> str:
     for report in reports:
         if isinstance(report, Report):
             report = report.to_dict()
-        config = report.get("config", {})
-        place = (config.get("place") or "?")
-        tech = (config.get("technology") or "?")
-        entry = report.get("families", {}).get("beta-ginibre")
-        fitted = None if entry is None else entry["fit"]["params"].get("beta")
+        place, tech, fitted = retention_row(report)
         ref = REFERENCE_RETENTION.get((place, tech))
         fitted_s = "/" if fitted is None else f"{fitted:.2f}"
         ref_s = "/" if ref is None else f"{ref:.2f}"

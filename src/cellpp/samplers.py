@@ -42,17 +42,31 @@ from .models import (
 from .rng import as_stream
 
 # The samplability rule, read at call time: a draw that needs more
-# Ginibre-disk rotational modes or Gauss/Cauchy Fourier modes raises
-# TruncationError (exit 4); fits search scales from ``_scale_floor`` up.
+# Ginibre-disk rotational modes, Gauss/Cauchy Fourier modes or expected
+# Poisson points raises TruncationError (exit 4); fits search scales
+# from ``_scale_floor`` up.
 K_BUDGET = 500_000
 MODE_BUDGET = 1_500_000
+POINT_BUDGET = 10_000_000
 
 
 def sample_poisson(intensity: float, window: Window, stream) -> PointPattern:
-    """Homogeneous Poisson realization on the window."""
+    """Homogeneous Poisson realization on the window.
+
+    Raises
+    ------
+    TruncationError
+        If the expected point count exceeds ``POINT_BUDGET``.
+    """
     check_valid(Poisson(intensity))
+    mean = intensity * window.area()
+    if mean > POINT_BUDGET:
+        raise TruncationError(
+            required=mean, budget=POINT_BUDGET,
+            detail=f"intensity {intensity:g} expects {mean:.3g} points on "
+                   f"this window, budget is {POINT_BUDGET}")
     rng = as_stream(stream).generator()
-    n = int(rng.poisson(intensity * window.area()))
+    n = int(rng.poisson(mean))
     return PointPattern(points=window.sample_uniform(n, rng), window=window)
 
 
@@ -377,18 +391,34 @@ _ENLARGEMENT = 1.25
 _TAIL_EPS = 1e-6
 
 
+def _shape_overflow(spec: CauchyDpp) -> TruncationError:
+    return TruncationError(
+        required=spec.shape, budget=None,
+        detail=f"the Cauchy spectral density of shape {spec.shape:g} "
+               f"overflows double precision")
+
+
 def _spectral_cutoff(spec: ModelSpec) -> float:
     """Radial frequency beyond which the discarded spectral mass is
-    below ``_TAIL_EPS`` of the total."""
+    below ``_TAIL_EPS`` of the total.  A Cauchy shape whose tail
+    normalisation ``Gamma(shape + 1) * 2^shape`` overflows (shape above
+    about 150) raises TruncationError."""
     alpha = spec.scale
     if isinstance(spec, GaussDpp):
         return 1.15 * math.sqrt(math.log(1.0 / _TAIL_EPS)) / (math.pi * alpha)
     nu = spec.shape
+    try:
+        norm = math.gamma(nu + 1.0) * 2.0 ** nu
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise _shape_overflow(spec)
 
     def rel_tail(s):
         z = 2.0 * math.pi * alpha * s
-        return (z ** (nu + 1.0) * kv(nu + 1.0, z)
-                / (math.gamma(nu + 1.0) * 2.0 ** nu))
+        # at small z the product overflows to inf, which is above eps
+        with np.errstate(over="ignore"):
+            return z ** (nu + 1.0) * kv(nu + 1.0, z) / norm
 
     hi = 1.0 / alpha
     while rel_tail(hi) > _TAIL_EPS:
@@ -424,7 +454,11 @@ def _mode_lattice(spec: ModelSpec, box: Rectangle):
                          indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
     rho = np.hypot((gx - k1) / t1, (gy - k2) / t2)
-    evals = np.clip(_spectral_density(spec, rho), 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        evals = _spectral_density(spec, rho)
+    if not np.all(np.isfinite(evals)):
+        raise _shape_overflow(spec)
+    evals = np.clip(evals, 0.0, 1.0)
     for arr in (evals, gx, gy):
         arr.setflags(write=False)
     return evals, gx, gy

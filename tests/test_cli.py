@@ -13,9 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import cellpp
-from cellpp import estimators, pipeline, samplers
+from cellpp import estimators, geom, pipeline, samplers
 from cellpp.cli import main
 from cellpp.estimators import default_test_point_count, estimate_F
 from cellpp.geom import Rectangle
@@ -138,6 +139,29 @@ class TestSimulate:
         assert rc == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, code, parameter", [
+        (["--family", "poisson", "--intensity", "inf"], 2, "intensity"),
+        (["--family", "poisson", "--intensity", "1e300"], 4, "intensity"),
+        (["--family", "cauchy-dpp", "--intensity", "1e-4", "--scale", "50",
+          "--shape", "inf"], 2, "shape"),
+        (["--family", "cauchy-dpp", "--intensity", "1e-4", "--scale", "50",
+          "--shape", "200"], 4, "shape"),
+        (["--family", "cauchy-dpp", "--intensity", "1e-4", "--scale", "50",
+          "--shape", "1e300"], 4, "shape"),
+    ], ids=["intensity-inf", "intensity-1e300", "shape-inf", "shape-200",
+            "shape-1e300"])
+    def test_unusable_parameters_are_refused(self, tmp_path, capsys, flags,
+                                             code, parameter):
+        # each is refused before any point is drawn, naming the parameter
+        out = tmp_path / "x.csv"
+        rc = main(["simulate", *flags, "--window", WINDOW_FLAG,
+                   "--output", str(out)])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.startswith(("config error", "numerical failure"))
+        assert parameter in err
+        assert not out.exists()
+
     def test_output_that_is_its_own_sidecar_exits_2(self, tmp_path, capsys):
         # the sidecar goes to <output>.json: a .json output would lose
         # the points to it
@@ -169,6 +193,26 @@ class TestStats:
             rows = list(csv.reader(fh))
         assert rows[0] == ["r", "value", "kind", "origin"]
         assert {row[2] for row in rows[1:]} == {"K", "F", "G", "J"}
+
+    def test_nearest_neighbours_queried_once(self, pp_csv, tmp_path,
+                                             monkeypatch, capsys):
+        # the Clark-Evans index and the G estimate share one query
+        path, pat = pp_csv
+        queries = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                if k == 2:
+                    queries.append(len(x))
+                return super().query(x, k=k, **kwargs)
+
+        for module in (geom, estimators):
+            monkeypatch.setattr(module, "cKDTree", CountingTree,
+                                raising=False)
+        assert main(["stats", "--input", path, "--window", WINDOW_FLAG,
+                     "--grid-points", "64",
+                     "--output", str(tmp_path / "c.csv")]) == 0
+        assert queries == [pat.n]
 
     def test_auto_window_when_flag_omitted(self, pp_csv, capsys, tmp_path):
         path, pat = pp_csv
@@ -623,6 +667,21 @@ class TestReport:
         assert err.startswith(f"data error: {path}: not a JSON report")
 
 
+    @pytest.mark.parametrize("report, field", [
+        ({"families": {"beta-ginibre": {}}}, "families.beta-ginibre.fit"),
+        ({"families": ["x"]}, "'families'"),
+        ({"families": {"beta-ginibre": {"fit": {"params": {"beta": "0.9"}}}}},
+         "families.beta-ginibre.fit.params.beta"),
+    ], ids=["no-fit", "families-list", "beta-string"])
+    def test_malformed_field_exits_3(self, tmp_path, capsys, report, field):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["report", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: field ")
+        assert field in err
+
+
 class TestPipeline:
 
     def test_config_file_with_flag_overrides(self, pp_csv, tmp_path,
@@ -797,6 +856,60 @@ def test_bad_projection_exits_2_before_ingest(registry_csv, capsys,
                  "--input", registry_csv]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert calls == []
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+PIPELINE_CONFIG = json.dumps({
+    "families": ["poisson"], "grid_points": 64,
+    "window": {"kind": "rectangle", "x_min": 0.0, "x_max": 1000.0,
+               "y_min": 0.0, "y_max": 1000.0},
+    "envelope": {"replicates": 19}})
+# argv, the JSON files it writes, and whether its stdout is JSON
+JSON_RUNS = {
+    "simulate": (["simulate", "--family", "poisson", "--intensity", "1e-4",
+                  "--window", WINDOW_FLAG, "--output", "{dir}/s.csv"],
+                 ["s.json"], False),
+    "stats": (["stats", "--input", "{input}", "--window", WINDOW_FLAG,
+               "--grid-points", "64", "--output", "{dir}/c.csv"], [], True),
+    "fit": (["fit", "--input", "{input}", "--window", WINDOW_FLAG,
+             "--family", "poisson", "--output", "{dir}/fit.json"],
+            ["fit.json"], True),
+    "gof-r-max-inf": (["gof", "--input", "{input}", "--window", WINDOW_FLAG,
+                       "--family", "poisson", "--intensity", "1.5e-4",
+                       "--statistics", "K", "--replicates", "19",
+                       "--grid-points", "64", "--r-max", "inf"], [], True),
+    "ingest": (["ingest", "--input", "{registry}", "--output", "{dir}/p.csv",
+                "--rejects", "{dir}/rejects.jsonl"], ["rejects.jsonl"],
+               False),
+    "pipeline": (["pipeline", "--input", "{input}", "--planar", "--config",
+                  PIPELINE_CONFIG, "--out", "{dir}/out"],
+                 ["out/report.json", "out/run_meta.json",
+                  "out/rejects.jsonl"], False),
+}
+
+
+@pytest.mark.parametrize("argv, files, prints_json", JSON_RUNS.values(),
+                         ids=JSON_RUNS)
+def test_json_output_is_strict(pp_csv, registry_csv, tmp_path, capsys, argv,
+                               files, prints_json):
+    # no NaN or Infinity in anything printed or written, --r-max inf
+    # included
+    args = [a.replace("{dir}", str(tmp_path)).replace("{input}", pp_csv[0])
+            .replace("{registry}", registry_csv) for a in argv]
+    assert main(args) == 0
+    if prints_json:
+        _strict_json(capsys.readouterr().out)
+    for name in files:
+        text = (tmp_path / name).read_text()
+        for doc in (text.splitlines() if name.endswith(".jsonl")
+                    else [text]):
+            _strict_json(doc)
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -26,6 +27,10 @@ from cellpp.geom import (
     quadrat_stationarity,
     window_from_dict,
 )
+
+from cellpp.estimators import RadiusGrid, SummaryCurve, write_curves_csv
+from cellpp.gof import EnvelopeBand, write_band_csv
+from cellpp.pipeline import write_points_csv
 
 from oracles import dictreader_ingest, unproject
 
@@ -498,3 +503,49 @@ def test_ingest_project_clip_chain(tmp_path):
     assert pat.n == 3
     # a degree of longitude at 50.6N is about 70.8 km, so 7 mdeg ~ 500 m
     assert np.max(np.abs(pat.points)) < 1200.0
+
+
+# Finite values whose shortest repr is long or signed, and the three
+# non-finite ones.
+CELL_VALUES = np.array([0.1 + 0.2, 1.0 / 3.0, -0.0, 5e-324,
+                        1.7976931348623157e308, -2.5e-7,
+                        math.nan, math.inf, -math.inf])
+
+
+def _write_curve(path, v):
+    grid = RadiusGrid(np.arange(v.size, dtype=float))
+    write_curves_csv(path, SummaryCurve(grid=grid, values=v, kind="K",
+                                        origin="empirical"))
+    return ["value"]
+
+
+def _write_band(path, v):
+    grid = RadiusGrid(np.arange(v.size, dtype=float))
+    write_band_csv(path, EnvelopeBand(
+        grid=grid, lower=v, upper=v, kind="K", mode="global",
+        replicates=39, significance=0.025, reference=v))
+    return ["lower", "upper", "theoretical"]
+
+
+def _write_points(path, v):
+    write_points_csv(path, np.column_stack([v, v[::-1]]))
+    return ["x", "y"]
+
+
+@pytest.mark.parametrize("write", [_write_curve, _write_band, _write_points],
+                         ids=["curves", "bands", "points"])
+def test_csv_cells_round_trip_bit_for_bit(tmp_path, write):
+    # every table goes through geom.write_csv: a finite cell parses
+    # back to the same bits, a NaN or infinite one is empty
+    path = tmp_path / "table.csv"
+    columns = write(path, CELL_VALUES)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == CELL_VALUES.size
+    for name in columns:
+        values = CELL_VALUES[::-1] if name == "y" else CELL_VALUES
+        for row, want in zip(rows, values):
+            if math.isfinite(want):
+                assert np.float64(row[name]).tobytes() == want.tobytes()
+            else:
+                assert row[name] == ""
