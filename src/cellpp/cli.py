@@ -211,15 +211,9 @@ def _cmd_report(args) -> int:
     for path in args.reports:
         try:
             reports.append(json.loads(Path(path).read_text()))
-        except ValueError as exc:  # JSON and text decoding errors
-            raise DataError(f"{path}: not a JSON report: {exc}") from exc
-        if not isinstance(reports[-1], dict):
-            raise DataError(f"{path}: not a JSON report: its top level is "
-                            f"not an object")
-        try:
             retention_row(reports[-1])
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        except (ValueError, DataError) as exc:  # JSON, text and fields
+            raise DataError(f"{path}: not a JSON report: {exc}") from exc
     sys.stdout.write(emit_table_one_regression(reports))
     return 0
 

@@ -75,13 +75,11 @@ class NumericalError(CellppError):
 
 
 class TruncationError(NumericalError):
-    """A sampler's size budget was exceeded, or its spectral truncation
-    cannot be computed.
+    """A sampler budget was exceeded, or its spectral truncation
+    overflows.
 
-    ``required`` is the size the request would need (by default a
-    number of basis elements), ``budget`` the configured cap;
-    ``detail``, when given, replaces the default message text and
-    names the parameter at fault.
+    ``required`` is what the request would need (by default basis
+    elements), ``budget`` the cap; ``detail`` replaces the default text.
     """
 
     def __init__(self, required, budget, detail=None):

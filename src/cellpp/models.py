@@ -450,18 +450,15 @@ def theoretical_curve(kind: str, spec: ModelSpec,
                 1.0 - np.exp(-x))
     elif kind == "J":
         values = np.full_like(r, np.nan)
-        defined = _void_complement(spec, r, palm=False) < 1.0 - J_F_SATURATION
+        ok = _void_complement(spec, r, palm=False) < 1.0 - J_F_SATURATION
         if isinstance(spec, Poisson):
-            values[defined] = 1.0
+            values[ok] = 1.0
         elif isinstance(spec, BetaGinibre):
-            rd = r[defined]
-            x = spec.intensity * np.pi * rd * rd / spec.beta
-            values[defined] = 1.0 / ((1.0 - spec.beta)
-                                     + spec.beta * np.exp(-x))
+            x = spec.intensity * np.pi * r[ok] * r[ok] / spec.beta
+            values[ok] = 1.0 / ((1.0 - spec.beta) + spec.beta * np.exp(-x))
         else:
-            log_g = _dpp_log_void(spec, r, palm=True)[defined]
-            log_f = _dpp_log_void(spec, r, palm=False)[defined]
-            values[defined] = np.exp(log_g - log_f)
+            values[ok] = np.exp(_dpp_log_void(spec, r, palm=True)[ok]
+                                - _dpp_log_void(spec, r, palm=False)[ok])
     else:
         values = _void_complement(spec, r, palm=kind == "G")
     return SummaryCurve(grid=grid, values=values, kind=kind,

@@ -321,18 +321,11 @@ def _jsonable(obj):
     """Plain JSON types only; non-finite floats become null."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+        return float(obj) if math.isfinite(obj) else None
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 def json_text(obj, one_line: bool = False) -> str:
@@ -639,26 +632,22 @@ def run_pipeline(config: PipelineConfig, out_dir=None) -> Report:
 
 def retention_row(report: dict) -> tuple:
     """(place, technology, fitted beta or None) of a loaded report.json;
-    a field of the wrong type raises DataError naming it."""
-    config = report.get("config", {})
-    families = report.get("families", {})
-    for name, value in (("config", config), ("families", families)):
-        if not isinstance(value, dict):
-            raise DataError(f"field {name!r} is not an object: {value!r}")
-    entry = families.get("beta-ginibre")
-    beta = None
-    if entry is not None:
-        try:
-            beta = entry["fit"]["params"].get("beta")
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise DataError(f"field 'families.beta-ginibre.fit.params' is "
-                            f"missing or not an object: {exc!r}") from exc
-    if beta is not None and (isinstance(beta, bool)
-                             or not isinstance(beta, numbers.Real)):
-        raise DataError(f"field 'families.beta-ginibre.fit.params.beta' is "
-                        f"not a number: {beta!r}")
-    return (str(config.get("place") or "?"),
-            str(config.get("technology") or "?"), beta)
+    a missing or mistyped field raises DataError naming it."""
+    if not isinstance(report, dict):
+        raise DataError("its top level is not an object")
+    name = "config"
+    try:
+        config = report.get("config", {})
+        place = str(config.get("place") or "?")
+        tech = str(config.get("technology") or "?")
+        name = "families"
+        entry = report.get("families", {}).get("beta-ginibre")
+        name = "families.beta-ginibre.fit.params.beta"
+        beta = None if entry is None else entry["fit"]["params"].get("beta")
+        return place, tech, None if beta is None else float(beta + 0.0)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DataError(f"field {name!r} is missing or has the wrong type: "
+                        f"{exc!r}") from exc
 
 
 def emit_table_one_regression(reports) -> str:

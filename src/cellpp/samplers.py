@@ -51,20 +51,14 @@ POINT_BUDGET = 10_000_000
 
 
 def sample_poisson(intensity: float, window: Window, stream) -> PointPattern:
-    """Homogeneous Poisson realization on the window.
-
-    Raises
-    ------
-    TruncationError
-        If the expected point count exceeds ``POINT_BUDGET``.
-    """
+    """Homogeneous Poisson realization on the window; more than
+    ``POINT_BUDGET`` expected points raise TruncationError."""
     check_valid(Poisson(intensity))
     mean = intensity * window.area()
     if mean > POINT_BUDGET:
-        raise TruncationError(
-            required=mean, budget=POINT_BUDGET,
-            detail=f"intensity {intensity:g} expects {mean:.3g} points on "
-                   f"this window, budget is {POINT_BUDGET}")
+        raise TruncationError(mean, POINT_BUDGET, f"intensity {intensity:g} "
+                              f"expects {mean:.3g} points on this window, "
+                              f"budget is {POINT_BUDGET}")
     rng = as_stream(stream).generator()
     n = int(rng.poisson(mean))
     return PointPattern(points=window.sample_uniform(n, rng), window=window)
@@ -391,28 +385,19 @@ _ENLARGEMENT = 1.25
 _TAIL_EPS = 1e-6
 
 
-def _shape_overflow(spec: CauchyDpp) -> TruncationError:
-    return TruncationError(
-        required=spec.shape, budget=None,
-        detail=f"the Cauchy spectral density of shape {spec.shape:g} "
-               f"overflows double precision")
-
-
 def _spectral_cutoff(spec: ModelSpec) -> float:
     """Radial frequency beyond which the discarded spectral mass is
-    below ``_TAIL_EPS`` of the total.  A Cauchy shape whose tail
-    normalisation ``Gamma(shape + 1) * 2^shape`` overflows (shape above
-    about 150) raises TruncationError."""
+    below ``_TAIL_EPS`` of the total.  A Cauchy shape above about 150,
+    where ``Gamma(shape + 1) * 2^shape`` overflows, raises
+    TruncationError."""
     alpha = spec.scale
     if isinstance(spec, GaussDpp):
         return 1.15 * math.sqrt(math.log(1.0 / _TAIL_EPS)) / (math.pi * alpha)
     nu = spec.shape
-    try:
-        norm = math.gamma(nu + 1.0) * 2.0 ** nu
-    except OverflowError:
-        norm = math.inf
-    if not math.isfinite(norm):
-        raise _shape_overflow(spec)
+    norm = math.gamma(nu + 1.0) * 2.0 ** nu if nu < 170.0 else math.inf
+    if norm == math.inf:
+        raise TruncationError(nu, None, f"Cauchy shape {nu:g} overflows "
+                                        f"its spectral density")
 
     def rel_tail(s):
         z = 2.0 * math.pi * alpha * s
@@ -457,7 +442,8 @@ def _mode_lattice(spec: ModelSpec, box: Rectangle):
     with np.errstate(over="ignore", invalid="ignore"):
         evals = _spectral_density(spec, rho)
     if not np.all(np.isfinite(evals)):
-        raise _shape_overflow(spec)
+        raise TruncationError(spec.shape, None, f"Cauchy shape {spec.shape:g}"
+                              f" overflows its spectral density")
     evals = np.clip(evals, 0.0, 1.0)
     for arr in (evals, gx, gy):
         arr.setflags(write=False)

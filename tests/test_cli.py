@@ -678,7 +678,8 @@ class TestReport:
         path.write_text(json.dumps(report))
         assert main(["report", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: {path}: field ")
+        assert err.startswith(f"data error: {path}: not a JSON report: "
+                              f"field ")
         assert field in err
 
 
