@@ -644,6 +644,7 @@ def retention_row(report: dict) -> tuple:
         entry = report.get("families", {}).get("beta-ginibre")
         name = "families.beta-ginibre.fit.params.beta"
         beta = None if entry is None else entry["fit"]["params"].get("beta")
+        # adding 0.0 refuses a string or container with TypeError
         return place, tech, None if beta is None else float(beta + 0.0)
     except (AttributeError, KeyError, TypeError) as exc:
         raise DataError(f"field {name!r} is missing or has the wrong type: "
