@@ -40,7 +40,6 @@ from .models import (
     model_to_dict,
     theoretical_curve,
 )
-from .samplers import _scale_floor
 
 FAMILY_NAMES = ("poisson", "beta-ginibre", "gauss-dpp", "cauchy-dpp")
 
@@ -50,9 +49,8 @@ DEFAULT_RANGE_FRACTION = 1060.0 / 13000.0
 
 # Shape-parameter search boxes.  The lower ends are the near-Poisson
 # limits; the upper ends are the existence bounds (resolved per fit).
-# A scale search starts at the smallest scale the sampler accepts on
-# the window (``samplers._scale_floor``), so fitted models can be
-# sampled for their envelopes.
+# They do not depend on the window: a draw's cost is set by its expected
+# point count, whatever the scale.
 BETA_SEARCH_MIN = 0.01
 SCALE_FRACTION_MIN = 1e-3
 CAUCHY_SHAPE_BOUNDS = (0.05, 50.0)
@@ -91,8 +89,8 @@ class ContrastSpec:
         if self.statistic not in CURVE_KINDS:
             raise ConfigError(f"statistic must be one of {CURVE_KINDS}, "
                               f"got {self.statistic!r}")
-        if not (self.p > 0.0 and self.q > 0.0):
-            raise ConfigError("contrast exponents must be positive")
+        if not (0.0 < self.p < math.inf and 0.0 < self.q < math.inf):
+            raise ConfigError("contrast exponents must be finite and > 0")
         if self.r_min < 0.0:
             raise ConfigError("r_min must be >= 0")
         if self.r_max is not None and not self.r_max > self.r_min:
@@ -265,12 +263,11 @@ def fit(pattern: PointPattern, family: str,
                       f"{SMALL_PATTERN_WARN} the fitted parameters are "
                       f"unstable", stacklevel=2)
     lam = intensity_estimate(pattern).value
-    window = pattern.window
 
     if curves is None:
         curves = empirical_curves(pattern)
     emp_grid = require_same_grid(*curves.values())
-    spec = (cspec or ContrastSpec()).resolved(emp_grid, window)
+    spec = (cspec or ContrastSpec()).resolved(emp_grid, pattern.window)
     emp = curves[spec.statistic]
 
     # The contrast reads radii up to r_max only, so the search evaluates
@@ -305,7 +302,7 @@ def fit(pattern: PointPattern, family: str,
                 return GaussDpp(intensity=lam, scale=scale)
 
             hi = 1.0 / math.sqrt(math.pi * lam)
-            lo = _scale_floor(make, SCALE_FRACTION_MIN * hi, hi, window)
+            lo = SCALE_FRACTION_MIN * hi
         x, value, evaluations, converged, trace = _golden_minimize(
             lambda x: objective_for(make(x)), lo, hi, max_evaluations)
         model = make(x)
@@ -320,13 +317,9 @@ def fit(pattern: PointPattern, family: str,
                       math.log(CAUCHY_SHAPE_BOUNDS[1]))
 
         def unpack(x):
-            u = float(x[0])
             shape = math.exp(float(x[1]))
-            bound = math.sqrt(shape / (math.pi * lam))
-            scale = _scale_floor(
-                lambda s: CauchyDpp(intensity=lam, scale=s, shape=shape),
-                u * bound, bound, window)
-            return CauchyDpp(intensity=lam, scale=scale, shape=shape)
+            return CauchyDpp(intensity=lam, scale=float(x[0]) * math.sqrt(
+                shape / (math.pi * lam)), shape=shape)
 
         trace = []
 
@@ -352,10 +345,7 @@ def fit(pattern: PointPattern, family: str,
         simplex = res.final_simplex[0]
         x_spread = float(np.max(np.abs(simplex - simplex[0])))
         converged = bool(res.success) or x_spread <= 10.0 * _REL_TOL
-        raw_scale = (float(res.x[0])
-                     * math.sqrt(math.exp(float(res.x[1])) / (math.pi * lam)))
-        pinned_low = (res.x[0] <= SCALE_FRACTION_MIN * (1.0 + 10.0 * _REL_TOL)
-                      or model.scale > raw_scale * (1.0 + 1e-9))
+        pinned_low = res.x[0] <= SCALE_FRACTION_MIN * (1.0 + 10.0 * _REL_TOL)
         # the box tops: the existence-bound scale and the largest shape
         pinned_high = (res.x[0] >= 1.0 - 10.0 * _REL_TOL
                        or res.x[1] >= hi_w - 10.0 * _REL_TOL)

@@ -424,6 +424,9 @@ class Rectangle:
     kind = "rectangle"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max,
+                                       self.y_min, self.y_max))):
+            raise ValueError("rectangle bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("rectangle must have positive extent")
 
@@ -478,6 +481,9 @@ class Disk:
     kind = "disk"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.center_x, self.center_y,
+                                       self.radius))):
+            raise ValueError("disk centre and radius must be finite")
         if not self.radius > 0:
             raise ValueError("disk must have positive radius")
 

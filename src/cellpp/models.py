@@ -20,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, kv
+from scipy.special import gammainc, gammaln, kv, kve
 
 from .errors import ConfigError, ExistenceViolation
 from .estimators import (CURVE_KINDS, J_F_SATURATION, RadiusGrid,
@@ -233,6 +233,43 @@ def _kernel_profile(spec: ModelSpec):
     return (lambda d2: lam * (1.0 + d2 / a2) ** power), width
 
 
+# Debye's polynomials u_1..u_4 of the uniform expansion of K_nu(nu x)
+# in p = 1 / sqrt(1 + x^2), lowest power first (DLMF 10.41.10).
+_DEBYE = (np.array([0, 3, 0, -5]) / 24.0,
+          np.array([0, 0, 81, 0, -462, 0, 385]) / 1152.0,
+          np.array([0, 0, 0, 30375, 0, -369603, 0, 765765, 0, -425425])
+          / 414720.0,
+          np.array([0, 0, 0, 0, 4465125, 0, -94121676, 0, 349922430, 0,
+                    -446185740, 0, 185910725]) / 39813120.0)
+
+
+def _log_bessel_k(nu: float, z: np.ndarray) -> np.ndarray:
+    """log K_nu(z) for z > 0.  From ``kv``; where it underflows, from
+    ``kve``; where it overflows (orders above about 30 at small z),
+    from Debye's expansion (DLMF 10.41.4), whose four terms are within
+    ~1e-10 relative there."""
+    with np.errstate(divide="ignore"):
+        out = np.log(kv(nu, z))
+        under = out == -np.inf
+        out[under] = np.log(kve(nu, z[under])) - z[under]
+    over = out == np.inf
+    x = z[over] / nu
+    root = np.sqrt(1.0 + x * x)
+    series = sum(np.polynomial.polynomial.polyval(1.0 / root, u) / (-nu) ** k
+                 for k, u in enumerate(_DEBYE, 1))
+    out[over] = (0.5 * math.log(math.pi / (2.0 * nu))
+                 - nu * (root + np.log(x / (1.0 + root)))
+                 - 0.5 * np.log(root) + np.log1p(series))
+    return out
+
+
+def _log_matern(nu: float, z: np.ndarray) -> np.ndarray:
+    """log((z/2)^nu K_nu(z) / Gamma(nu + 1)) for z > 0, in log space so
+    that no factor over- or underflows."""
+    return (nu * np.log(0.5 * z) + _log_bessel_k(nu, z)
+            - gammaln(nu + 1.0))
+
+
 def _spectral_density(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
     """Fourier transform of the kernel at radial frequency ``rho``."""
     lam, alpha = spec.intensity, spec.scale
@@ -240,13 +277,12 @@ def _spectral_density(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
         return lam * math.pi * alpha ** 2 * np.exp(
             -(math.pi * alpha) ** 2 * rho * rho)
     nu = spec.shape
-    z = 2.0 * math.pi * alpha * rho
-    out = np.empty_like(np.asarray(rho, dtype=float))
-    small = z < 1e-8
-    out[small] = lam * math.pi * alpha ** 2 / nu
-    zb = z[~small]
-    out[~small] = (lam * alpha ** 2 * 2.0 * math.pi
-                   * (0.5 * zb) ** nu * kv(nu, zb) / math.gamma(nu + 1.0))
+    z = 2.0 * math.pi * alpha * np.asarray(rho, dtype=float)
+    out = np.empty_like(z)
+    zero = z == 0.0
+    out[zero] = lam * math.pi * alpha ** 2 / nu
+    out[~zero] = (lam * alpha ** 2 * 2.0 * math.pi
+                  * np.exp(_log_matern(nu, z[~zero])))
     return out
 
 

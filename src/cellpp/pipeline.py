@@ -58,6 +58,7 @@ from .geom import (
 from .gof import MIN_REPLICATES, gof, replicate_curves, write_band_csv
 from .models import theoretical_curve
 from .rng import RngStreamSpec
+from .samplers import check_samplable
 
 # Published retention estimates for 2021-era antenna registries, by
 # region and radio technology; used as the reference column of the
@@ -101,7 +102,7 @@ def _require_known(d: dict, allowed, where: str) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}; "
-                          f"allowed: {', '.join(sorted(allowed))}")
+                          f"allowed: {', '.join(sorted(allowed)) or 'none'}")
 
 
 # The keys besides "kind" that each projection kind reads.
@@ -203,7 +204,10 @@ class PipelineConfig:
         _require_known(self.columns,
                        {"id", "lon", "lat", "x", "y", "operator",
                         "technology"}, "columns")
-        _require_known(self.filters, {"operator", "technology"}, "filters")
+        # planar input has no operator or technology to filter on
+        _require_known(self.filters, () if self.planar
+                       else {"operator", "technology"},
+                       "planar filters" if self.planar else "filters")
         _require_known(self.envelope, {"replicates", "mode", "gate"},
                        "envelope")
         mode = self.envelope.get("mode", "both")
@@ -527,6 +531,11 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
     info = info or {}
     summary = describe(pattern)
     stationarity = summary.pop("stationarity")
+    # every family's envelopes draw at the pattern's intensity, whatever
+    # the fit, so an unsamplable window fails before the first fit
+    for family in config.families:
+        with _stage(f"gof:{family}"):
+            check_samplable(family, summary["intensity"], pattern.window)
     curves = data_curves(config, pattern)
     grid = curves["F"].grid
 

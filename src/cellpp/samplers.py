@@ -5,12 +5,13 @@ determinantal families go through their spectral decompositions: on a
 centred disk the Ginibre-family kernel diagonalizes over rotational
 eigenfunctions with incomplete-gamma eigenvalues; on a periodically
 extended rectangle the stationary Gaussian/Cauchy kernels diagonalize
-over Fourier modes weighted by the spectral density.  In both cases a
-Bernoulli draw per eigenvalue picks the active modes and the resulting
-projection process is sampled exactly by sequential rejection.  Any
-window is drawn on a set that covers it (the centred disk, or the
-window's bounding box) and clipped: the restriction of a DPP to a
-sub-window is the DPP with the restricted kernel.
+over Fourier modes weighted by the spectral density.  In both cases
+independent Bernoulli trials pick the active modes, without visiting
+the others, and the resulting projection process is sampled exactly by
+sequential rejection.  Any window is drawn on a set that covers it (the
+centred disk, or the window's bounding box) and clipped: the
+restriction of a DPP to a sub-window is the DPP with the restricted
+kernel.  What can be sampled is decided by the expected point count.
 
 Realizations may be empty; estimators, not samplers, enforce minimum
 point counts.  Every routine is deterministic given its stream spec.
@@ -25,10 +26,10 @@ import math
 import numpy as np
 from scipy.linalg import lapack as _lapack
 from scipy.linalg.blas import zgeru as _zgeru
-from scipy.special import gammainc, gammaincinv, gammaln, kv
+from scipy.special import gammainc, gammaincinv, gammaln
 
 from .errors import ConfigError, SamplerStallError, TruncationError
-from .geom import PointPattern, Rectangle, Window
+from .geom import PointPattern, Window
 from .models import (
     BetaGinibre,
     CauchyDpp,
@@ -36,31 +37,63 @@ from .models import (
     ModelSpec,
     Poisson,
     _bg_term_count,
+    _kernel_profile,
     _spectral_density,
     check_valid,
 )
 from .rng import as_stream
 
-# The samplability rule, read at call time: a draw that needs more
-# Ginibre-disk rotational modes, Gauss/Cauchy Fourier modes or expected
-# Poisson points raises TruncationError (exit 4); fits search scales
-# from ``_scale_floor`` up.
-K_BUDGET = 500_000
-MODE_BUDGET = 1_500_000
+# The samplability rule, read at call time: a draw expecting more points
+# raises TruncationError (exit 4).  A determinantal draw of n points
+# takes ~n^3 time and ~40 n^2 bytes: at this bound, 71 s (Gauss) to
+# 113 s (beta-Ginibre) and 0.69 GiB peak RSS on a 2-vCPU x86-64 VM.
+DPP_POINT_BUDGET = 4_000
 POINT_BUDGET = 10_000_000
+# Periodic approximation (Lavancier, Moller & Rubak 2015, sec. 4): the
+# window enlarged by this factor per side, which pushes wrap-around
+# correlation past it, and the share of the expected points that the
+# dropped Fourier modes may hold.
+_ENLARGEMENT = 1.25
+_TAIL_EPS = 1e-6
+
+
+def _torus(window: Window):
+    """Periods of the torus the Gaussian and Cauchy samplers draw on."""
+    box = window.bounding_box()
+    return (_ENLARGEMENT * (box.x_max - box.x_min),
+            _ENLARGEMENT * (box.y_max - box.y_min))
+
+
+def expected_points(family: str, intensity: float, window: Window) -> float:
+    """Expected points of one draw before clipping, whatever the shape
+    parameters: the intensity times the area of the window for
+    Poisson, of its covering disk for the Ginibre family and of the
+    torus for the Gaussian and Cauchy families."""
+    if family == Poisson.name:
+        return intensity * window.area()
+    if family == BetaGinibre.name:
+        return intensity * math.pi * window.circumradius() ** 2
+    return intensity * math.prod(_torus(window))
+
+
+def check_samplable(family: str, intensity: float, window: Window) -> None:
+    """TruncationError if a draw expects more points than its budget,
+    ``POINT_BUDGET`` for Poisson and ``DPP_POINT_BUDGET`` otherwise."""
+    budget = POINT_BUDGET if family == Poisson.name else DPP_POINT_BUDGET
+    mean = expected_points(family, intensity, window)
+    if not mean <= budget:
+        raise TruncationError(mean, budget, f"a {family} draw at intensity "
+                              f"{intensity:g} expects {mean:.6g} points on "
+                              f"this window, bound is {budget}")
 
 
 def sample_poisson(intensity: float, window: Window, stream) -> PointPattern:
     """Homogeneous Poisson realization on the window; more than
     ``POINT_BUDGET`` expected points raise TruncationError."""
     check_valid(Poisson(intensity))
-    mean = intensity * window.area()
-    if mean > POINT_BUDGET:
-        raise TruncationError(mean, POINT_BUDGET, f"intensity {intensity:g} "
-                              f"expects {mean:.3g} points on this window, "
-                              f"budget is {POINT_BUDGET}")
+    check_samplable(Poisson.name, intensity, window)
     rng = as_stream(stream).generator()
-    n = int(rng.poisson(mean))
+    n = int(rng.poisson(intensity * window.area()))
     return PointPattern(points=window.sample_uniform(n, rng), window=window)
 
 
@@ -78,6 +111,7 @@ _PROPOSALS_PER_POINT = 1000
 # block memory to 4 MiB of complex features.
 _BLOCK_FLOOR = 16
 _BLOCK_ENTRIES = 1 << 18
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 # (package whose <package>.libs holds it, library glob, symbol suffix)
@@ -277,7 +311,8 @@ def _householder_downdate(live: np.ndarray, a: np.ndarray) -> None:
     and ``live[1:]`` spans the rest of the complement."""
     norm = math.sqrt(np.vdot(a, a).real)
     head = a[0]
-    alpha = -norm * (head / abs(head) if head else 1.0)
+    # a subnormal head, whose modulus overflows a division, acts as zero
+    alpha = -norm * (head / abs(head) if abs(head) >= _NORMAL_MIN else 1.0)
     u = a.copy()
     u[0] -= alpha
     # H = I - 2 u u^H / |u|^2, with |u|^2 = 2 |a| (|a| + |a_0|)
@@ -289,6 +324,28 @@ def _sq_norms(z: np.ndarray) -> np.ndarray:
     """Row-wise squared norms of a complex matrix."""
     w = np.ascontiguousarray(z).view(float)
     return np.einsum("ij,ij->i", w, w)
+
+
+def _bernoulli_modes(starts, sizes, rates, exact, rng) -> np.ndarray:
+    """Sorted positions kept by independent Bernoulli trials with
+    probabilities ``exact(positions)``, in O(kept + runs) time.
+
+    Run b holds ``sizes[b]`` positions from ``starts[b]``, and
+    ``rates[b]`` bounds ``exact`` there.  Candidates come first, by
+    geometric skips at that rate q: a unit Poisson process gives each
+    position -log(1 - q) of its line, so it hits a position with
+    probability q (all of a run at rate 1).  Each candidate is then
+    kept with probability ``exact / q`` (Devroye 1986, ch. 6)."""
+    sure = rates >= 1.0
+    with np.errstate(divide="ignore"):
+        hazard = -np.log1p(-np.where(sure, 0.0, rates)) * sizes
+    run = np.repeat(np.arange(sizes.size), rng.poisson(hazard))
+    hits = starts[run] + rng.integers(0, sizes[run])
+    pos = np.sort(np.concatenate(
+        [np.unique(hits)] + [np.arange(a, a + n)
+                             for a, n in zip(starts[sure], sizes[sure])]))
+    run = np.searchsorted(starts, pos, side="right") - 1
+    return pos[rng.uniform(size=pos.size) * rates[run] < exact(pos)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +365,17 @@ def _ginibre_disk(intensity: float, beta: float, radius: float,
     c = intensity * math.pi / beta
     t_cap = c * radius * radius
     k_hi = _bg_term_count(t_cap)
-    if k_hi > K_BUDGET:
-        raise TruncationError(required=k_hi, budget=K_BUDGET)
-
-    ks = np.arange(k_hi, dtype=float)
-    p_k = gammainc(ks + 1.0, t_cap)
-    keep = rng.uniform(size=k_hi) < beta * p_k
-    ks, p_k = ks[keep], p_k[keep]
+    if k_hi > 2 ** 52:
+        raise TruncationError(k_hi, 2 ** 52, f"beta {beta:g} needs "
+                              f"{k_hi:.3g} modes, past 2^52")
+    # the k-th eigenvalue is at most beta
+    ks = _bernoulli_modes(
+        np.zeros(1, dtype=np.int64), np.array([k_hi]), np.array([beta]),
+        lambda k: beta * gammainc(k + 1.0, t_cap), rng).astype(float)
     n = ks.size
     if n == 0:
         return np.empty((0, 2))
+    p_k = gammainc(ks + 1.0, t_cap)
 
     # |phi_k(z)|^2 = exp(2*log_norm) * r^(2k) * exp(-c r^2)
     with np.errstate(divide="ignore"):
@@ -361,9 +419,11 @@ def sample_beta_ginibre(intensity: float, beta: float, window: Window,
     Raises
     ------
     TruncationError
-        If the window needs more rotational modes than ``K_BUDGET``.
+        If the covering disk expects more than ``DPP_POINT_BUDGET``
+        points.
     """
     check_valid(BetaGinibre(intensity, beta))
+    check_samplable(BetaGinibre.name, intensity, window)
     rng = as_stream(stream).generator()
     cx, cy = window.center()
     pts = _ginibre_disk(intensity, beta, window.circumradius(), rng)
@@ -375,111 +435,64 @@ def sample_beta_ginibre(intensity: float, beta: float, window: Window,
 # Gaussian / Cauchy families on the bounding box, Fourier side
 # ---------------------------------------------------------------------------
 
-# Specs whose mode setup is kept.  Envelopes draw one spec many times in
-# a row; a lattice at MODE_BUDGET holds 36 MB.
-_MODE_CACHE = 4
-# Periodic approximation (Lavancier, Moller & Rubak 2015, sec. 4): the
-# window enlarged by this factor per side, which pushes wrap-around
-# correlation past it, and the spectral mass the mode cutoff drops.
-_ENLARGEMENT = 1.25
-_TAIL_EPS = 1e-6
+# Ring j of the Fourier lattice, the square max(|kx|, |ky|) = j, holds
+# positions (2j - 1)^2 on: 8j modes, 2j to a side, counterclockwise
+# from (-j, -j).  Per side, its corner and its step.
+_CORNER = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+_STEP = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]])
 
 
-def _spectral_cutoff(spec: ModelSpec) -> float:
-    """Radial frequency beyond which the discarded spectral mass is
-    below ``_TAIL_EPS`` of the total.  A Cauchy shape above about 150,
-    where ``Gamma(shape + 1) * 2^shape`` overflows, raises
-    TruncationError."""
-    alpha = spec.scale
-    if isinstance(spec, GaussDpp):
-        return 1.15 * math.sqrt(math.log(1.0 / _TAIL_EPS)) / (math.pi * alpha)
-    nu = spec.shape
-    norm = math.gamma(nu + 1.0) * 2.0 ** nu if nu < 170.0 else math.inf
-    if norm == math.inf:
-        raise TruncationError(nu, None, f"Cauchy shape {nu:g} overflows "
-                                        f"its spectral density")
-
-    def rel_tail(s):
-        z = 2.0 * math.pi * alpha * s
-        # at small z the product overflows to inf, which is above eps
-        with np.errstate(over="ignore"):
-            return z ** (nu + 1.0) * kv(nu + 1.0, z) / norm
-
-    hi = 1.0 / alpha
-    while rel_tail(hi) > _TAIL_EPS:
-        hi *= 2.0
-    lo = hi / 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if rel_tail(mid) > _TAIL_EPS:
-            lo = mid
-        else:
-            hi = mid
-    return 1.15 * hi
+def _ring_modes(pos: np.ndarray):
+    """(kx, ky) of the modes at lattice positions below 2^50, where the
+    square root in doubles floors to the exact integer root."""
+    j = (np.sqrt(pos).astype(np.int64) + 1) // 2
+    side, step = np.divmod(pos - np.maximum(2 * j - 1, 0) ** 2,
+                           np.maximum(2 * j, 1))
+    k = j[:, None] * _CORNER[side] + step[:, None] * _STEP[side]
+    return k[:, 0], k[:, 1]
 
 
-@functools.lru_cache(maxsize=_MODE_CACHE)
-def _mode_grid(spec: ModelSpec, box: Rectangle):
-    """Periods (t1, t2) of the enlarged box and the largest mode
-    indices (k1, k2) per axis."""
-    l1 = box.x_max - box.x_min
-    l2 = box.y_max - box.y_min
-    t1, t2 = _ENLARGEMENT * l1, _ENLARGEMENT * l2
-    s_cut = _spectral_cutoff(spec)
-    k1, k2 = int(math.ceil(s_cut * t1)), int(math.ceil(s_cut * t2))
-    return t1, t2, k1, k2
+def _fourier_modes(spec: ModelSpec, t1: float, t2: float,
+                   rng: np.random.Generator):
+    """(kx, ky) of the Fourier modes kept on the t1 x t2 torus, each
+    with probability its eigenvalue, the spectral density at
+    (kx / t1, ky / t2) clipped to [0, 1].
+
+    The density falls with the frequency, least on ring j at
+    j / max(t1, t2), so the band of rings 2^(b-1) to 2^b - 1 takes the
+    rate of its first and a draw costs O(kept + log rings).  The last
+    band is the first whose bound on its kept modes is below
+    ``_TAIL_EPS`` of the expected points and half that of the band
+    before; later bounds fall at least as fast, so sum to no more."""
+    t_max = max(t1, t2)
+
+    def eigenvalues(rho):
+        return np.clip(_spectral_density(spec, rho), 0.0, 1.0)
+
+    def exact(pos):
+        kx, ky = _ring_modes(pos)
+        return eigenvalues(np.hypot(kx / t1, ky / t2))
+
+    # ring 2^24 starts below position 2^50
+    edges = np.concatenate([[0], 2 ** np.arange(25)])
+    starts = np.maximum(2 * edges - 1, 0) ** 2
+    rates = eigenvalues(edges[:-1] / t_max)
+    held = rates * np.diff(starts)
+    last = (held <= _TAIL_EPS * spec.intensity * t1 * t2) & (
+        2.0 * held <= np.concatenate([[0.0], held[:-1]]))
+    if not last.any():
+        raise TruncationError(None, None, f"the spectrum of {spec} does "
+                              f"not fall off within 2^24 rings")
+    bands = int(last.argmax()) + 1
+    return _ring_modes(_bernoulli_modes(
+        starts[:bands], np.diff(starts)[:bands], rates[:bands], exact, rng))
 
 
-@functools.lru_cache(maxsize=_MODE_CACHE)
-def _mode_lattice(spec: ModelSpec, box: Rectangle):
-    """Eigenvalue of every mode of the truncated frequency lattice, and
-    its x and y indices shifted to start at 0, as read-only arrays."""
-    t1, t2, k1, k2 = _mode_grid(spec, box)
-    gx, gy = np.meshgrid(np.arange(k1 + k1 + 1), np.arange(k2 + k2 + 1),
-                         indexing="ij")
-    gx, gy = gx.ravel(), gy.ravel()
-    rho = np.hypot((gx - k1) / t1, (gy - k2) / t2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        evals = _spectral_density(spec, rho)
-    if not np.all(np.isfinite(evals)):
-        raise TruncationError(spec.shape, None, f"Cauchy shape {spec.shape:g}"
-                              f" overflows its spectral density")
-    evals = np.clip(evals, 0.0, 1.0)
-    for arr in (evals, gx, gy):
-        arr.setflags(write=False)
-    return evals, gx, gy
-
-
-def spectral_mode_count(spec: ModelSpec, window: Window) -> int:
-    """Fourier modes the spectral sampler would need on this window.
-
-    Grows like (bounding-box extent / kernel scale)^2; lets callers
-    check a parameter point against MODE_BUDGET before sampling.
-    """
-    if not isinstance(spec, (GaussDpp, CauchyDpp)):
-        raise ConfigError("mode counts apply to the spectral families")
-    _, _, k1, k2 = _mode_grid(spec, window.bounding_box())
-    return (2 * k1 + 1) * (2 * k2 + 1)
-
-
-def _scale_floor(make, lo: float, hi: float, window: Window) -> float:
-    """Smallest kernel scale in [lo, hi] affordable under the sampler
-    mode budget on this window; returns lo unchanged when lo already
-    fits."""
-    if spectral_mode_count(make(lo), window) <= MODE_BUDGET:
-        return lo
-    if spectral_mode_count(make(hi), window) > MODE_BUDGET:
-        raise ConfigError(
-            "window too large for the spectral families: even the "
-            "existence-bound scale exceeds the sampler mode budget")
-    a, b = lo, hi
-    while b / a > 1.0001:
-        mid = math.sqrt(a * b)
-        if spectral_mode_count(make(mid), window) > MODE_BUDGET:
-            a = mid
-        else:
-            b = mid
-    return b
+def _cis(turns: np.ndarray) -> np.ndarray:
+    """exp(2 pi i turns), from the cosine and sine of the angle reduced
+    to [-pi, pi]: about twice as fast as numpy's complex exp."""
+    angle = 2.0 * math.pi * (turns - np.rint(turns))
+    return np.cos(angle) + 1j * np.sin(angle)
 
 
 def sample_dpp_spectral(spec: ModelSpec, window: Window,
@@ -491,53 +504,44 @@ def sample_dpp_spectral(spec: ModelSpec, window: Window,
     modes, and sampled exactly as a Bernoulli mixture of projection
     processes; the points in the window are kept.  A rectangle is its
     own box; a disk of radius r is drawn on a (2.5 r)^2 torus, about
-    twice its expected point count.  The mode cutoff keeps the
-    discarded spectral mass below ``_TAIL_EPS`` of the total; past
-    ``MODE_BUDGET`` modes the draw raises TruncationError.
+    twice its expected point count.  A torus expecting more than
+    ``DPP_POINT_BUDGET`` points, or a kernel narrower than 2^-22 of
+    it, raises TruncationError.
     """
     if not isinstance(spec, (GaussDpp, CauchyDpp)):
         raise ConfigError("spectral sampler covers the Gaussian and Cauchy "
                           "families; Poisson and the Ginibre family have "
                           "dedicated samplers")
     check_valid(spec)
+    check_samplable(spec.name, spec.intensity, window)
+    t1, t2 = _torus(window)
+    # the spectrum of a wider kernel falls off within 2^24 rings
+    if not _kernel_profile(spec)[1] >= 2.0 ** -22 * max(t1, t2):
+        raise TruncationError(None, None, f"{spec} has a kernel narrower "
+                              f"than 2^-22 of its {max(t1, t2):.6g} m torus")
     rng = as_stream(stream).generator()
-
-    box = window.bounding_box()
-    l1 = box.x_max - box.x_min
-    l2 = box.y_max - box.y_min
-    t1, t2, k1, k2 = _mode_grid(spec, box)
-    area = t1 * t2
-
-    n_modes = (2 * k1 + 1) * (2 * k2 + 1)
-    if n_modes > MODE_BUDGET:
-        raise TruncationError(required=n_modes, budget=MODE_BUDGET)
-
-    evals, col_x, col_y = _mode_lattice(spec, box)
-    keep = rng.uniform(size=n_modes) < evals
-    col_x, col_y = col_x[keep], col_y[keep]
-    n = col_x.size
+    kx, ky = _fourier_modes(spec, t1, t2, rng)
+    n = kx.size
     if n == 0:
         return PointPattern(points=np.empty((0, 2)), window=window)
 
-    inv_sqrt_area = 1.0 / math.sqrt(area)
-
-    def powers(z, k):
-        # z**p for p = -k..k, column p + k, from one running product
-        pos = np.cumprod(np.broadcast_to(z[:, None], (z.size, k)), axis=1)
-        return np.hstack([np.conj(pos[:, ::-1]), np.ones((z.size, 1)), pos])
+    # features exp(2 pi i (kx x / t1 + ky y / t2)) / sqrt(t1 t2), from
+    # one table per axis over its distinct kept indices
+    ux, col_x = np.unique(kx, return_inverse=True)
+    uy, col_y = np.unique(ky, return_inverse=True)
+    inv_sqrt_area = 1.0 / math.sqrt(t1 * t2)
 
     def propose(m):
         x = rng.uniform(0.0, t1, size=m)
         y = rng.uniform(0.0, t2, size=m)
-        px = powers(np.exp(2j * math.pi / t1 * x), k1) * inv_sqrt_area
-        py = powers(np.exp(2j * math.pi / t2 * y), k2)
-        feats = px[:, col_x] * py[:, col_y]
+        feats = (_cis(np.multiply.outer(x / t1, ux))[:, col_x]
+                 * _cis(np.multiply.outer(y / t2, uy))[:, col_y])
+        feats *= inv_sqrt_area
         return np.column_stack([x, y]), feats
 
-    torus_pts = _projection_sample(propose, n, rng)
-    shift = np.array([box.x_min - 0.5 * (t1 - l1),
-                      box.y_min - 0.5 * (t2 - l2)])
-    pts = torus_pts + shift
+    # the torus is centred on the window's bounding box
+    pts = (_projection_sample(propose, n, rng) - 0.5 * np.array([t1, t2])
+           + np.array(window.bounding_box().center()))
     return PointPattern(points=pts[window.contains(pts)], window=window)
 
 

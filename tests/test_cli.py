@@ -6,9 +6,11 @@ stdout/stderr are captured by pytest and exit codes are the returned ints.
 
 import json
 import csv
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -131,13 +133,20 @@ class TestSimulate:
         assert "config error" in capsys.readouterr().err
 
     def test_truncation_exits_4(self, tmp_path, capsys):
-        # tiny scale needs far more spectral modes than the default budget
+        # the 16.25 km torus expects 26,406 points: refused at once,
+        # before any mode or matrix is drawn
+        start = time.perf_counter()
         rc = main(["simulate", "--family", "gauss-dpp",
-                   "--intensity", "1000", "--scale", "0.0005",
-                   "--window", "0,1,0,1", "--output",
+                   "--intensity", "1e-4", "--scale", "50",
+                   "--window", "0,13000,0,13000", "--output",
                    str(tmp_path / "x.csv")])
+        assert time.perf_counter() - start < 5.0
         assert rc == 4
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert (f"expects 26406.2 points on this window, bound is "
+                f"{samplers.DPP_POINT_BUDGET}") in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flags, code, parameter", [
         (["--family", "poisson", "--intensity", "inf"], 2, "intensity"),
@@ -145,11 +154,8 @@ class TestSimulate:
         (["--family", "cauchy-dpp", "--intensity", "1e-4", "--scale", "50",
           "--shape", "inf"], 2, "shape"),
         (["--family", "cauchy-dpp", "--intensity", "1e-4", "--scale", "50",
-          "--shape", "200"], 4, "shape"),
-        (["--family", "cauchy-dpp", "--intensity", "1e-4", "--scale", "50",
           "--shape", "1e300"], 4, "shape"),
-    ], ids=["intensity-inf", "intensity-1e300", "shape-inf", "shape-200",
-            "shape-1e300"])
+    ], ids=["intensity-inf", "intensity-1e300", "shape-inf", "shape-1e300"])
     def test_unusable_parameters_are_refused(self, tmp_path, capsys, flags,
                                              code, parameter):
         # each is refused before any point is drawn, naming the parameter
@@ -711,6 +717,33 @@ class TestPipeline:
         assert list(report["families"]) == ["poisson"]
         assert report["config"]["master_seed"] == 11
 
+    @pytest.mark.parametrize("family", ["beta-ginibre", "gauss-dpp"])
+    def test_oversized_window_exits_4_before_the_first_fit(
+            self, tmp_path, capsys, monkeypatch, family):
+        # 0.7 of the bound in the window: the covering disk and the
+        # torus of the square expect 1.1 times the bound
+        n = math.ceil(0.7 * samplers.DPP_POINT_BUDGET)
+        path = tmp_path / "dense.csv"
+        write_points_csv(path, np.random.default_rng(5).uniform(
+            0.0, 13000.0, size=(n, 2)))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before refusing the window")
+
+        monkeypatch.setattr(pipeline, "fit", no_fit)
+        config = {"window": {"kind": "rectangle", "x_min": 0.0,
+                             "x_max": 13000.0, "y_min": 0.0,
+                             "y_max": 13000.0}}
+        start = time.perf_counter()
+        rc = main(["pipeline", "--config", json.dumps(config), "--input",
+                   str(path), "--planar", "--families", f"poisson,{family}"])
+        assert time.perf_counter() - start < 20.0
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure [gof:{family}]: ")
+        assert f"a {family} draw at intensity " in err
+        assert f"bound is {samplers.DPP_POINT_BUDGET}\n" in err
+
     def test_numerical_failure_names_stage(self, pp_csv, capsys):
         path, _ = pp_csv
         config = {"families": ["beta-ginibre"], "grid_points": 128,
@@ -731,8 +764,10 @@ class TestPipeline:
         {"kind": "rectangle", "x_min": 0.0, "x_max": 0.0, "y_min": 0.0,
          "y_max": 1000.0},
         {"kind": "disk", "center_x": 0.0, "center_y": 0.0, "radius": -1.0},
+        {"kind": "rectangle", "x_min": 0.0, "x_max": float("inf"),
+         "y_min": 0.0, "y_max": 1000.0},
     ], ids=["no-kind", "unknown-kind", "missing-key", "flat-rectangle",
-            "negative-radius"])
+            "negative-radius", "infinite-bound"])
     def test_bad_window_exits_2(self, pp_csv, capsys, window):
         path, _ = pp_csv
         config = {"families": ["poisson"], "window": window}
@@ -769,13 +804,13 @@ class TestPipeline:
 
 def test_pipeline_on_disk_window_tests_all_four_families(tmp_path,
                                                         capsys):
-    # 111 thinned-Ginibre points in a 7 km disk, CLI defaults otherwise:
+    # 108 thinned-Ginibre points in a 7 km disk, CLI defaults otherwise:
     # every family is fitted and envelope-tested on the disk itself
     disk = {"kind": "disk", "center_x": 7000.0, "center_y": 7000.0,
             "radius": 7000.0}
     pat = sample(BetaGinibre(0.7e-6, 0.9), window_from_dict(disk),
                  RngStreamSpec(3))
-    assert pat.n == 111
+    assert pat.n == 108
     data = tmp_path / "disk.csv"
     write_points_csv(data, pat.points)
     rc = main(["pipeline", "--config", json.dumps({"window": disk}),
@@ -806,6 +841,11 @@ BAD_NUMBERS = {
     "pipeline-few-replicates": ["pipeline", "--input", "{input}", "--planar",
                                 "--config",
                                 '{"envelope": {"replicates": 5}}'],
+    "stats-window-inf": ["stats", "--input", "{input}", "--window",
+                         "0,inf,0,13000", "--output", "{out}"],
+    "fit-exponent-inf": ["fit", "--input", "{input}", "--window",
+                         WINDOW_FLAG, "--family", "gauss-dpp",
+                         "--exponent-p", "inf"],
 }
 
 
@@ -830,6 +870,7 @@ BAD_CONFIGS = {
     "contrast-r-max": '{"contrast": {"r_max": "5"}}',
     "columns-list": '{"columns": ["x"]}',
     "families-string": '{"families": "poisson"}',
+    "planar-filters": '{"filters": {"technology": "LTE-800"}}',
     "projection-origin": '{"projection": {"kind": "local-tangent", '
                          '"origin_lon": "x", "origin_lat": 1}}',
 }

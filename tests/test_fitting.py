@@ -9,19 +9,16 @@ import numpy as np
 import pytest
 
 from cellpp.errors import (ConfigError, ConvergenceError,
-                           InsufficientDataError, InsufficientRangeError,
-                           TruncationError)
+                           InsufficientDataError, InsufficientRangeError)
 from cellpp.estimators import RadiusGrid, SummaryCurve
 from cellpp.fitting import (CAUCHY_SHAPE_BOUNDS, DEFAULT_RANGE_FRACTION,
                             SCALE_FRACTION_MIN, ContrastSpec, FitResult,
                             contrast, fit)
 from cellpp.geom import Disk, PointPattern, Rectangle
-from cellpp.models import BetaGinibre, GaussDpp
+from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp
 from cellpp.pipeline import json_text
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import (MODE_BUDGET, _scale_floor, sample,
-                             sample_beta_ginibre, sample_poisson,
-                             spectral_mode_count)
+from cellpp.samplers import sample, sample_beta_ginibre, sample_poisson
 
 from conftest import UNIT_SQUARE, ppp
 
@@ -119,6 +116,11 @@ class TestContrast:
             ContrastSpec(p=0.0)
         with pytest.raises(ConfigError):
             ContrastSpec(q=-1.0)
+        for p, q in ((math.inf, 2.0), (1.0, math.inf), (math.nan, 2.0)):
+            with pytest.raises(ConfigError, match="finite"):
+                ContrastSpec(p=p, q=q)
+        # an infinite fit range stays: it is clipped to the grid
+        assert ContrastSpec(r_max=math.inf).r_max == math.inf
         with pytest.raises(ConfigError):
             ContrastSpec(r_min=-0.1)
         with pytest.raises(ConfigError):
@@ -192,11 +194,10 @@ class TestFitSpectralFamilies:
     # K-contrast fits: the search runs on closed forms, the cross
     # distances on the exact F/G/J
 
-    def test_gauss_fit_respects_mode_budget(self, bg_pattern):
+    def test_gauss_fit_is_admissible(self, bg_pattern):
         res = fit(bg_pattern, "gauss-dpp", ContrastSpec(statistic="K"))
         lam = res.diagnostics["intensity"]
         assert res.model.scale <= 1.0 / math.sqrt(math.pi * lam) + 1e-12
-        assert spectral_mode_count(res.model, KM13) <= MODE_BUDGET
         assert res.diagnostics["converged"]
         # strongly repulsive input: the gauss fit runs to max repulsion
         assert not res.diagnostics["near_poisson"]
@@ -208,44 +209,73 @@ class TestFitSpectralFamilies:
         bound = math.sqrt(res.model.shape / (math.pi * lam))
         assert 0.0 < res.model.scale <= bound + 1e-9
         assert res.diagnostics["converged"]
-        assert spectral_mode_count(res.model, KM13) <= MODE_BUDGET
 
-    def test_fit_floor_is_the_sampler_limit(self):
-        # the lowest Gauss scale the fit can reach on the 13 km window
-        # is one the sampler draws, and just below it the sampler
-        # refuses: fit and sampler share one budget
-        lam = 0.7e-6
-        scale_max = 1.0 / math.sqrt(math.pi * lam)
+    @pytest.mark.parametrize("side", [13000.0, 30000.0, 60000.0])
+    def test_search_boxes_do_not_depend_on_the_window(self, side,
+                                                      monkeypatch):
+        # about 150 Poisson points on each square: the Gauss scan spans
+        # [SCALE_FRACTION_MIN, 1] of the existence bound, and so does
+        # the Cauchy scale fraction, with no floor between it and the
+        # model (the sampler's mode budget once set one, 167 m on 60 km)
+        from scipy import optimize
 
-        def make(scale):
-            return GaussDpp(intensity=lam, scale=scale)
+        import cellpp.fitting as fitting
 
-        floor = _scale_floor(make, SCALE_FRACTION_MIN * scale_max,
-                             scale_max, KM13)
-        assert 36.0 < floor < 36.5
-        assert sample(make(floor), KM13, RngStreamSpec(5)).n > 0
-        assert spectral_mode_count(make(floor / 1.001), KM13) > MODE_BUDGET
-        with pytest.raises(TruncationError):
-            sample(make(floor / 1.001), KM13, RngStreamSpec(5))
+        window = Rectangle(0.0, side, 0.0, side)
+        pat = sample_poisson(150.0 / window.area(), window,
+                             RngStreamSpec(95, int(side)))
+        lam = pat.n / window.area()
+        seen, boxes = [], []
+        curve_of = fitting.theoretical_curve
 
-    def test_scale_floor_reads_the_bounding_box(self):
-        lam = 0.7e-6
-        scale_max = 1.0 / math.sqrt(math.pi * lam)
+        def record(kind, model, grid):
+            seen.append(model)
+            return curve_of(kind, model, grid)
 
-        def make(scale):
-            return GaussDpp(intensity=lam, scale=scale)
+        def minimize(fun, x0, **kwargs):
+            boxes.append(kwargs["bounds"])
+            fun(np.array([SCALE_FRACTION_MIN, 0.0]))
+            return minimize_of(fun, x0, **kwargs)
 
-        disk = Disk(1000.0, -2000.0, 6000.0)
-        args = (make, SCALE_FRACTION_MIN * scale_max, scale_max)
-        assert _scale_floor(*args, disk) \
-            == _scale_floor(*args, disk.bounding_box())
+        minimize_of = optimize.minimize
+        monkeypatch.setattr(fitting, "theoretical_curve", record)
+        monkeypatch.setattr(optimize, "minimize", minimize)
+        kc = ContrastSpec(statistic="K")
+        fit(pat, "gauss-dpp", kc)
+        gauss = [m.scale * math.sqrt(math.pi * lam) for m in seen
+                 if isinstance(m, GaussDpp)]
+        assert min(gauss) == pytest.approx(SCALE_FRACTION_MIN, rel=1e-12)
+        assert max(gauss) == pytest.approx(1.0, rel=1e-12)
+        seen.clear()
+        fit(pat, "cauchy-dpp", kc)
+        assert boxes[0][0] == (SCALE_FRACTION_MIN, 1.0)
+        cauchy = [m.scale * math.sqrt(math.pi * lam / m.shape)
+                  for m in seen if isinstance(m, CauchyDpp)]
+        assert min(cauchy) == pytest.approx(SCALE_FRACTION_MIN, rel=1e-12)
+
+    def test_gauss_fit_on_60km_draws_its_envelopes(self):
+        # Poisson data pin the scale at the bottom of the box, 2.8 m,
+        # far below the 167 m floor the mode budget once set on 60 km
+        from cellpp.gof import replicate_curves
+
+        window = Rectangle(0.0, 60000.0, 0.0, 60000.0)
+        pat = sample_poisson(150.0 / window.area(), window,
+                             RngStreamSpec(96))
+        res = fit(pat, "gauss-dpp", ContrastSpec(statistic="K"))
+        assert res.diagnostics["pinned_lower_bound"]
+        assert res.model.scale < 3.0
+        grid = RadiusGrid.default(window, 64)
+        reps = replicate_curves(res.model, window, 19, grid,
+                                stream=RngStreamSpec(96, 1), n_test=400,
+                                kinds=("K",))
+        assert reps["K"].shape == (19, 64)
+        assert np.isfinite(reps["K"][:, 1:]).all()
 
     def test_gauss_fit_on_a_disk_is_samplable_there(self):
         disk = Disk(7000.0, 7000.0, 7000.0)
         pat = sample_beta_ginibre(0.7e-6, 0.9, disk, RngStreamSpec(3))
         res = fit(pat, "gauss-dpp", ContrastSpec(statistic="K"))
         assert res.diagnostics["converged"]
-        assert spectral_mode_count(res.model, disk) <= MODE_BUDGET
         drawn = sample(res.model, disk, RngStreamSpec(5))
         assert drawn.n > 0
         assert np.all(disk.contains(drawn.points))

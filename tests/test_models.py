@@ -460,6 +460,35 @@ class TestFredholmCurves:
             assert abs(math.exp(resolved) - math.exp(expanded)) < tol
 
 
+class TestCauchySpectralDensity:
+    @pytest.mark.parametrize("nu", [0.05, 0.5, 1.0, 5.0, 20.0, 33.0, 50.0,
+                                    100.0, 150.0, 170.0])
+    def test_log_space_form_matches_the_direct_one(self, nu):
+        # lambda alpha^2 2 pi (z/2)^nu K_nu(z) / Gamma(nu + 1) formed
+        # directly, compared wherever that product is finite and normal
+        from scipy.special import gamma, kv
+
+        from cellpp.models import _spectral_density
+
+        lam, alpha = 1e-6, 800.0
+        z = np.logspace(-8, 3.2, 500)
+        with np.errstate(all="ignore"):
+            direct = (lam * alpha ** 2 * 2.0 * math.pi * (0.5 * z) ** nu
+                      * kv(nu, z) / gamma(nu + 1.0))
+        ok = np.isfinite(direct) & (direct > 1e-300)
+        assert ok.sum() > 50
+        got = _spectral_density(CauchyDpp(lam, alpha, nu), np.concatenate(
+            [[0.0], z / (2.0 * math.pi * alpha)]))
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        np.testing.assert_allclose(got[1:][ok], direct[ok], rtol=1e-12,
+                                   atol=0)
+        # monotone in the frequency, to the ~1e-10 of Debye's expansion
+        # where K_nu overflows, and at zero the kernel's integral
+        assert np.all(np.diff(got) <= 1e-9 * got[:-1])
+        assert got[0] == pytest.approx(lam * math.pi * alpha ** 2 / nu,
+                                       rel=1e-9)
+
+
 class TestDeterminantCheck:
     GAUSS = GaussDpp(intensity=0.5, scale=0.7)
     CAUCHY = CauchyDpp(intensity=0.4, scale=0.9, shape=1.2)

@@ -66,6 +66,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(contrast={"stat": "F"})
 
+    def test_filters_on_planar_input_are_refused(self):
+        # planar points carry no operator or technology to filter on
+        with pytest.raises(ConfigError, match="planar filters key"
+                                              r"\(s\): technology"):
+            PipelineConfig(planar=True, filters={"technology": "LTE-800"})
+        assert PipelineConfig(planar=True, filters={}).filters == {}
+        PipelineConfig(filters={"technology": "LTE-800"})
+
     def test_envelope_defaults_and_gate(self):
         cfg = PipelineConfig()
         assert cfg.envelope == {"replicates": 39, "mode": "both",
@@ -206,7 +214,7 @@ class TestPointsCsv:
 class TestLoadPattern:
     def test_planar_with_window(self, bg_config):
         pattern, info = load_pattern(PipelineConfig(**bg_config))
-        assert pattern.n == info["n_clipped"] == 119
+        assert pattern.n == info["n_clipped"] == 122
         assert info["rejects"] == []
 
     def test_ingest_projection_path(self, tmp_path):
@@ -270,8 +278,8 @@ class TestFullRun:
             assert set(v) == {"kind", "passed", "first_exit_radius",
                               "exceedance_fraction", "n_defined", "r_max"}
         ds = report.dataset
-        assert ds["n_points"] == 119
-        assert ds["intensity"] == pytest.approx(119 / 13000.0 ** 2)
+        assert ds["n_points"] == 122
+        assert ds["intensity"] == pytest.approx(122 / 13000.0 ** 2)
         assert ds["test_points"] == 10000
         assert report.stationarity["rejected"] is False
 

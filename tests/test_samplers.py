@@ -7,6 +7,7 @@ spread of the frozen seeds.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from cellpp.geom import Disk, PointPattern, Rectangle
 from cellpp import samplers
 from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp, theoretical_curve
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import (_projection_sample, sample, sample_beta_ginibre,
-                             sample_dpp_spectral, sample_poisson,
-                             spectral_mode_count)
+from cellpp.samplers import (_projection_sample, expected_points, sample,
+                             sample_beta_ginibre, sample_dpp_spectral,
+                             sample_poisson)
 
 from conftest import UNIT_SQUARE
 from oracles import full_basis_projection_sample
@@ -72,10 +73,9 @@ class TestPoisson:
 
 
 class TestBetaGinibre:
-    def test_near_zero_beta_is_poisson_like(self, monkeypatch):
+    def test_near_zero_beta_is_poisson_like(self):
         # beta -> 0 at fixed intensity degenerates to a Poisson process;
-        # this spec needs 1,585,867 rotational modes
-        monkeypatch.setattr(samplers, "K_BUDGET", 3_000_000)
+        # this spec spans 1,585,867 rotational modes
         grid = RadiusGrid(np.linspace(0.0, 0.25, 26))
         mk = mean_k(
             lambda i: sample_beta_ginibre(100.0, 1e-4, UNIT_SQUARE,
@@ -171,11 +171,17 @@ class TestBetaGinibre:
         assert np.array_equal(direct.points, inside)
 
     def test_truncation_budget(self, monkeypatch):
-        monkeypatch.setattr(samplers, "K_BUDGET", 100)
-        with pytest.raises(TruncationError) as err:
-            sample_beta_ginibre(100.0, 1e-4, UNIT_SQUARE, RngStreamSpec(0))
-        assert err.value.budget == 100
-        assert err.value.required > 100
+        # the covering disk of the unit square expects 50 pi points,
+        # whatever beta
+        monkeypatch.setattr(samplers, "DPP_POINT_BUDGET", 100)
+        for beta in (1e-4, 1.0):
+            with pytest.raises(TruncationError) as err:
+                sample_beta_ginibre(100.0, beta, UNIT_SQUARE,
+                                    RngStreamSpec(0))
+            assert err.value.budget == 100
+            assert err.value.required == pytest.approx(50.0 * math.pi)
+        assert "expects 157.08 points on this window, bound is 100" \
+            in str(err.value)
 
     def test_invalid_beta_rejected(self):
         with pytest.raises(ExistenceViolation):
@@ -262,44 +268,45 @@ class TestSpectral:
         assert 0 < on_disk.n < on_box.n
         assert np.array_equal(on_disk.points,
                               on_box.points[disk.contains(on_box.points)])
-        assert spectral_mode_count(spec, disk) \
-            == spectral_mode_count(spec, disk.bounding_box())
+        assert expected_points(spec.name, spec.intensity, disk) \
+            == expected_points(spec.name, spec.intensity,
+                               disk.bounding_box())
 
-    def test_mode_budget_guard(self, monkeypatch):
-        spec = GaussDpp(intensity=50.0, scale=0.05)
-        need = spectral_mode_count(spec, UNIT_SQUARE)
-        monkeypatch.setattr(samplers, "MODE_BUDGET", need - 1)
-        with pytest.raises(TruncationError) as err:
-            sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(0))
-        assert err.value.required == need
-        assert err.value.budget == need - 1
-        # exactly at the budget the draw goes through
-        monkeypatch.setattr(samplers, "MODE_BUDGET", need)
-        pat = sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1))
-        assert pat.n >= 0
-        # a cached mode setup does not bypass the budget
-        monkeypatch.setattr(samplers, "MODE_BUDGET", need - 1)
-        with pytest.raises(TruncationError):
-            sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1))
+    @pytest.mark.parametrize("spec", [
+        GaussDpp(intensity=50.0, scale=0.05),
+        CauchyDpp(intensity=50.0, scale=0.05, shape=1.0),
+    ], ids=["gauss", "cauchy"])
+    def test_point_budget_guard(self, spec, monkeypatch):
+        # the 1.25 x 1.25 torus expects 78.125 points, whatever the scale
+        need = expected_points(spec.name, 50.0, UNIT_SQUARE)
+        assert need == pytest.approx(78.125)
+        monkeypatch.setattr(samplers, "DPP_POINT_BUDGET", 78)
+        for scale in (0.05, 1e-6):
+            with pytest.raises(TruncationError) as err:
+                sample_dpp_spectral(replace(spec, scale=scale), UNIT_SQUARE,
+                                    RngStreamSpec(0))
+            assert err.value.required == need
+            assert err.value.budget == 78
+        # at or above the expected count the draw goes through
+        monkeypatch.setattr(samplers, "DPP_POINT_BUDGET", 79)
+        assert sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1)).n > 0
 
-    def test_mode_setup_cached_read_only(self):
-        spec = GaussDpp(intensity=50.0, scale=0.05)
-        first = samplers._mode_lattice(spec, UNIT_SQUARE)
-        assert samplers._mode_lattice(spec, UNIT_SQUARE) is first
-        evals, col_x, col_y = first
-        assert evals.size == col_x.size == col_y.size \
-            == spectral_mode_count(spec, UNIT_SQUARE)
-        for arr in first:
-            assert not arr.flags.writeable
+    def test_kernel_narrower_than_the_lattice_resolves(self):
+        # width 2^-22 of the torus is the finest the lattice indexes
+        with pytest.raises(TruncationError, match="narrower than 2"):
+            sample_dpp_spectral(GaussDpp(intensity=50.0, scale=1e-7),
+                                UNIT_SQUARE, RngStreamSpec(0))
+        with pytest.raises(TruncationError, match="shape=1e\\+300"):
+            sample_dpp_spectral(CauchyDpp(50.0, 0.05, 1e300), UNIT_SQUARE,
+                                RngStreamSpec(0))
 
-    def test_mode_count_shrinks_with_scale(self):
-        coarse = spectral_mode_count(GaussDpp(intensity=1.0, scale=0.2),
-                                     UNIT_SQUARE)
-        fine = spectral_mode_count(GaussDpp(intensity=1.0, scale=0.02),
-                                   UNIT_SQUARE)
-        assert coarse < fine
-        with pytest.raises(ConfigError):
-            spectral_mode_count(BetaGinibre(1.0, 0.5), UNIT_SQUARE)
+    def test_large_cauchy_shape_samples(self):
+        # (z/2)^150 K_150(z) overflows below z ~ 1, at the torus's lowest
+        # frequencies; in log space the draw keeps the expected count
+        spec = CauchyDpp(0.7e-6, 1000.0, 150.0)
+        counts = [sample(spec, SQUARE_13KM, RngStreamSpec(74, i)).n
+                  for i in range(20)]
+        assert abs(np.mean(counts) - 0.7e-6 * SQUARE_13KM.area()) < 8.0
 
     def test_empty_return_is_valid(self):
         spec = GaussDpp(intensity=1e-4, scale=0.1)
@@ -396,6 +403,26 @@ class TestProjectionSampler:
         # the bound is 1000 proposals per point, checked per batch
         assert 3 * 1000 <= sum(calls) <= 3 * 1000 + 512 + 8
 
+    def test_downdate_with_a_subnormal_head(self):
+        # an accepted vector whose first complement coordinate is
+        # subnormal: dividing by its modulus overflowed and stalled
+        # near-disjoint Ginibre modes; it reflects like a zero one
+        import warnings
+
+        init = np.random.default_rng(4)
+        q, _ = np.linalg.qr(init.normal(size=(4, 3))
+                            + 1j * init.normal(size=(4, 3)))
+        live = np.ascontiguousarray(q.T.conj())
+        a = np.array([2e-320 - 2e-321j, 3.0, 4.0j])
+        f = live.T.conj() @ a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samplers._householder_downdate(live, a)
+        np.testing.assert_allclose(live @ live.T.conj(), np.eye(3),
+                                   atol=1e-14)
+        assert abs(live[0] @ f) == pytest.approx(5.0)
+        np.testing.assert_allclose(live[1:] @ f, 0.0, atol=1e-14)
+
     @pytest.mark.parametrize("n_items, n", [(7, 3), (9, 6)])
     def test_exact_law_on_a_finite_ground_set(self, n_items, n):
         # Projection DPP on N items with an orthonormal N x n feature
@@ -437,6 +464,77 @@ class TestProjectionSampler:
         # blocks carried across steps: near the n * H_n ideal
         h_n = sum(1.0 / k for k in range(1, n + 1))
         assert sum(rows) / (draws * n) < 1.5 * h_n
+
+
+def inclusion_p_value(counts, p, draws):
+    """Chi-square p-value of mode inclusion counts against independent
+    Bernoulli(p) trials: one cell per mode whose count has a variance
+    of 5 or more, the other modes pooled in one cell."""
+    from scipy.stats import chi2
+
+    assert np.all(counts[p == 1.0] == draws)
+    assert np.all(counts[p == 0.0] == 0)
+    var = draws * p * (1.0 - p)
+    big = var >= 5.0
+    stat = np.sum((counts[big] - draws * p[big]) ** 2 / var[big])
+    pooled = var[~big].sum()
+    if pooled > 0.0:
+        stat += (counts[~big].sum() - draws * p[~big].sum()) ** 2 / pooled
+    return chi2.sf(stat, big.sum() + (pooled > 0.0) - 1)
+
+
+class TestModeSelection:
+    """Geometric skips at a dominating rate, then thinning, keep each
+    mode independently with probability its eigenvalue."""
+
+    draws = 20_000
+
+    @pytest.mark.parametrize("beta", [0.7, 1.0])
+    def test_ginibre_modes_follow_the_exact_law(self, beta):
+        # one run at rate beta over modes k = 0, 1, ..., as on a disk
+        # with c R^2 = 5; at beta = 1 the first modes are kept surely
+        from scipy.special import gammainc
+
+        from cellpp.models import _bg_term_count
+
+        t_cap = 5.0
+        k_hi = _bg_term_count(t_cap)
+        p = beta * gammainc(np.arange(k_hi) + 1.0, t_cap)
+        rng = np.random.default_rng(8)
+        counts = np.zeros(k_hi)
+        for _ in range(self.draws):
+            kept = samplers._bernoulli_modes(
+                np.zeros(1, dtype=np.int64), np.array([k_hi]),
+                np.array([beta]), lambda k: beta * gammainc(k + 1.0, t_cap),
+                rng)
+            assert np.all(np.diff(kept) > 0)
+            counts[kept] += 1
+        assert inclusion_p_value(counts, p, self.draws) > 1e-3
+
+    @pytest.mark.parametrize("spec", [
+        GaussDpp(intensity=7.0, scale=0.2),
+        GaussDpp(intensity=1.0 / (math.pi * 0.04), scale=0.2),
+        CauchyDpp(intensity=5.0, scale=0.2, shape=0.5),
+    ], ids=["gauss", "gauss-at-bound", "cauchy"])
+    def test_fourier_modes_follow_the_exact_law(self, spec):
+        # a 1.25 x 0.75 torus, so the rings are not circles of constant
+        # frequency; at the existence bound the constant mode is sure
+        from cellpp.models import _spectral_density
+
+        t1, t2, j = 1.25, 0.75, 64
+        kx, ky = np.meshgrid(np.arange(-j, j + 1), np.arange(-j, j + 1),
+                             indexing="ij")
+        p = np.clip(_spectral_density(
+            spec, np.hypot(kx / t1, ky / t2).ravel()), 0.0, 1.0)
+        rng = np.random.default_rng(9)
+        counts = np.zeros(p.size)
+        for _ in range(self.draws):
+            mx, my = samplers._fourier_modes(spec, t1, t2, rng)
+            assert np.abs(mx).max(initial=0) <= j
+            assert np.abs(my).max(initial=0) <= j
+            np.add.at(counts, (mx + j) * (2 * j + 1) + my + j, 1)
+        assert counts.max() <= self.draws
+        assert inclusion_p_value(counts, p, self.draws) > 1e-3
 
 
 # Fitted-looking specs on the 13 km square, about 185 points a draw.
