@@ -171,6 +171,9 @@ class TestBetaGinibre:
         assert np.array_equal(direct.points, inside)
 
     def test_truncation_budget(self, monkeypatch):
+        # past 2^52 rotational modes the indices stop being exact
+        with pytest.raises(TruncationError, match="past 2\\^52"):
+            sample_beta_ginibre(100.0, 1e-300, UNIT_SQUARE, RngStreamSpec(0))
         # the covering disk of the unit square expects 50 pi points,
         # whatever beta
         monkeypatch.setattr(samplers, "DPP_POINT_BUDGET", 100)
@@ -291,7 +294,7 @@ class TestSpectral:
         monkeypatch.setattr(samplers, "DPP_POINT_BUDGET", 79)
         assert sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1)).n > 0
 
-    def test_kernel_narrower_than_the_lattice_resolves(self):
+    def test_unresolvable_spectra_are_refused(self):
         # width 2^-22 of the torus is the finest the lattice indexes
         with pytest.raises(TruncationError, match="narrower than 2"):
             sample_dpp_spectral(GaussDpp(intensity=50.0, scale=1e-7),
@@ -299,6 +302,11 @@ class TestSpectral:
         with pytest.raises(TruncationError, match="shape=1e\\+300"):
             sample_dpp_spectral(CauchyDpp(50.0, 0.05, 1e300), UNIT_SQUARE,
                                 RngStreamSpec(0))
+        # at shape 1e12 the log-space density is NaN past frequency 0
+        lam, shape = 7e-7, 1e12
+        spec = CauchyDpp(lam, 0.9 * math.sqrt(shape / (math.pi * lam)), shape)
+        with pytest.raises(TruncationError, match="does not fall off"):
+            sample_dpp_spectral(spec, SQUARE_13KM, RngStreamSpec(0))
 
     def test_large_cauchy_shape_samples(self):
         # (z/2)^150 K_150(z) overflows below z ~ 1, at the torus's lowest
