@@ -263,13 +263,6 @@ def _log_bessel_k(nu: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_matern(nu: float, z: np.ndarray) -> np.ndarray:
-    """log((z/2)^nu K_nu(z) / Gamma(nu + 1)) for z > 0, in log space so
-    that no factor over- or underflows."""
-    return (nu * np.log(0.5 * z) + _log_bessel_k(nu, z)
-            - gammaln(nu + 1.0))
-
-
 def _spectral_density(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
     """Fourier transform of the kernel at radial frequency ``rho``."""
     lam, alpha = spec.intensity, spec.scale
@@ -281,8 +274,11 @@ def _spectral_density(spec: ModelSpec, rho: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     zero = z == 0.0
     out[zero] = lam * math.pi * alpha ** 2 / nu
-    out[~zero] = (lam * alpha ** 2 * 2.0 * math.pi
-                  * np.exp(_log_matern(nu, z[~zero])))
+    # (z/2)^nu K_nu(z) / Gamma(nu + 1) in log space, where no factor
+    # over- or underflows
+    z = z[~zero]
+    out[~zero] = lam * alpha ** 2 * 2.0 * math.pi * np.exp(
+        nu * np.log(0.5 * z) + _log_bessel_k(nu, z) - gammaln(nu + 1.0))
     return out
 
 
