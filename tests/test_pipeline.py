@@ -65,14 +65,10 @@ class TestConfig:
             PipelineConfig(envelope={"m": 39})
         with pytest.raises(ConfigError):
             PipelineConfig(contrast={"stat": "F"})
-
-    def test_filters_on_planar_input_are_refused(self):
         # planar points carry no operator or technology to filter on
         with pytest.raises(ConfigError, match="planar filters key"
                                               r"\(s\): technology"):
             PipelineConfig(planar=True, filters={"technology": "LTE-800"})
-        assert PipelineConfig(planar=True, filters={}).filters == {}
-        PipelineConfig(filters={"technology": "LTE-800"})
 
     def test_envelope_defaults_and_gate(self):
         cfg = PipelineConfig()
