@@ -75,8 +75,8 @@ class NumericalError(CellppError):
 
 
 class TruncationError(NumericalError):
-    """A sampler budget was exceeded, or its spectral truncation
-    overflows.
+    """A draw expects more points than its budget, or its modes cannot
+    be indexed or their eigenvalues formed.
 
     ``required`` is what the request would need (by default basis
     elements), ``budget`` the cap; ``detail`` replaces the default text.

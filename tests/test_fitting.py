@@ -216,7 +216,7 @@ class TestFitSpectralFamilies:
         # about 150 Poisson points on each square: the Gauss scan spans
         # [SCALE_FRACTION_MIN, 1] of the existence bound, and so does
         # the Cauchy scale fraction, with no floor between it and the
-        # model (the sampler's mode budget once set one, 167 m on 60 km)
+        # model, whatever the window
         from scipy import optimize
 
         import cellpp.fitting as fitting
@@ -255,7 +255,7 @@ class TestFitSpectralFamilies:
 
     def test_gauss_fit_on_60km_draws_its_envelopes(self):
         # Poisson data pin the scale at the bottom of the box, 2.8 m,
-        # far below the 167 m floor the mode budget once set on 60 km
+        # a kernel 4e-5 as wide as the 75 km torus
         from cellpp.gof import replicate_curves
 
         window = Rectangle(0.0, 60000.0, 0.0, 60000.0)

@@ -204,7 +204,7 @@ class TestWindows:
             Rectangle(0.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             Disk(0.0, 0.0, 0.0)
-        # an infinite side once passed and gave a zero intensity
+        # an infinite side would give a zero intensity
         for bad in (math.inf, -math.inf, math.nan):
             for window in ((Rectangle, 0.0, bad, 0.0, 1.0),
                            (Rectangle, bad, 1.0, 0.0, 1.0),

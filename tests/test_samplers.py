@@ -413,8 +413,8 @@ class TestProjectionSampler:
 
     def test_downdate_with_a_subnormal_head(self):
         # an accepted vector whose first complement coordinate is
-        # subnormal: dividing by its modulus overflowed and stalled
-        # near-disjoint Ginibre modes; it reflects like a zero one
+        # subnormal, as with near-disjoint Ginibre modes: dividing by
+        # its modulus overflows, so it must reflect like a zero one
         import warnings
 
         init = np.random.default_rng(4)
