@@ -20,6 +20,7 @@ from .errors import (
     ConvergenceError,
     InsufficientDataError,
     InsufficientRangeError,
+    NumericalError,
 )
 from .estimators import (
     CURVE_KINDS,
@@ -121,7 +122,8 @@ def contrast(empirical: SummaryCurve, model_curve: SummaryCurve,
     """Discrepancy between two curves under ``cspec``.
 
     Radii where either curve is NaN are dropped pairwise; fewer than 10
-    usable radii in the range is an error, not a quiet small sum.
+    usable radii in the range is an error, not a quiet small sum, and a
+    sum that overflows raises NumericalError.
     """
     grid = require_same_grid(empirical, model_curve)
     if empirical.kind != model_curve.kind:
@@ -139,13 +141,18 @@ def contrast(empirical: SummaryCurve, model_curve: SummaryCurve,
         raise InsufficientRangeError(
             f"only {int(usable.sum())} usable radii in "
             f"[{spec.r_min}, {spec.r_max}]; need at least 10")
-    a = empirical.values[usable] ** spec.p
-    b = model_curve.values[usable] ** spec.p
-    terms = np.abs(a - b) ** spec.q
-    span = spec.r_max - spec.r_min
-    if spec.step_weighted:
-        terms = terms * grid.spacing()[usable]
-    return float(terms.sum() / span)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = empirical.values[usable] ** spec.p
+        b = model_curve.values[usable] ** spec.p
+        terms = np.abs(a - b) ** spec.q
+        span = spec.r_max - spec.r_min
+        if spec.step_weighted:
+            terms = terms * grid.spacing()[usable]
+        value = float(terms.sum() / span)
+    if not math.isfinite(value):
+        raise NumericalError(f"the {spec.statistic} contrast with "
+                             f"p={spec.p}, q={spec.q} is not finite")
+    return value
 
 
 # ---------------------------------------------------------------------------

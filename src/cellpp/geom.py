@@ -429,6 +429,8 @@ class Rectangle:
             raise ValueError("rectangle bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("rectangle must have positive extent")
+        if not math.isfinite(self.area()):
+            raise ValueError("rectangle area must be finite")
 
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
@@ -486,6 +488,9 @@ class Disk:
             raise ValueError("disk centre and radius must be finite")
         if not self.radius > 0:
             raise ValueError("disk must have positive radius")
+        if not math.isfinite(4.0 * self.radius * self.radius):
+            raise ValueError("disk area must be finite, and so must its "
+                             "bounding square's")
 
     def area(self) -> float:
         return math.pi * self.radius ** 2

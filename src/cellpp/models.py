@@ -205,7 +205,9 @@ def _bg_survival(x: float, beta: float, first_k: int,
 # the angle: a DFT over the angle splits it into one radial block per
 # angular frequency, and the determinant is the product of the block
 # determinants.  The Palm correction does not depend on the angle, so
-# it only changes the frequency-0 block.
+# it only changes the frequency-0 block, by a rank-one term: with
+# u = K(., 0) / sqrt(intensity) the determinant lemma gives
+# det(I - K0_B) = det(I - K_B) (1 + <u, (I - K_B)^-1 u>).
 
 # Below this void probability 1 - P already rounds to exactly 1.0.
 _LOG_VOID_FLOOR = -54.0 * math.log(2.0)
@@ -289,15 +291,17 @@ def _gauss_legendre_01(n: int):
 
 
 def _disk_log_void(kernel, radius: float, n_radial: int, n_angular: int,
-                   palm_intensity: float | None = None) -> float:
-    """log det(I - K_B) on the centred disk B of the given radius.
+                   intensity: float) -> tuple[float, float]:
+    """(log P, log P0): log det(I - K_B) on the centred disk B of the
+    given radius, and the same for the reduced Palm kernel at the origin.
 
     ``kernel(rho_a, rho_b, theta)`` is the kernel between the points
     ``rho_a * exp(i theta)`` and ``rho_b`` of the complex plane
     (broadcasting).  It must be Hermitian, rotation-invariant and
     symmetric in ``rho_a, rho_b``, which makes every angular block real
-    symmetric.  With ``palm_intensity`` the kernel is replaced by its
-    reduced Palm kernel at the origin.  ``n_angular`` must be even.
+    symmetric.  ``n_angular`` must be even.  The Palm kernel adds
+    n_angular u u^T to the frequency-0 block I - B_0, so the lemma's
+    <u, (I - B_0)^-1 u> takes one solve with its Cholesky factor.
     """
     t, v = _gauss_legendre_01(n_radial)
     half = n_angular // 2
@@ -325,18 +329,20 @@ def _disk_log_void(kernel, radius: float, n_radial: int, n_angular: int,
     np.negative(blocks, out=blocks)
     blocks[:, ::n_radial + 1] += 1.0
     blocks = blocks.reshape(freq.size, n_radial, n_radial)
-    if palm_intensity is not None:
-        u = sqrt_w * kernel(rho, 0.0, 0.0).real / math.sqrt(palm_intensity)
-        blocks[0] += n_angular * np.outer(u, u)
     try:
-        diag = np.diagonal(np.linalg.cholesky(blocks), axis1=-2, axis2=-1)
-        logdet = 2.0 * np.log(diag).sum(axis=-1)
+        chol = np.linalg.cholesky(blocks)
     except np.linalg.LinAlgError:
         # a block too close to singular: the void probability is at
-        # rounding level, where the sign test below reports it
+        # rounding level, where the sign test reports it, and without
+        # the factor P0 takes its lower bound P
         sign, logdet = np.linalg.slogdet(blocks)
-        logdet = np.where(sign > 0.0, logdet, -np.inf)
-    return float(logdet @ mult)
+        log_p = float(np.where(sign > 0.0, logdet, -np.inf) @ mult)
+        return log_p, log_p
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    log_p = float(2.0 * np.log(diag).sum(axis=-1) @ mult)
+    u = sqrt_w * kernel(rho, 0.0, 0.0).real / math.sqrt(intensity)
+    w = np.linalg.solve(chol[0], u)
+    return log_p, log_p + math.log1p(n_angular * float(w @ w))
 
 
 def _lens_area(r: float, t: np.ndarray) -> np.ndarray:
@@ -345,9 +351,9 @@ def _lens_area(r: float, t: np.ndarray) -> np.ndarray:
     return 2.0 * r * r * (np.arccos(u) - u * np.sqrt(1.0 - u * u))
 
 
-def _weak_kernel_log_void(spec: ModelSpec, r: float, palm: bool) -> float:
-    """log P for a disk many kernel widths across, by the trace
-    expansion log det(I - K_B) = -sum_k tr(K_B^k) / k.
+def _weak_kernel_log_void(spec: ModelSpec, r: float) -> tuple[float, float]:
+    """(log P, log P0) for a disk many kernel widths across, by the
+    trace expansion log det(I - K_B) = -sum_k tr(K_B^k) / k.
 
     tr K_B is the expected count, tr K_B^2 the integral of K^2 against
     the lens area (both exact); tr K_B^3 takes its bulk value, the disk
@@ -357,10 +363,10 @@ def _weak_kernel_log_void(spec: ModelSpec, r: float, palm: bool) -> float:
     of tr K_B^3 and higher orders keep P within ~1.5e-8 of the
     determinant for the Gaussian kernel and ~6e-7 (shape 0.5) to ~3e-6
     (shape 0.05) for the Cauchy kernel, falling like (width / r)^5 as
-    the disk grows.  The Palm kernel's
-    rank-one term multiplies P by 1 + <u, u> + <u, K u> + ..., with
-    u = K(., 0) / sqrt(intensity): <u, u> is exact, <u, K u> takes its
-    plane value, the same cubed-spectrum integral over the intensity.
+    the disk grows.  The determinant lemma multiplies P by
+    1 + <u, (I - K_B)^-1 u> = 1 + <u, u> + <u, K u> + ... for P0:
+    <u, u> is exact, <u, K u> takes its plane value, the same
+    cubed-spectrum integral over the intensity.
     """
     profile, width = _kernel_profile(spec)
     lam = spec.intensity
@@ -381,52 +387,40 @@ def _weak_kernel_log_void(spec: ModelSpec, r: float, palm: bool) -> float:
     freq, freq_w = panels(np.concatenate([[0.0], octaves[:14] / width]))
     cube = 2.0 * math.pi * float(np.sum(
         freq_w * _spectral_density(spec, freq) ** 3 * freq))
-    out = -lam * math.pi * r * r - 0.5 * tr2 - math.pi * r * r * cube / 3.0
-    if palm:
-        # determinant lemma: P0 / P = 1 + <u, (I - K_B)^-1 u> with
-        # u = K(., 0) / sqrt(intensity), to first order in K
-        u_norm = 2.0 * math.pi / lam * float(np.sum(k2[dist <= r]))
-        out += math.log1p(u_norm + cube / lam)
-    return out
+    log_p = -lam * math.pi * r * r - 0.5 * tr2 - math.pi * r * r * cube / 3.0
+    u_norm = 2.0 * math.pi / lam * float(np.sum(k2[dist <= r]))
+    return log_p, log_p + math.log1p(u_norm + cube / lam)
 
 
-def _dpp_log_void(spec: ModelSpec, radii, palm: bool,
-                  refine: int = 1) -> np.ndarray:
-    """log void probability of the centred disks of the given
-    (increasing) radii, for the Palm process when ``palm``.
+def _dpp_log_void(spec: ModelSpec, radii, refine: int = 1) -> np.ndarray:
+    """(log P, log P0) as a (2, radii) array: the log void
+    probabilities of the centred disks of the given (increasing) radii
+    for the process and for its reduced Palm process.
 
     ``refine`` multiplies the Nystrom node counts, for convergence
-    checks.  Results are cached: F, G and J of one model share them.
+    checks.
     """
-    r = np.asarray(radii, dtype=float)
-    return _cached_log_void(spec, r.tobytes(), palm, refine).copy()
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_log_void(spec: ModelSpec, radii: bytes, palm: bool,
-                     refine: int) -> np.ndarray:
     profile, width = _kernel_profile(spec)
 
     def kernel(rho_a, rho_b, theta):
         return profile(rho_a * rho_a + rho_b * rho_b
                        - 2.0 * rho_a * rho_b * np.cos(theta))
 
-    r = np.frombuffer(radii)
-    out = np.zeros(r.size)
-    palm_intensity = spec.intensity if palm else None
+    r = np.asarray(radii, dtype=float)
+    out = np.zeros((2, r.size))
     for i in np.nonzero(r > 0.0)[0]:
         n_widths = r[i] / width
         if n_widths > _RESOLVED_WIDTHS:
-            out[i] = _weak_kernel_log_void(spec, r[i], palm)
+            out[:, i] = _weak_kernel_log_void(spec, r[i])
         else:
             n = refine * math.ceil(_RADIAL_NODES[0]
                                    + _RADIAL_NODES[1] * n_widths)
             m = refine * 8 * math.ceil((_ANGULAR_NODES[0]
                                         + _ANGULAR_NODES[1] * n_widths) / 8)
-            out[i] = _disk_log_void(kernel, r[i], n, m, palm_intensity)
-        if out[i] < _LOG_VOID_FLOOR:
-            # void probabilities only fall as the disk grows
-            out[i:] = -np.inf
+            out[:, i] = _disk_log_void(kernel, r[i], n, m, spec.intensity)
+        if out[1, i] < _LOG_VOID_FLOOR:
+            # P <= P0, and void probabilities only fall as the disk grows
+            out[:, i + 1:] = -np.inf
             break
     return out
 
@@ -435,32 +429,43 @@ def _cached_log_void(spec: ModelSpec, radii: bytes, palm: bool,
 # Exact curves
 # ---------------------------------------------------------------------------
 
-def _void_complement(spec: ModelSpec, r: np.ndarray, palm: bool):
-    """One minus the void probability of the disks of radii ``r``: F,
-    or G for the reduced Palm process when ``palm``."""
+@functools.lru_cache(maxsize=16)
+def _void_curves(spec: ModelSpec, radii: bytes):
+    """(F, G, J) = (1 - P, 1 - P0, P0 / P) at the radii, from one pass
+    over the void probabilities P and P0 of the centred disks for the
+    process and its reduced Palm process; J is not yet masked."""
+    r = np.frombuffer(radii)
     if isinstance(spec, Poisson):
-        return 1.0 - np.exp(-spec.intensity * np.pi * r * r)
+        f = 1.0 - np.exp(-spec.intensity * np.pi * r * r)
+        return f, f, np.ones_like(r)
     if isinstance(spec, BetaGinibre):
-        x = spec.intensity * np.pi * r * r / spec.beta
-        return np.array([1.0 - _bg_survival(xi, spec.beta, 2 if palm else 1)
-                         for xi in x])
-    return -np.expm1(_dpp_log_void(spec, r, palm=palm))
+        beta = spec.beta
+        x = spec.intensity * np.pi * r * r / beta
+        survival = np.array([_bg_survival(xi, beta, 1) for xi in x])
+        with np.errstate(divide="ignore"):
+            # the k = 1 factor of the product is 1 / J, so P0 = P J; in
+            # log space, as at beta = 1 J overflows where P is 0
+            first = (1.0 - beta) + beta * np.exp(-x)
+            log_j = -np.log(first) if beta < 1.0 else x
+            return (1.0 - survival, 1.0 - np.exp(np.log(survival) + log_j),
+                    1.0 / first)
+    log_p, log_p0 = _dpp_log_void(spec, r)
+    with np.errstate(invalid="ignore"):
+        # both are -inf past the floor
+        return -np.expm1(log_p), -np.expm1(log_p0), np.exp(log_p0 - log_p)
 
 
 def theoretical_curve(kind: str, spec: ModelSpec,
                       grid: RadiusGrid) -> SummaryCurve:
     """Exact model curve of the given kind (K, F, G or J) on the grid.
 
-    K is closed-form for every family.  F is one minus the void
-    probability of the disk of radius r, G the same for the reduced
-    Palm process: closed forms for Poisson and the Ginibre family,
-    Fredholm determinants for the Gaussian and Cauchy families.  J is
-    1 for Poisson and
-    ``1 / (1 - beta + beta * exp(-intensity*pi*r^2/beta))`` for the
-    Ginibre family; the other two take the ratio (1 - G) / (1 - F) from
-    the log void probabilities.  For every family J is NaN where F is
-    within ``J_F_SATURATION`` of 1, as for the empirical J.  Unknown
-    kinds raise KeyError.
+    K is closed-form for every family.  F, G and J come from one pass
+    over the void probabilities of the disk of radius r for the process
+    and its reduced Palm process: closed forms for Poisson and the
+    Ginibre family, Fredholm determinants for the Gaussian and Cauchy
+    families.  For every family J is NaN where F is within
+    ``J_F_SATURATION`` of 1, as for the empirical J.  Unknown kinds
+    raise KeyError.
     """
     if kind not in CURVE_KINDS:
         raise KeyError(kind)
@@ -480,18 +485,11 @@ def theoretical_curve(kind: str, spec: ModelSpec,
             x = spec.intensity * np.pi * r * r / spec.beta
             values = values - (spec.beta / spec.intensity) * (
                 1.0 - np.exp(-x))
-    elif kind == "J":
-        values = np.full_like(r, np.nan)
-        ok = _void_complement(spec, r, palm=False) < 1.0 - J_F_SATURATION
-        if isinstance(spec, Poisson):
-            values[ok] = 1.0
-        elif isinstance(spec, BetaGinibre):
-            x = spec.intensity * np.pi * r[ok] * r[ok] / spec.beta
-            values[ok] = 1.0 / ((1.0 - spec.beta) + spec.beta * np.exp(-x))
-        else:
-            values[ok] = np.exp(_dpp_log_void(spec, r, palm=True)[ok]
-                                - _dpp_log_void(spec, r, palm=False)[ok])
     else:
-        values = _void_complement(spec, r, palm=kind == "G")
+        f, g, j = _void_curves(spec, r.tobytes())
+        if kind == "J":
+            values = np.where(f < 1.0 - J_F_SATURATION, j, np.nan)
+        else:
+            values = (f if kind == "F" else g).copy()
     return SummaryCurve(grid=grid, values=values, kind=kind,
                         origin="theoretical", meta=model_to_dict(spec))

@@ -85,6 +85,11 @@ _STREAM_TEST_POINTS = 1
 _STREAM_GOF = {"poisson": 1_000_000, "beta-ginibre": 2_000_000,
                "gauss-dpp": 3_000_000, "cauchy-dpp": 4_000_000}
 
+# Most envelope replicates times radii a run may ask for: its replicate
+# curves hold four values per pair.  A run at the bound peaked at about
+# 0.6 GiB (see CHANGES.md).
+CURVE_ENTRY_BUDGET = 10_000_000
+
 
 # ---------------------------------------------------------------------------
 # Config
@@ -242,6 +247,11 @@ class PipelineConfig:
         # before ingest (load_points centres an originless tangent plane)
         self.pspec = projection_from_dict(self.projection, origin=(0.0, 0.0))
         self.grid_points = _require_int(self.grid_points, "grid_points", 2)
+        if replicates * self.grid_points > CURVE_ENTRY_BUDGET:
+            raise ConfigError(
+                f"{replicates} envelope replicates on {self.grid_points} "
+                f"radii exceed the bound of {CURVE_ENTRY_BUDGET:,} "
+                f"replicate-radius pairs")
         self.auto_window_min_points = _require_int(
             self.auto_window_min_points, "auto_window_min_points", 2)
         self.max_evaluations = _require_int(self.max_evaluations,

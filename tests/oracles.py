@@ -14,7 +14,9 @@ from cellpp.estimators import RadiusGrid, SummaryCurve
 from cellpp.geom import (_A, _E, AntennaRecord, GeoCoordinate, IngestResult,
                          ProjectionSpec, _lcc_constants, _local_radii,
                          _parse_float)
-from cellpp.models import BetaGinibre, GaussDpp, Poisson, check_valid
+from cellpp.models import (_ANGULAR_NODES, _RADIAL_NODES, BetaGinibre,
+                           GaussDpp, Poisson, _gauss_legendre_01,
+                           _kernel_profile, check_valid)
 from cellpp.samplers import (_BLOCK_ENTRIES, _BLOCK_FLOOR,
                              _PROPOSALS_PER_POINT, _single_blas_thread,
                              _sq_norms)
@@ -54,6 +56,46 @@ def dpp_determinant_check(spec, points) -> float:
         gram = spec.intensity * (1.0 + d2 / spec.scale ** 2) ** -(spec.shape
                                                                   + 1.0)
     return float(np.linalg.det(gram))
+
+
+def direct_palm_log_void(spec, radius: float) -> float:
+    """log det(I - K0_B) for the reduced Palm kernel
+    K0(x, y) = K(x - y) - K(x) K(y) / intensity of a Gaussian or Cauchy
+    family member on the centred disk B of the given radius, resolved
+    (at most ``models._RESOLVED_WIDTHS`` kernel widths).
+
+    The Nystrom rule of ``models._dpp_log_void``, with the rank-one
+    term added to the frequency-0 block and every block factored
+    again: the reference for the determinant lemma, which gets the
+    same determinant from the factors of I - K_B.
+    """
+    profile, width = _kernel_profile(spec)
+    n_widths = radius / width
+    n = math.ceil(_RADIAL_NODES[0] + _RADIAL_NODES[1] * n_widths)
+    m = 8 * math.ceil((_ANGULAR_NODES[0] + _ANGULAR_NODES[1] * n_widths) / 8)
+    t, v = _gauss_legendre_01(n)
+    half = m // 2
+    theta = (2.0 * math.pi / m) * np.arange(half + 1)
+    rho = radius * t
+    sqrt_w = radius * np.sqrt(t * v * (2.0 * math.pi / m))
+    ra, rb, th = rho[:, None], rho[None, :], theta[:, None, None]
+    table = profile(ra * ra + rb * rb - 2.0 * ra * rb * np.cos(th))
+    table *= sqrt_w[:, None] * sqrt_w[None, :]
+    # a real kernel: the blocks at frequencies m and -m are equal
+    mult = np.full(half + 1, 2.0)
+    mult[[0, -1]] = 1.0
+    blocks = ((mult * np.cos(np.outer(np.arange(half + 1), theta)))
+              @ table.reshape(half + 1, -1)).reshape(half + 1, n, n)
+    blocks = np.eye(n) - blocks
+    u = sqrt_w * profile(rho * rho) / math.sqrt(spec.intensity)
+    blocks[0] += m * np.outer(u, u)
+    try:
+        diag = np.diagonal(np.linalg.cholesky(blocks), axis1=-2, axis2=-1)
+        logdet = 2.0 * np.log(diag).sum(axis=-1)
+    except np.linalg.LinAlgError:
+        sign, logdet = np.linalg.slogdet(blocks)
+        logdet = np.where(sign > 0.0, logdet, -np.inf)
+    return float(logdet @ mult)
 
 
 def j_second_order_approx(k_curve: SummaryCurve,

@@ -291,11 +291,15 @@ class TestFit:
 
     def test_exhausted_budget_exits_4(self, pp_csv, tmp_path, capsys):
         path, _ = pp_csv
-        rc = main(["fit", "--input", path, "--window", WINDOW_FLAG,
-                   "--family", "beta-ginibre", "--statistic", "K",
-                   "--max-evaluations", "5"])
-        assert rc == 4
-        assert "numerical failure" in capsys.readouterr().err
+        # and a contrast that overflows is no fit either
+        for argv in (["--family", "beta-ginibre", "--statistic", "K",
+                      "--max-evaluations", "5"],
+                     ["--family", "poisson", "--statistic", "K",
+                      "--exponent-q", "1e300"]):
+            rc = main(["fit", "--input", path, "--window", WINDOW_FLAG]
+                      + argv)
+            assert rc == 4
+            assert "numerical failure" in capsys.readouterr().err
 
 
 class TestGof:
@@ -846,6 +850,17 @@ BAD_NUMBERS = {
     "fit-exponent-inf": ["fit", "--input", "{input}", "--window",
                          WINDOW_FLAG, "--family", "gauss-dpp",
                          "--exponent-p", "inf"],
+    "stats-window-area": ["stats", "--input", "{input}", "--window",
+                          "0,1e300,0,1e300", "--output", "{out}"],
+    "stats-disk-area": ["stats", "--input", "{input}", "--window",
+                        "disk:0,0,1e300", "--output", "{out}"],
+    "stats-grid-points": ["stats", "--input", "{input}", "--window",
+                          WINDOW_FLAG, "--grid-points", "2000000000",
+                          "--output", "{out}"],
+    "gof-replicates-memory": ["gof", "--input", "{input}", "--window",
+                              WINDOW_FLAG, "--family", "poisson",
+                              "--intensity", "1.5e-4", "--replicates",
+                              "1000000000"],
 }
 
 

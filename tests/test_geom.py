@@ -211,6 +211,12 @@ class TestWindows:
                            (Disk, bad, 0.0, 1.0), (Disk, 0.0, 0.0, bad)):
                 with pytest.raises(ValueError, match="finite"):
                     window[0](*window[1:])
+        # finite bounds, but an area that overflows
+        for window in ((Rectangle, 0.0, 1e300, 0.0, 1e300),
+                       (Rectangle, -1.7e308, 1.7e308, 0.0, 1.0),
+                       (Disk, 0.0, 0.0, 1e300), (Disk, 0.0, 0.0, 7e153)):
+            with pytest.raises(ValueError, match="area must be finite"):
+                window[0](*window[1:])
 
 
 class TestBuildPattern:

@@ -25,12 +25,14 @@ from cellpp.models import (_RESOLVED_WIDTHS, _bg_survival, _disk_log_void,
                            _weak_kernel_log_void)
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import sample
-from oracles import dpp_determinant_check
+from oracles import direct_palm_log_void, dpp_determinant_check
 
 # deployment-scale reference spec: 0.7 points per km^2, strong repulsion
 LAM_13KM = 0.7e-6
 BG_REF = BetaGinibre(intensity=LAM_13KM, beta=0.91)
 GRID_13KM = RadiusGrid.default(Rectangle(0.0, 13000.0, 0.0, 13000.0))
+# the Gaussian family's existence bound on the scale at that intensity
+BOUND_13KM = 1.0 / math.sqrt(math.pi * LAM_13KM)
 
 # frozen 50-digit evaluations of the closed forms at r = 1000 m
 BG_K_1000 = 1957583.3297467968239
@@ -352,11 +354,12 @@ class TestFredholmCurves:
         spec = BetaGinibre(LAM_13KM, beta)
         r = GRID_13KM.r[1::8]
         x = LAM_13KM * math.pi * r * r / beta
-        for palm, first_k in ((None, 1), (LAM_13KM, 2)):
-            got = np.exp([_disk_log_void(ginibre_kernel(spec), ri, 32, 48,
-                                         palm) for ri in r])
+        got = np.exp([_disk_log_void(ginibre_kernel(spec), ri, 32, 48,
+                                     LAM_13KM) for ri in r])
+        for column, first_k in ((0, 1), (1, 2)):
             want = np.array([_bg_survival(xi, beta, first_k) for xi in x])
-            np.testing.assert_allclose(got, want, atol=1e-10, rtol=0.0)
+            np.testing.assert_allclose(got[:, column], want, atol=1e-10,
+                                       rtol=0.0)
 
     @pytest.mark.parametrize("spec", [GAUSS_HALF, CAUCHY_SHAPES[0.5],
                                       CAUCHY_SHAPES[50.0],
@@ -364,11 +367,11 @@ class TestFredholmCurves:
                              ids=["gauss", "cauchy-0.5", "cauchy-50",
                                   "gauss-narrow"])
     def test_node_doubling_converged(self, spec):
+        # both rows: the process and its reduced Palm process
         r = GRID_13KM.r[::8]
-        for palm in (False, True):
-            base = -np.expm1(_dpp_log_void(spec, r, palm))
-            fine = -np.expm1(_dpp_log_void(spec, r, palm, refine=2))
-            np.testing.assert_allclose(base, fine, atol=1e-9, rtol=0.0)
+        base = -np.expm1(_dpp_log_void(spec, r))
+        fine = -np.expm1(_dpp_log_void(spec, r, refine=2))
+        np.testing.assert_allclose(base, fine, atol=1e-9, rtol=0.0)
 
     @pytest.mark.parametrize("scale_fraction", [1e-4, 1e-3])
     def test_tiny_scale_is_poisson(self, scale_fraction):
@@ -454,10 +457,62 @@ class TestFredholmCurves:
         # routes agree within the expansion's stated accuracy
         width = _kernel_profile(spec)[1]
         r = _RESOLVED_WIDTHS * width
-        for palm in (False, True):
-            resolved = _dpp_log_void(spec, np.array([0.0, r]), palm)[1]
-            expanded = _weak_kernel_log_void(spec, r, palm)
-            assert abs(math.exp(resolved) - math.exp(expanded)) < tol
+        resolved = _dpp_log_void(spec, np.array([0.0, r]))[:, 1]
+        expanded = _weak_kernel_log_void(spec, r)
+        assert np.all(np.abs(np.exp(resolved) - np.exp(expanded)) < tol)
+
+    @pytest.mark.parametrize("spec", [
+        GaussDpp(LAM_13KM, BOUND_13KM), GaussDpp(LAM_13KM, 0.3 * BOUND_13KM),
+        CAUCHY_SHAPES[0.5], CAUCHY_SHAPES[50.0]],
+        ids=["gauss-bound", "gauss-0.3", "cauchy-0.5", "cauchy-50"])
+    def test_determinant_lemma_matches_the_direct_palm_determinant(self,
+                                                                   spec):
+        # G and J from the factors of I - K_B against the Palm blocks
+        # factored directly, at every fourth radius of the grid and on
+        # to twice its end in 40 m steps, up to 24 kernel widths: past
+        # F's floor, and at the existence bound two radii between the
+        # floors of F and G
+        r = np.concatenate([GRID_13KM.r[::4],
+                            GRID_13KM.r[-1] * np.linspace(1.0, 2.0, 81)[1:]])
+        r = r[r <= _RESOLVED_WIDTHS * _kernel_profile(spec)[1]]
+        grid = RadiusGrid(r)
+        direct = np.array([direct_palm_log_void(spec, ri) if ri > 0.0
+                           else 0.0 for ri in r])
+        log_p = _dpp_log_void(spec, r)[0]
+        g = theoretical_curve("G", spec, grid).values
+        np.testing.assert_allclose(g, -np.expm1(direct), atol=1e-14, rtol=0.0)
+        j = theoretical_curve("J", spec, grid).values
+        ok = ~np.isnan(j)
+        np.testing.assert_allclose(j[ok], np.exp(direct[ok] - log_p[ok]),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_unfactorable_block_yields_no_nan(self):
+        # at lam pi r^2 = 40 the full Ginibre kernel's frequency-0 block
+        # has the eigenvalue 1 - e^-40, which rounds I - B_0 singular
+        spec = BetaGinibre(LAM_13KM, 1.0)
+        r = math.sqrt(40.0 / (math.pi * LAM_13KM))
+        got = _disk_log_void(ginibre_kernel(spec), r, 32, 48, LAM_13KM)
+        assert got[1] >= got[0] and not np.isnan(got).any()
+
+    @pytest.mark.parametrize("spec, counted, calls", [
+        (GaussDpp(LAM_13KM, 664.0), "_dpp_log_void", 1),
+        (CAUCHY_SHAPES[50.0], "_dpp_log_void", 1),
+        (BG_REF, "_bg_survival", GRID_13KM.size)],
+        ids=["gauss", "cauchy", "beta-ginibre"])
+    def test_one_pass_per_model(self, monkeypatch, spec, counted, calls):
+        # F, G and J of one model read one evaluation of the void
+        # probabilities
+        import cellpp.models as models
+
+        seen = []
+        work = getattr(models, counted)
+        monkeypatch.setattr(models, counted,
+                            lambda *args, **kwargs: seen.append(args)
+                            or work(*args, **kwargs))
+        models._void_curves.cache_clear()
+        for kind in ("F", "G", "J"):
+            theoretical_curve(kind, spec, GRID_13KM)
+        assert len(seen) == calls
 
 
 class TestCauchySpectralDensity:
