@@ -38,16 +38,21 @@ from .samplers import sample
 
 
 def _parse_window(text: str):
-    """``x0,x1,y0,y1`` for a rectangle or ``disk:cx,cy,r``."""
+    """``x0,x1,y0,y1`` for a rectangle or ``disk:cx,cy,r``.  Text that
+    does not parse gets the format; values the window refuses, its
+    reason."""
+    disk = text.startswith("disk:")
     try:
-        if text.startswith("disk:"):
-            cx, cy, r = (float(v) for v in text[5:].split(","))
-            return Disk(center_x=cx, center_y=cy, radius=r)
-        x0, x1, y0, y1 = (float(v) for v in text.split(","))
-        return Rectangle(x_min=x0, x_max=x1, y_min=y0, y_max=y1)
-    except (ValueError, TypeError) as exc:
+        values = [float(v) for v in text[5 if disk else 0:].split(",")]
+    except ValueError:
+        values = []
+    if len(values) != (3 if disk else 4):
         raise ConfigError(f"cannot parse window {text!r}: expected "
-                          f"'x0,x1,y0,y1' or 'disk:cx,cy,r'") from exc
+                          f"'x0,x1,y0,y1' or 'disk:cx,cy,r'")
+    try:
+        return Disk(*values) if disk else Rectangle(*values)
+    except ValueError as exc:
+        raise ConfigError(f"bad window {text!r}: {exc}") from exc
 
 
 def _load_json_arg(text: str) -> dict:

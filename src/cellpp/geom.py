@@ -310,20 +310,28 @@ class DelimitedTable:
                 "row": self.row(fields)}
 
 
+# Rows formatted and written at a time, so that a long table holds one
+# block's cell strings, not all of them; the bytes do not depend on it.
+_CSV_BLOCK_ROWS = 1 << 14
+
+
 def write_csv(path, header, columns) -> None:
     """``columns`` as CSV rows under ``header``.  A float array column
     writes each finite value as its ``repr`` and NaN or +-inf as an
     empty cell; any other column is written as its values are."""
-    cells = []
-    for column in columns:
-        if isinstance(column, np.ndarray):
-            column = [repr(v) if ok else "" for v, ok in
-                      zip(column.tolist(), np.isfinite(column).tolist())]
-        cells.append(column)
+    rows = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*cells))
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            cells = []
+            for column in columns:
+                column = column[start:start + _CSV_BLOCK_ROWS]
+                if isinstance(column, np.ndarray):
+                    column = [repr(v) if ok else "" for v, ok in zip(
+                        column.tolist(), np.isfinite(column).tolist())]
+                cells.append(column)
+            writer.writerows(zip(*cells))
 
 
 def ingest(path, *, id_column: str = "id", lon_column: str = "lon",

@@ -26,7 +26,7 @@ from .estimators import (
     empirical_curves,
 )
 from .geom import Window, write_csv
-from .models import ModelSpec, check_valid
+from .models import ModelSpec
 from .rng import as_stream
 
 MIN_REPLICATES = 19
@@ -111,7 +111,6 @@ def replicate_curves(spec: ModelSpec, window: Window, replicates: int,
     """
     from .samplers import sample
 
-    check_valid(spec)
     _require_replicates(replicates)
     base = as_stream(stream)
     out = {kind: np.empty((replicates, grid.size)) for kind in kinds}

@@ -9,8 +9,7 @@ the Ginibre family and Fredholm determinants for the other two.
 
 Determinantal families exist only on part of the parameter space: the
 kernel's spectrum must stay within [0, 1].  ``validate`` reports the
-binding constraint instead of raising, so search code can treat the
-boundary as a value.
+binding constraint instead of raising.
 """
 
 from __future__ import annotations
@@ -85,8 +84,12 @@ _EXISTENCE_SLACK = 1e-12
 def validate(spec: ModelSpec) -> ExistenceViolation | None:
     """Return the binding existence violation, or None if the spec is
     admissible.  Boundary parameters are admissible; a parameter that is
-    not finite is not."""
+    not a finite number (a bool, a string or None included) is not."""
     for name, value in vars(spec).items():
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)):
+            return ExistenceViolation(f"{name} is a number, not "
+                                      f"{value!r}", math.nan)
         if not math.isfinite(value):
             return ExistenceViolation(f"{name} is finite", value)
     if not spec.intensity > 0:
@@ -129,11 +132,14 @@ def model_to_dict(spec: ModelSpec) -> dict:
 
 
 def model_from_dict(d: dict) -> ModelSpec:
+    """The spec ``d`` describes; ConfigError if it names no family or
+    its parameters, ExistenceViolation if they define no process."""
     try:
-        cls = _FAMILIES[d["model"]]
-        return cls(**d["params"])
+        spec = _FAMILIES[d["model"]](**d["params"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad model description: {d!r}") from exc
+    check_valid(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------

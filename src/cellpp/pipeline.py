@@ -193,7 +193,12 @@ class PipelineConfig:
                             ("envelope", dict), ("contrast", dict),
                             ("projection", (dict, type(None))),
                             ("window", (dict, type(None))),
-                            ("families", (list, tuple))):
+                            ("families", (list, tuple)),
+                            ("input", (str, type(None))),
+                            ("output_dir", (str, type(None))),
+                            ("place", (str, type(None))),
+                            ("technology", (str, type(None))),
+                            ("planar", bool)):
             if not isinstance(getattr(self, name), kinds):
                 raise ConfigError(f"{name} has the wrong type: "
                                   f"{getattr(self, name)!r}")

@@ -1,20 +1,21 @@
-"""Exact samplers for the model families.
+"""Exact samplers for the model families, behind one entry point.
 
-Poisson realizations are a count draw plus uniform placement.  The
-determinantal families go through their spectral decompositions: on a
-centred disk the Ginibre-family kernel diagonalizes over rotational
-eigenfunctions with incomplete-gamma eigenvalues; on a periodically
-extended rectangle the stationary Gaussian/Cauchy kernels diagonalize
-over Fourier modes weighted by the spectral density.  In both cases
-independent Bernoulli trials pick the active modes, without visiting
-the others, and the resulting projection process is sampled exactly by
-sequential rejection.  Any window is drawn on a set that covers it (the
-centred disk, or the window's bounding box) and clipped: the
-restriction of a DPP to a sub-window is the DPP with the restricted
-kernel.  What can be sampled is decided by the expected point count.
-
-Realizations may be empty; estimators, not samplers, enforce minimum
-point counts.  Every routine is deterministic given its stream spec.
+``sample(spec, window, stream)`` checks that the spec defines a
+process, refuses a draw whose expected point count passes its budget,
+seeds one generator from the stream spec, draws, and clips to the
+window.  Poisson realizations are a count draw plus uniform placement.
+The determinantal families go through their spectral decompositions:
+on a centred disk the Ginibre-family kernel diagonalizes over
+rotational eigenfunctions with incomplete-gamma eigenvalues; on a
+periodically extended rectangle the stationary Gaussian/Cauchy kernels
+diagonalize over Fourier modes weighted by the spectral density.  In
+both cases independent Bernoulli trials pick the active modes, without
+visiting the others, and the resulting projection process is sampled
+exactly by sequential rejection.  Any window is drawn on a set that
+covers it (the centred disk, or the window's bounding box) and
+clipped: the restriction of a DPP to a sub-window is the DPP with the
+restricted kernel.  Realizations may be empty; estimators, not
+samplers, enforce minimum point counts.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from scipy.linalg import lapack as _lapack
 from scipy.linalg.blas import zgeru as _zgeru
 from scipy.special import gammainc, gammaincinv, gammaln
 
-from .errors import ConfigError, SamplerStallError, TruncationError
+from .errors import SamplerStallError, TruncationError
 from .geom import PointPattern, Window
 from .models import (
     BetaGinibre,
-    CauchyDpp,
-    GaussDpp,
     ModelSpec,
     Poisson,
     _bg_term_count,
@@ -85,16 +84,6 @@ def check_samplable(family: str, intensity: float, window: Window) -> None:
         raise TruncationError(mean, budget, f"a {family} draw at intensity "
                               f"{intensity:g} expects {mean:.6g} points on "
                               f"this window, bound is {budget}")
-
-
-def sample_poisson(intensity: float, window: Window, stream) -> PointPattern:
-    """Homogeneous Poisson realization on the window; more than
-    ``POINT_BUDGET`` expected points raise TruncationError."""
-    check_valid(Poisson(intensity))
-    check_samplable(Poisson.name, intensity, window)
-    rng = as_stream(stream).generator()
-    n = int(rng.poisson(intensity * window.area()))
-    return PointPattern(points=window.sample_uniform(n, rng), window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +398,6 @@ def _ginibre_disk(intensity: float, beta: float, radius: float,
     return _projection_sample(propose, n, rng)
 
 
-def sample_beta_ginibre(intensity: float, beta: float, window: Window,
-                        stream) -> PointPattern:
-    """Thinned-rescaled Ginibre realization of the given intensity.
-
-    Sampled exactly on the smallest centred disk covering the window
-    (restriction of the stationary process), then clipped.  ``beta=1``
-    is the plain Ginibre process; smaller ``beta`` interpolates toward
-    Poisson at fixed intensity.
-
-    Raises
-    ------
-    TruncationError
-        If the covering disk expects more than ``DPP_POINT_BUDGET``
-        points.
-    """
-    check_valid(BetaGinibre(intensity, beta))
-    check_samplable(BetaGinibre.name, intensity, window)
-    rng = as_stream(stream).generator()
-    cx, cy = window.center()
-    pts = _ginibre_disk(intensity, beta, window.circumradius(), rng)
-    pts = pts + np.array([cx, cy])
-    return PointPattern(points=pts[window.contains(pts)], window=window)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian / Cauchy families on the bounding box, Fourier side
 # ---------------------------------------------------------------------------
@@ -500,35 +465,27 @@ def _cis(turns: np.ndarray) -> np.ndarray:
     return np.cos(angle) + 1j * np.sin(angle)
 
 
-def sample_dpp_spectral(spec: ModelSpec, window: Window,
-                        stream) -> PointPattern:
-    """Gaussian or Cauchy determinantal realization on any window.
+def _spectral_points(spec: ModelSpec, window: Window,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Unclipped Gaussian or Cauchy determinantal points covering the
+    window.
 
     The stationary kernel is periodized on the window's bounding box
     enlarged by ``_ENLARGEMENT`` per side, diagonalized over Fourier
     modes, and sampled exactly as a Bernoulli mixture of projection
-    processes; the points in the window are kept.  A rectangle is its
-    own box; a disk of radius r is drawn on a (2.5 r)^2 torus, about
-    twice its expected point count.  A torus expecting more than
-    ``DPP_POINT_BUDGET`` points, or a kernel narrower than 2^-22 of
-    it, raises TruncationError.
+    processes.  A rectangle is its own box; a disk of radius r is drawn
+    on a (2.5 r)^2 torus, about twice its expected point count.  A
+    kernel narrower than 2^-22 of the torus raises TruncationError.
     """
-    if not isinstance(spec, (GaussDpp, CauchyDpp)):
-        raise ConfigError("spectral sampler covers the Gaussian and Cauchy "
-                          "families; Poisson and the Ginibre family have "
-                          "dedicated samplers")
-    check_valid(spec)
-    check_samplable(spec.name, spec.intensity, window)
     t1, t2 = _torus(window)
     # the spectrum of a wider kernel falls off within 2^24 rings
     if not _kernel_profile(spec)[1] >= 2.0 ** -22 * max(t1, t2):
         raise TruncationError(None, None, f"{spec} has a kernel narrower "
                               f"than 2^-22 of its {max(t1, t2):.6g} m torus")
-    rng = as_stream(stream).generator()
     kx, ky = _fourier_modes(spec, t1, t2, rng)
     n = kx.size
     if n == 0:
-        return PointPattern(points=np.empty((0, 2)), window=window)
+        return np.empty((0, 2))
 
     # features exp(2 pi i (kx x / t1 + ky y / t2)) / sqrt(t1 t2), from
     # one table per axis over its distinct kept indices
@@ -545,15 +502,33 @@ def sample_dpp_spectral(spec: ModelSpec, window: Window,
         return np.column_stack([x, y]), feats
 
     # the torus is centred on the window's bounding box
-    pts = (_projection_sample(propose, n, rng) - 0.5 * np.array([t1, t2])
-           + np.array(window.bounding_box().center()))
-    return PointPattern(points=pts[window.contains(pts)], window=window)
+    return (_projection_sample(propose, n, rng) - 0.5 * np.array([t1, t2])
+            + np.array(window.bounding_box().center()))
 
 
 def sample(spec: ModelSpec, window: Window, stream) -> PointPattern:
-    """Dispatch to the family's sampler."""
+    """One realization of ``spec`` on the window, deterministic given
+    the stream spec: Poisson points placed uniformly on it, Ginibre-family
+    points drawn on its covering disk and Gaussian or Cauchy points on
+    the torus over its bounding box, both clipped to it.  An invalid
+    spec raises ExistenceViolation; a draw expecting more points than
+    its budget, or whose modes cannot be indexed, raises TruncationError.
+    """
+    check_valid(spec)
+    check_samplable(spec.name, spec.intensity, window)
+    rng = as_stream(stream).generator()
     if isinstance(spec, Poisson):
-        return sample_poisson(spec.intensity, window, stream)
+        # not clipped: a disk's uniform point may sit a rounding error
+        # outside its own ``contains``
+        n = int(rng.poisson(spec.intensity * window.area()))
+        return PointPattern(points=window.sample_uniform(n, rng),
+                            window=window)
     if isinstance(spec, BetaGinibre):
-        return sample_beta_ginibre(spec.intensity, spec.beta, window, stream)
-    return sample_dpp_spectral(spec, window, stream)
+        # centred on window.center(), which on a disk may differ from its
+        # bounding box's centre in the last bit
+        pts = (_ginibre_disk(spec.intensity, spec.beta,
+                             window.circumradius(), rng)
+               + np.array(window.center()))
+    else:
+        pts = _spectral_points(spec, window, rng)
+    return PointPattern(points=pts[window.contains(pts)], window=window)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from cellpp.geom import Rectangle
+from cellpp.models import Poisson
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import sample_poisson
+from cellpp.samplers import sample
 
 UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
 
 
 def ppp(intensity=100.0, window=UNIT_SQUARE, seed=0):
     """Poisson test pattern drawn from an isolated stream."""
-    return sample_poisson(intensity, window, RngStreamSpec(seed))
+    return sample(Poisson(intensity), window, RngStreamSpec(seed))
 
 
 @pytest.fixture

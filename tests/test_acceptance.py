@@ -28,7 +28,7 @@ from cellpp.models import (BetaGinibre, CauchyDpp, GaussDpp, Poisson,
 from cellpp.pipeline import (PipelineConfig, load_pattern, run_pipeline,
                              write_points_csv)
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import sample, sample_beta_ginibre, sample_poisson
+from cellpp.samplers import sample
 
 from naive_estimators import naive_F, naive_G, naive_K
 from oracles import j_second_order_approx
@@ -54,7 +54,7 @@ def test_poisson_baseline_curves():
     grid = RadiusGrid(np.linspace(0.0, 0.2, 11))
     ks, fs, gs = [], [], []
     for i in range(50):
-        pat = sample_poisson(lam, UNIT, RngStreamSpec(88, i))
+        pat = sample(Poisson(lam), UNIT, RngStreamSpec(88, i))
         ks.append(estimate_K(pat, grid).values)
         fs.append(estimate_F(pat, grid, n_test=2000,
                              seed=RngStreamSpec(88, 1000 + i)).values)
@@ -133,8 +133,8 @@ def test_fit_round_trip_recovers_thinning():
     for true_beta in (0.2, 0.5, 0.9):
         vals = []
         for i in range(20):
-            pat = sample_beta_ginibre(0.7e-6, true_beta, KM13,
-                                      RngStreamSpec(94, i))
+            pat = sample(BetaGinibre(0.7e-6, true_beta), KM13,
+                         RngStreamSpec(94, i))
             vals.append(fit(pat, "beta-ginibre").model.beta)
         medians.append(float(np.median(vals)))
     # measured medians 0.214 / 0.450 / 0.884
@@ -157,7 +157,7 @@ def test_envelope_calibration():
     n_test = default_test_point_count(100)
     rates = []
     for trial in range(100):
-        data = sample_poisson(100.0, UNIT, RngStreamSpec(86, 2 * trial))
+        data = sample(Poisson(100.0), UNIT, RngStreamSpec(86, 2 * trial))
         reps = replicate_curves(pois, UNIT, 39, grid,
                                 stream=RngStreamSpec(86, 2 * trial + 1),
                                 n_test=n_test)
@@ -226,7 +226,7 @@ def test_pipeline_determinism(tmp_path):
     identical outputs (the run_meta timestamp file aside)."""
     t0 = time.perf_counter()
     data = tmp_path / "synthetic.csv"
-    pat = sample_beta_ginibre(0.7e-6, 0.9, KM13, RngStreamSpec(11))
+    pat = sample(BetaGinibre(0.7e-6, 0.9), KM13, RngStreamSpec(11))
     write_points_csv(data, pat.points)
     config = PipelineConfig(
         input=str(data), planar=True,
@@ -252,7 +252,7 @@ def test_default_four_family_pipeline(tmp_path):
     finishes inside 45 s with exact model curves for every family."""
     t0 = time.perf_counter()
     data = tmp_path / "synthetic.csv"
-    pat = sample_beta_ginibre(0.7e-6, 0.9, KM13, RngStreamSpec(11))
+    pat = sample(BetaGinibre(0.7e-6, 0.9), KM13, RngStreamSpec(11))
     write_points_csv(data, pat.points)
     config = PipelineConfig(
         input=str(data), planar=True,

@@ -28,7 +28,7 @@ from cellpp.models import BetaGinibre, Poisson
 from cellpp.pipeline import (PipelineConfig, load_pattern, read_points_csv,
                              write_points_csv)
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import sample, sample_poisson
+from cellpp.samplers import sample
 
 WINDOW_FLAG = "0,1000,0,1000"
 AREA = 1000.0 * 1000.0
@@ -38,7 +38,7 @@ AREA = 1000.0 * 1000.0
 def pp_csv(tmp_path_factory):
     """A Poisson pattern of ~150 points in a 1 km square."""
     window = Rectangle(0.0, 1000.0, 0.0, 1000.0)
-    pat = sample_poisson(1.5e-4, window, RngStreamSpec(200))
+    pat = sample(Poisson(1.5e-4), window, RngStreamSpec(200))
     path = tmp_path_factory.mktemp("cli_data") / "pp.csv"
     write_points_csv(path, pat.points)
     return str(path), pat
@@ -116,12 +116,17 @@ class TestSimulate:
                      "--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_bad_window_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("window, reason", [
+        ("nonsense", "expected 'x0,x1,y0,y1' or 'disk:cx,cy,r'"),
+        ("0,1e300,0,1e300", "area must be finite"),
+        ("disk:0,0,-1", "positive radius"),
+    ], ids=["nonsense", "area-overflow", "negative-radius"])
+    def test_bad_window_exits_2(self, tmp_path, capsys, window, reason):
         rc = main(["simulate", "--family", "poisson", "--intensity", "1e-4",
-                   "--window", "nonsense", "--output",
+                   "--window", window, "--output",
                    str(tmp_path / "x.csv")])
         assert rc == 2
-        assert "cannot parse window" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
 
     def test_existence_violation_exits_2(self, tmp_path, capsys):
         # 1/(pi*0.1^2) ~ 31.8 caps the gauss intensity, so 1000 is invalid
@@ -148,20 +153,36 @@ class TestSimulate:
                 f"{samplers.DPP_POINT_BUDGET}") in err
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.parametrize("flags, code, parameter", [
-        (["--family", "poisson", "--intensity", "inf"], 2, "intensity"),
-        (["--family", "poisson", "--intensity", "1e300"], 4, "intensity"),
-        (["--family", "cauchy-dpp", "--intensity", "1e-4", "--scale", "50",
-          "--shape", "inf"], 2, "shape"),
-        (["--family", "cauchy-dpp", "--intensity", "1e-4", "--scale", "50",
-          "--shape", "1e300"], 4, "shape"),
-    ], ids=["intensity-inf", "intensity-1e300", "shape-inf", "shape-1e300"])
-    def test_unusable_parameters_are_refused(self, tmp_path, capsys, flags,
+    @pytest.mark.parametrize("argv, code, parameter", [
+        (["simulate", "--family", "poisson", "--intensity", "inf",
+          "--output", "{out}"], 2, "intensity"),
+        (["simulate", "--family", "poisson", "--intensity", "1e300",
+          "--output", "{out}"], 4, "intensity"),
+        (["simulate", "--family", "cauchy-dpp", "--intensity", "1e-4",
+          "--scale", "50", "--shape", "inf", "--output", "{out}"], 2,
+         "shape"),
+        (["simulate", "--family", "cauchy-dpp", "--intensity", "1e-4",
+          "--scale", "50", "--shape", "1e300", "--output", "{out}"], 4,
+         "shape"),
+        (["simulate", "--model", '{"model": "poisson", "params": '
+          '{"intensity": "7e-7"}}', "--output", "{out}"], 2, "intensity"),
+        (["simulate", "--model", '{"model": "poisson", "params": '
+          '{"intensity": null}}', "--output", "{out}"], 2, "intensity"),
+        # the model is refused before the (missing) input is read
+        (["gof", "--input", "{out}", "--model", '{"model": "poisson", '
+          '"params": {"intensity": [1e-6]}}'], 2, "intensity"),
+        (["simulate", "--model", '{"model": "cauchy-dpp", "params": '
+          '{"intensity": 1e-6, "scale": true, "shape": 1.0}}',
+          "--output", "{out}"], 2, "scale"),
+    ], ids=["intensity-inf", "intensity-1e300", "shape-inf", "shape-1e300",
+            "intensity-string", "intensity-null", "gof-intensity-list",
+            "scale-bool"])
+    def test_unusable_parameters_are_refused(self, tmp_path, capsys, argv,
                                              code, parameter):
         # each is refused before any point is drawn, naming the parameter
         out = tmp_path / "x.csv"
-        rc = main(["simulate", *flags, "--window", WINDOW_FLAG,
-                   "--output", str(out)])
+        rc = main([a.replace("{out}", str(out)) for a in argv]
+                  + ["--window", WINDOW_FLAG])
         assert rc == code
         err = capsys.readouterr().err
         assert err.startswith(("config error", "numerical failure"))
@@ -345,7 +366,7 @@ class TestGof:
         # above 1,000 points the default count grows with the pattern, so
         # each replicate would pick its own unless given the data's
         window = Rectangle(0.0, 1000.0, 0.0, 1000.0)
-        pat = sample_poisson(1.2e-3, window, RngStreamSpec(201))
+        pat = sample(Poisson(1.2e-3), window, RngStreamSpec(201))
         path = tmp_path / "dense.csv"
         write_points_csv(path, pat.points)
         counts = []

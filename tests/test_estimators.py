@@ -391,9 +391,10 @@ def thomas_cluster(seed, parents=25.0, mean_kids=8.0, sigma=0.03):
 @pytest.fixture(scope="module")
 def trio():
     from cellpp.rng import RngStreamSpec
-    from cellpp.samplers import sample_beta_ginibre
+    from cellpp.models import BetaGinibre
+    from cellpp.samplers import sample
 
-    regular = sample_beta_ginibre(200.0, 1.0, UNIT_SQUARE, RngStreamSpec(5))
+    regular = sample(BetaGinibre(200.0, 1.0), UNIT_SQUARE, RngStreamSpec(5))
     independent = ppp(200.0, seed=5)
     clustered = thomas_cluster(5)
     grid = RadiusGrid.default(UNIT_SQUARE, 128)

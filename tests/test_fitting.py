@@ -15,10 +15,10 @@ from cellpp.fitting import (CAUCHY_SHAPE_BOUNDS, DEFAULT_RANGE_FRACTION,
                             SCALE_FRACTION_MIN, ContrastSpec, FitResult,
                             contrast, fit)
 from cellpp.geom import Disk, PointPattern, Rectangle
-from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp
+from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp, Poisson
 from cellpp.pipeline import json_text
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import sample, sample_beta_ginibre, sample_poisson
+from cellpp.samplers import sample
 
 from conftest import UNIT_SQUARE, ppp
 
@@ -148,12 +148,12 @@ class TestFitBetaGinibre:
     def test_round_trip_beta_09(self):
         fitted = []
         for i in range(20):
-            pat = sample_beta_ginibre(0.7e-6, 0.9, KM13, RngStreamSpec(90, i))
+            pat = sample(BetaGinibre(0.7e-6, 0.9), KM13, RngStreamSpec(90, i))
             fitted.append(fit(pat, "beta-ginibre").model.beta)
         assert abs(float(np.median(fitted)) - 0.9) <= 0.15
 
     def test_poisson_input_is_flagged(self):
-        pat = sample_poisson(0.7e-6, KM13, RngStreamSpec(91, 0))
+        pat = sample(Poisson(0.7e-6), KM13, RngStreamSpec(91, 0))
         res = fit(pat, "beta-ginibre")
         assert res.diagnostics["pinned_lower_bound"]
         assert res.diagnostics["near_poisson"]
@@ -163,21 +163,21 @@ class TestFitBetaGinibre:
         for true_beta in (0.2, 0.5, 0.8):
             vals = []
             for i in range(20):
-                pat = sample_beta_ginibre(0.7e-6, true_beta, KM13,
-                                          RngStreamSpec(93, i))
+                pat = sample(BetaGinibre(0.7e-6, true_beta), KM13,
+                             RngStreamSpec(93, i))
                 vals.append(fit(pat, "beta-ginibre").model.beta)
             medians.append(float(np.median(vals)))
         assert medians[0] <= medians[1] <= medians[2]
 
     def test_determinism(self):
-        pat = sample_beta_ginibre(0.7e-6, 0.9, KM13, RngStreamSpec(90, 3))
+        pat = sample(BetaGinibre(0.7e-6, 0.9), KM13, RngStreamSpec(90, 3))
         r1 = fit(pat, "beta-ginibre")
         r2 = fit(pat, "beta-ginibre")
         assert r1.model == r2.model
         assert r1.contrast_value == r2.contrast_value
 
     def test_scale_equivariance(self):
-        pat = sample_beta_ginibre(0.7e-6, 0.6, KM13, RngStreamSpec(92, 0))
+        pat = sample(BetaGinibre(0.7e-6, 0.6), KM13, RngStreamSpec(92, 0))
         scaled = PointPattern(points=pat.points / 1000.0,
                               window=Rectangle(0.0, 13.0, 0.0, 13.0))
         b1 = fit(pat, "beta-ginibre").model.beta
@@ -187,7 +187,7 @@ class TestFitBetaGinibre:
 
 @pytest.fixture(scope="module")
 def bg_pattern():
-    return sample_beta_ginibre(0.7e-6, 0.9, KM13, RngStreamSpec(90, 3))
+    return sample(BetaGinibre(0.7e-6, 0.9), KM13, RngStreamSpec(90, 3))
 
 
 class TestFitSpectralFamilies:
@@ -222,8 +222,8 @@ class TestFitSpectralFamilies:
         import cellpp.fitting as fitting
 
         window = Rectangle(0.0, side, 0.0, side)
-        pat = sample_poisson(150.0 / window.area(), window,
-                             RngStreamSpec(95, int(side)))
+        pat = sample(Poisson(150.0 / window.area()), window,
+                     RngStreamSpec(95, int(side)))
         lam = pat.n / window.area()
         seen, boxes = [], []
         curve_of = fitting.theoretical_curve
@@ -259,8 +259,7 @@ class TestFitSpectralFamilies:
         from cellpp.gof import replicate_curves
 
         window = Rectangle(0.0, 60000.0, 0.0, 60000.0)
-        pat = sample_poisson(150.0 / window.area(), window,
-                             RngStreamSpec(96))
+        pat = sample(Poisson(150.0 / window.area()), window, RngStreamSpec(96))
         res = fit(pat, "gauss-dpp", ContrastSpec(statistic="K"))
         assert res.diagnostics["pinned_lower_bound"]
         assert res.model.scale < 3.0
@@ -273,7 +272,7 @@ class TestFitSpectralFamilies:
 
     def test_gauss_fit_on_a_disk_is_samplable_there(self):
         disk = Disk(7000.0, 7000.0, 7000.0)
-        pat = sample_beta_ginibre(0.7e-6, 0.9, disk, RngStreamSpec(3))
+        pat = sample(BetaGinibre(0.7e-6, 0.9), disk, RngStreamSpec(3))
         res = fit(pat, "gauss-dpp", ContrastSpec(statistic="K"))
         assert res.diagnostics["converged"]
         drawn = sample(res.model, disk, RngStreamSpec(5))
@@ -288,8 +287,8 @@ class TestFitSpectralFamilies:
         pinned = {
             "gauss-dpp": fit(bg_pattern, "gauss-dpp", kc),
             "cauchy-dpp": fit(bg_pattern, "cauchy-dpp", kc),
-            "beta-ginibre": fit(sample_beta_ginibre(
-                0.7e-6, 1.0, KM13, RngStreamSpec(94, 0)), "beta-ginibre"),
+            "beta-ginibre": fit(sample(BetaGinibre(0.7e-6, 1.0), KM13,
+                                       RngStreamSpec(94, 0)), "beta-ginibre"),
         }
         lam = pinned["gauss-dpp"].diagnostics["intensity"]
         assert pinned["gauss-dpp"].model.scale == pytest.approx(
@@ -301,13 +300,13 @@ class TestFitSpectralFamilies:
         for res in pinned.values():
             assert res.diagnostics["pinned_upper_bound"]
             assert not res.diagnostics["pinned_lower_bound"]
-        low = fit(sample_poisson(0.7e-6, KM13, RngStreamSpec(91, 0)),
+        low = fit(sample(Poisson(0.7e-6), KM13, RngStreamSpec(91, 0)),
                   "beta-ginibre")
         assert low.diagnostics["pinned_lower_bound"]
         assert not low.diagnostics["pinned_upper_bound"]
 
     def test_gauss_scale_equivariance(self):
-        pat = sample_beta_ginibre(0.7e-6, 0.6, KM13, RngStreamSpec(92, 0))
+        pat = sample(BetaGinibre(0.7e-6, 0.6), KM13, RngStreamSpec(92, 0))
         scaled = PointPattern(points=pat.points / 1000.0,
                               window=Rectangle(0.0, 13.0, 0.0, 13.0))
         kc = ContrastSpec(statistic="K")
@@ -318,7 +317,7 @@ class TestFitSpectralFamilies:
 
 class TestFitContract:
     def test_poisson_family_passthrough(self):
-        pat = sample_poisson(0.7e-6, KM13, RngStreamSpec(91, 1))
+        pat = sample(Poisson(0.7e-6), KM13, RngStreamSpec(91, 1))
         res = fit(pat, "poisson")
         assert res.model.name == "poisson"
         assert res.model.intensity == pytest.approx(
@@ -342,7 +341,7 @@ class TestFitContract:
             fit(pat, "beta-ginibre")
 
     def test_convergence_error_carries_trace(self):
-        pat = sample_beta_ginibre(0.7e-6, 0.9, KM13, RngStreamSpec(90, 3))
+        pat = sample(BetaGinibre(0.7e-6, 0.9), KM13, RngStreamSpec(90, 3))
         with pytest.raises(ConvergenceError) as err:
             fit(pat, "beta-ginibre", max_evaluations=5)
         assert len(err.value.trace) > 0

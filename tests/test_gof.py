@@ -13,7 +13,7 @@ from cellpp.gof import (EnvelopeBand, GofVerdict, global_envelope,
                         write_band_csv)
 from cellpp.models import BetaGinibre, Poisson, theoretical_curve
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import sample_beta_ginibre
+from cellpp.samplers import sample
 
 from conftest import UNIT_SQUARE
 
@@ -236,8 +236,8 @@ class TestEndToEnd:
                                 stream=RngStreamSpec(500), n_test=2000)
         pw = pointwise_envelope(reps["K"], grid, "K")
         gl = global_envelope(reps["K"], theoretical_curve("K", spec, grid))
-        pat = sample_beta_ginibre(100.0, 0.9, UNIT_SQUARE,
-                                  RngStreamSpec(600, 1))
+        pat = sample(BetaGinibre(100.0, 0.9), UNIT_SQUARE,
+                     RngStreamSpec(600, 1))
         emp = empirical_curves(pat, grid, seed=RngStreamSpec(601, 1),
                                n_test=2000)
         assert verdict(pw, emp["K"]).passed
@@ -251,8 +251,7 @@ class TestEndToEnd:
                                 stream=RngStreamSpec(500), n_test=2000)
         pw_k = pointwise_envelope(reps["K"], grid, "K")
         gl_f = global_envelope(reps["F"], theoretical_curve("F", spec, grid))
-        from cellpp.samplers import sample_poisson
-        pat = sample_poisson(100.0, UNIT_SQUARE, RngStreamSpec(602))
+        pat = sample(Poisson(100.0), UNIT_SQUARE, RngStreamSpec(602))
         emp = empirical_curves(pat, grid, seed=RngStreamSpec(603),
                                n_test=2000)
         v_k = verdict(pw_k, emp["K"])

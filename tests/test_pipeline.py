@@ -14,8 +14,9 @@ from cellpp.pipeline import (PipelineConfig, Report, auto_window,
                              emit_table_one_regression, load_pattern,
                              projection_from_dict, read_points_csv,
                              run_pipeline, write_points_csv)
+from cellpp.models import BetaGinibre, Poisson
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import sample_beta_ginibre, sample_poisson
+from cellpp.samplers import sample
 
 KM13_DICT = {"kind": "rectangle", "x_min": 0.0, "x_max": 13000.0,
              "y_min": 0.0, "y_max": 13000.0}
@@ -24,7 +25,7 @@ KM13_DICT = {"kind": "rectangle", "x_min": 0.0, "x_max": 13000.0,
 @pytest.fixture(scope="module")
 def bg_csv(tmp_path_factory):
     window = Rectangle(0.0, 13000.0, 0.0, 13000.0)
-    pat = sample_beta_ginibre(0.7e-6, 0.9, window, RngStreamSpec(11))
+    pat = sample(BetaGinibre(0.7e-6, 0.9), window, RngStreamSpec(11))
     path = tmp_path_factory.mktemp("data") / "bg.csv"
     write_points_csv(path, pat.points)
     return str(path)
@@ -90,6 +91,12 @@ class TestConfig:
             PipelineConfig(grid_points=1)
         with pytest.raises(ConfigError):
             PipelineConfig(auto_window_min_points=1)
+        # constructed only: a config with input=True would open fd 1
+        for key, value in (("input", True), ("output_dir", 5),
+                           ("place", 1.0), ("technology", ["gsm"]),
+                           ("planar", "no")):
+            with pytest.raises(ConfigError, match=f"{key} has the wrong"):
+                PipelineConfig(**{key: value})
 
     def test_non_object_config(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -336,7 +343,7 @@ class TestFullRun:
     def test_poisson_data_flags_near_poisson(self, bg_config,
                                              tmp_path_factory):
         window = Rectangle(0.0, 13000.0, 0.0, 13000.0)
-        pat = sample_poisson(0.7e-6, window, RngStreamSpec(12))
+        pat = sample(Poisson(0.7e-6), window, RngStreamSpec(12))
         path = tmp_path_factory.mktemp("ppp") / "pp.csv"
         write_points_csv(path, pat.points)
         cfg = dict(bg_config)

@@ -1,4 +1,5 @@
-"""The library example in README.md runs as written."""
+"""The library example in README.md runs as written, and what it cites
+of the code exists."""
 
 import re
 from pathlib import Path
@@ -31,3 +32,21 @@ def test_readme_module_names_resolve():
                      if not hasattr(importlib.import_module(f"cellpp.{m}"),
                                     name))
     assert missing == []
+
+
+def test_readme_command_lines_parse():
+    # every cellpp command of the shell blocks parses with the real
+    # parser (nothing runs), so a renamed or deleted flag cannot stay
+    # in the README
+    import shlex
+
+    from cellpp.cli import _build_parser
+
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(),
+                        flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines
+                if line.startswith("cellpp ")]
+    assert len(commands) == 7
+    for argv in commands:
+        _build_parser().parse_args(argv[1:])

@@ -12,17 +12,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellpp.errors import (ConfigError, ExistenceViolation,
-                           NumericalError, SamplerStallError,
-                           TruncationError)
+from cellpp.errors import (ExistenceViolation, NumericalError,
+                           SamplerStallError, TruncationError)
 from cellpp.estimators import RadiusGrid, estimate_G, estimate_K
 from cellpp.geom import Disk, PointPattern, Rectangle
 from cellpp import samplers
-from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp, theoretical_curve
+from cellpp.models import (BetaGinibre, CauchyDpp, GaussDpp, Poisson,
+                           theoretical_curve)
 from cellpp.rng import RngStreamSpec
-from cellpp.samplers import (_projection_sample, expected_points, sample,
-                             sample_beta_ginibre, sample_dpp_spectral,
-                             sample_poisson)
+from cellpp.samplers import _projection_sample, expected_points, sample
 
 from conftest import UNIT_SQUARE
 from oracles import full_basis_projection_sample
@@ -38,7 +36,7 @@ def mean_k(sampler, n_seeds: int, grid: RadiusGrid) -> np.ndarray:
 class TestPoisson:
     def test_count_moments(self):
         counts = np.array([
-            sample_poisson(100.0, UNIT_SQUARE, RngStreamSpec(7, i)).n
+            sample(Poisson(100.0), UNIT_SQUARE, RngStreamSpec(7, i)).n
             for i in range(2000)])
         mean = counts.mean()
         assert 97.0 < mean < 103.0
@@ -48,13 +46,14 @@ class TestPoisson:
         left = np.empty(2000)
         right = np.empty(2000)
         for i in range(2000):
-            pts = sample_poisson(100.0, UNIT_SQUARE, RngStreamSpec(8, i)).points
+            pts = sample(Poisson(100.0), UNIT_SQUARE,
+                         RngStreamSpec(8, i)).points
             left[i] = np.sum(pts[:, 0] < 0.5)
             right[i] = np.sum(pts[:, 0] >= 0.5)
         assert abs(np.corrcoef(left, right)[0, 1]) < 0.05
 
     def test_mostly_empty_at_tiny_mean(self):
-        pats = [sample_poisson(0.001, UNIT_SQUARE, RngStreamSpec(70, i))
+        pats = [sample(Poisson(0.001), UNIT_SQUARE, RngStreamSpec(70, i))
                 for i in range(200)]
         empties = sum(p.n == 0 for p in pats)
         assert empties >= 190
@@ -63,13 +62,13 @@ class TestPoisson:
             assert p.window is UNIT_SQUARE
 
     def test_points_inside_window(self):
-        pat = sample_poisson(200.0, Rectangle(2.0, 5.0, -1.0, 1.0),
-                             RngStreamSpec(71))
+        pat = sample(Poisson(200.0), Rectangle(2.0, 5.0, -1.0, 1.0),
+                     RngStreamSpec(71))
         assert pat.window.contains(pat.points).all()
 
     def test_invalid_intensity_rejected(self):
         with pytest.raises(ExistenceViolation):
-            sample_poisson(-3.0, UNIT_SQUARE, RngStreamSpec(0))
+            sample(Poisson(-3.0), UNIT_SQUARE, RngStreamSpec(0))
 
 
 class TestBetaGinibre:
@@ -78,8 +77,8 @@ class TestBetaGinibre:
         # this spec spans 1,585,867 rotational modes
         grid = RadiusGrid(np.linspace(0.0, 0.25, 26))
         mk = mean_k(
-            lambda i: sample_beta_ginibre(100.0, 1e-4, UNIT_SQUARE,
-                                          RngStreamSpec(21, i)),
+            lambda i: sample(BetaGinibre(100.0, 1e-4), UNIT_SQUARE,
+                             RngStreamSpec(21, i)),
             50, grid)
         sel = grid.r >= 0.05
         rel = np.abs(mk[sel] - math.pi * grid.r[sel] ** 2) / (
@@ -98,7 +97,7 @@ class TestBetaGinibre:
         curves = np.empty((100, grid.size))
         for i in range(100):
             curves[i] = estimate_K(
-                sample_beta_ginibre(1.0, 1.0, disk, RngStreamSpec(22, i)),
+                sample(BetaGinibre(1.0, 1.0), disk, RngStreamSpec(22, i)),
                 grid).values
         mean = curves.mean(axis=0)
         se = curves.std(axis=0, ddof=1) / 10.0
@@ -114,7 +113,7 @@ class TestBetaGinibre:
     def test_intensity_preserved_under_thinning(self):
         window = Rectangle(0.0, 13000.0, 0.0, 13000.0)
         counts = np.array([
-            sample_beta_ginibre(0.7e-6, 0.5, window, RngStreamSpec(23, i)).n
+            sample(BetaGinibre(0.7e-6, 0.5), window, RngStreamSpec(23, i)).n
             for i in range(200)])
         target = 0.7e-6 * window.area()
         assert abs(counts.mean() - target) < 0.02 * target
@@ -129,8 +128,8 @@ class TestBetaGinibre:
         base_disk = Disk(0.0, 0.0, window.circumradius() / math.sqrt(beta))
 
         def construction(i):
-            base = sample_beta_ginibre(lam, 1.0, base_disk,
-                                       RngStreamSpec(31, i))
+            base = sample(BetaGinibre(lam, 1.0), base_disk,
+                          RngStreamSpec(31, i))
             rng = RngStreamSpec(32, i).generator()
             kept = base.points[rng.uniform(size=base.n) < beta]
             kept = kept * math.sqrt(beta)
@@ -143,7 +142,8 @@ class TestBetaGinibre:
         k_b = np.zeros(grid.size)
         for i in range(40):
             pat_a = construction(i)
-            pat_b = sample_beta_ginibre(lam, beta, window, RngStreamSpec(33, i))
+            pat_b = sample(BetaGinibre(lam, beta), window,
+                           RngStreamSpec(33, i))
             n_a[i], n_b[i] = pat_a.n, pat_b.n
             k_a += estimate_K(pat_a, grid).values
             k_b += estimate_K(pat_b, grid).values
@@ -163,24 +163,23 @@ class TestBetaGinibre:
         # plain Ginibre draw on its covering disk point for point
         rect = Rectangle(1.0, 3.0, -1.0, 2.0)
         stream = RngStreamSpec(40, 0)
-        direct = sample_beta_ginibre(2.0, 1.0, rect, stream)
+        direct = sample(BetaGinibre(2.0, 1.0), rect, stream)
         cx, cy = rect.center()
         cover = Disk(cx, cy, rect.circumradius())
-        unthinned = sample_beta_ginibre(2.0, 1.0, cover, stream)
+        unthinned = sample(BetaGinibre(2.0, 1.0), cover, stream)
         inside = unthinned.points[rect.contains(unthinned.points)]
         assert np.array_equal(direct.points, inside)
 
     def test_truncation_budget(self, monkeypatch):
         # past 2^52 rotational modes the indices stop being exact
         with pytest.raises(TruncationError, match="past 2\\^52"):
-            sample_beta_ginibre(100.0, 1e-300, UNIT_SQUARE, RngStreamSpec(0))
+            sample(BetaGinibre(100.0, 1e-300), UNIT_SQUARE, RngStreamSpec(0))
         # the covering disk of the unit square expects 50 pi points,
         # whatever beta
         monkeypatch.setattr(samplers, "DPP_POINT_BUDGET", 100)
         for beta in (1e-4, 1.0):
             with pytest.raises(TruncationError) as err:
-                sample_beta_ginibre(100.0, beta, UNIT_SQUARE,
-                                    RngStreamSpec(0))
+                sample(BetaGinibre(100.0, beta), UNIT_SQUARE, RngStreamSpec(0))
             assert err.value.budget == 100
             assert err.value.required == pytest.approx(50.0 * math.pi)
         assert "expects 157.08 points on this window, bound is 100" \
@@ -188,10 +187,10 @@ class TestBetaGinibre:
 
     def test_invalid_beta_rejected(self):
         with pytest.raises(ExistenceViolation):
-            sample_beta_ginibre(1.0, 1.5, UNIT_SQUARE, RngStreamSpec(0))
+            sample(BetaGinibre(1.0, 1.5), UNIT_SQUARE, RngStreamSpec(0))
 
     def test_empty_return_is_valid(self):
-        pat = sample_beta_ginibre(1e-6, 0.9, UNIT_SQUARE, RngStreamSpec(72))
+        pat = sample(BetaGinibre(1e-6, 0.9), UNIT_SQUARE, RngStreamSpec(72))
         assert pat.n == 0
         assert pat.points.shape == (0, 2)
 
@@ -216,7 +215,7 @@ class TestSpectral:
         theory = theoretical_curve("K", spec, grid).values[sel]
         assert (np.abs(theory - pois) / pois).max() < 0.05
         trials = [
-            mean_k(lambda i, seed=seed: sample_dpp_spectral(
+            mean_k(lambda i, seed=seed: sample(
                 spec, UNIT_SQUARE, RngStreamSpec(seed, i)), 400, grid)
             for seed in (41, 1041)]
         mk = np.mean(trials, axis=0)[sel]
@@ -229,8 +228,7 @@ class TestSpectral:
         grid = RadiusGrid(np.linspace(0.0, 0.25, 26))
         theory = theoretical_curve("K", spec, grid).values
         mk = mean_k(
-            lambda i: sample_dpp_spectral(spec, UNIT_SQUARE,
-                                          RngStreamSpec(42, i)),
+            lambda i: sample(spec, UNIT_SQUARE, RngStreamSpec(42, i)),
             100, grid)
         sel = grid.r >= 0.08
         assert (np.abs(mk[sel] - theory[sel]) / theory[sel]).max() < 0.05
@@ -242,19 +240,10 @@ class TestSpectral:
         grid = RadiusGrid(np.linspace(0.0, 0.25, 26))
         theory = theoretical_curve("K", spec, grid).values
         mk = mean_k(
-            lambda i: sample_dpp_spectral(spec, UNIT_SQUARE,
-                                          RngStreamSpec(43, i)),
+            lambda i: sample(spec, UNIT_SQUARE, RngStreamSpec(43, i)),
             100, grid)
         sel = grid.r >= 0.08
         assert (np.abs(mk[sel] - theory[sel]) / theory[sel]).max() < 0.05
-
-    def test_rejects_non_spectral_families(self):
-        from cellpp.models import Poisson
-        with pytest.raises(ConfigError):
-            sample_dpp_spectral(Poisson(100.0), UNIT_SQUARE, RngStreamSpec(0))
-        with pytest.raises(ConfigError):
-            sample_dpp_spectral(BetaGinibre(1.0, 0.5), UNIT_SQUARE,
-                                RngStreamSpec(0))
 
     @pytest.mark.parametrize("spec", [
         GaussDpp(intensity=50.0, scale=0.05),
@@ -286,27 +275,26 @@ class TestSpectral:
         monkeypatch.setattr(samplers, "DPP_POINT_BUDGET", 78)
         for scale in (0.05, 1e-6):
             with pytest.raises(TruncationError) as err:
-                sample_dpp_spectral(replace(spec, scale=scale), UNIT_SQUARE,
-                                    RngStreamSpec(0))
+                sample(replace(spec, scale=scale), UNIT_SQUARE,
+                       RngStreamSpec(0))
             assert err.value.required == need
             assert err.value.budget == 78
         # at or above the expected count the draw goes through
         monkeypatch.setattr(samplers, "DPP_POINT_BUDGET", 79)
-        assert sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(1)).n > 0
+        assert sample(spec, UNIT_SQUARE, RngStreamSpec(1)).n > 0
 
     def test_unresolvable_spectra_are_refused(self):
         # width 2^-22 of the torus is the finest the lattice indexes
         with pytest.raises(TruncationError, match="narrower than 2"):
-            sample_dpp_spectral(GaussDpp(intensity=50.0, scale=1e-7),
-                                UNIT_SQUARE, RngStreamSpec(0))
+            sample(GaussDpp(intensity=50.0, scale=1e-7), UNIT_SQUARE,
+                   RngStreamSpec(0))
         with pytest.raises(TruncationError, match="shape=1e\\+300"):
-            sample_dpp_spectral(CauchyDpp(50.0, 0.05, 1e300), UNIT_SQUARE,
-                                RngStreamSpec(0))
+            sample(CauchyDpp(50.0, 0.05, 1e300), UNIT_SQUARE, RngStreamSpec(0))
         # at shape 1e12 the log-space density is NaN past frequency 0
         lam, shape = 7e-7, 1e12
         spec = CauchyDpp(lam, 0.9 * math.sqrt(shape / (math.pi * lam)), shape)
         with pytest.raises(TruncationError, match="does not fall off"):
-            sample_dpp_spectral(spec, SQUARE_13KM, RngStreamSpec(0))
+            sample(spec, SQUARE_13KM, RngStreamSpec(0))
 
     def test_large_cauchy_shape_samples(self):
         # (z/2)^150 K_150(z) overflows below z ~ 1, at the torus's lowest
@@ -318,26 +306,27 @@ class TestSpectral:
 
     def test_empty_return_is_valid(self):
         spec = GaussDpp(intensity=1e-4, scale=0.1)
-        pat = sample_dpp_spectral(spec, UNIT_SQUARE, RngStreamSpec(73))
+        pat = sample(spec, UNIT_SQUARE, RngStreamSpec(73))
         assert pat.n == 0
         assert pat.points.shape == (0, 2)
 
 
 SAMPLER_CASES = {
     "poisson": (100.0,
-                lambda i: sample_poisson(100.0, UNIT_SQUARE,
-                                         RngStreamSpec(50, i))),
+                lambda i: sample(Poisson(100.0), UNIT_SQUARE,
+                                 RngStreamSpec(50, i))),
     "beta-ginibre": (49.0,
-                     lambda i: sample_beta_ginibre(
-                         1.0, 0.8, Rectangle(-3.5, 3.5, -3.5, 3.5),
+                     lambda i: sample(
+                         BetaGinibre(1.0, 0.8),
+                         Rectangle(-3.5, 3.5, -3.5, 3.5),
                          RngStreamSpec(51, i))),
     "gauss-dpp": (50.0,
-                  lambda i: sample_dpp_spectral(
+                  lambda i: sample(
                       GaussDpp(intensity=50.0,
                                scale=math.sqrt(0.5 / (math.pi * 50.0))),
                       UNIT_SQUARE, RngStreamSpec(52, i))),
     "cauchy-dpp": (50.0,
-                   lambda i: sample_dpp_spectral(
+                   lambda i: sample(
                        CauchyDpp(intensity=50.0,
                                  scale=math.sqrt(1.0 / (2 * math.pi * 50.0)),
                                  shape=1.0),
@@ -369,12 +358,12 @@ class TestSharedInvariants:
         half_gauss = math.sqrt(0.5 / (math.pi * lam))
         half_cauchy = math.sqrt(1.0 / (2.0 * math.pi * lam))
         draws = {
-            "beta-ginibre": lambda i: sample_beta_ginibre(
-                lam, 0.9, UNIT_SQUARE, RngStreamSpec(60, i)),
-            "gauss-dpp": lambda i: sample_dpp_spectral(
+            "beta-ginibre": lambda i: sample(
+                BetaGinibre(lam, 0.9), UNIT_SQUARE, RngStreamSpec(60, i)),
+            "gauss-dpp": lambda i: sample(
                 GaussDpp(intensity=lam, scale=half_gauss), UNIT_SQUARE,
                 RngStreamSpec(61, i)),
-            "cauchy-dpp": lambda i: sample_dpp_spectral(
+            "cauchy-dpp": lambda i: sample(
                 CauchyDpp(intensity=lam, scale=half_cauchy, shape=1.0),
                 UNIT_SQUARE, RngStreamSpec(62, i)),
         }
