@@ -101,7 +101,8 @@ class SummaryCurve:
 
     ``kind`` is one of K/F/G/J, ``origin`` records whether the values
     are empirical estimates or exact model values.  NaN marks
-    radii where the estimator is undefined.
+    radii where the estimator is undefined.  ``meta`` holds F's
+    ``n_test``, the test-location count it used, and is empty otherwise.
     """
 
     grid: RadiusGrid
@@ -122,14 +123,12 @@ class SummaryCurve:
 
 def write_curves_csv(path, curves) -> None:
     """Write curves as rows of ``r,value,kind,origin`` (NaN, +-inf ->
-    empty)."""
+    empty), one curve's rows after another."""
     if isinstance(curves, SummaryCurve):
         curves = [curves]
-    write_csv(path, ["r", "value", "kind", "origin"], [
-        np.concatenate([c.grid.r for c in curves]),
-        np.concatenate([c.values for c in curves]),
-        [c.kind for c in curves for _ in range(c.grid.size)],
-        [c.origin for c in curves for _ in range(c.grid.size)]])
+    write_csv(path, ["r", "value", "kind", "origin"], (
+        [c.grid.r, c.values, [c.kind] * c.grid.size,
+         [c.origin] * c.grid.size] for c in curves))
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +142,12 @@ _K_BLOCK_ROWS = 256
 
 
 def _retention_stop(window: Window, locations: np.ndarray,
-                    radii: np.ndarray, correction: str) -> np.ndarray:
-    """Per unit, the number of radii at which it is retained.
-
-    Under ``border`` a unit counts at radius ``r`` iff its boundary
-    distance is at least ``r``; under ``none`` it counts at every
-    radius.
+                    radii: np.ndarray) -> np.ndarray:
+    """Per unit, the number of radii at which it is retained: a unit
+    counts at radius ``r`` iff its boundary distance is at least ``r``.
     """
-    if correction == "border":
-        return _radius_index(radii, window.boundary_distance(locations),
-                             "right")
-    if correction == "none":
-        return np.full(len(locations), radii.size)
-    raise ValueError("correction must be 'border' or 'none'")
+    return _radius_index(radii, window.boundary_distance(locations),
+                         "right")
 
 
 def _event_index(radii: np.ndarray, distances: np.ndarray) -> np.ndarray:
@@ -228,15 +220,14 @@ def _reduced_sample_fraction(event: np.ndarray, stop: np.ndarray,
 
 def _close_pairs(points: np.ndarray, reach: float):
     """Unordered pairs within ``reach`` of each other, as ``(i, j,
-    distance)`` arrays, ``_K_BLOCK_ROWS`` rows of ``i`` at a time.
+    distance)`` arrays, ``_K_BLOCK_ROWS`` rows of ``i`` at a time; the
+    distances are the tree's own.
 
     The points are sorted by x once; each block of rows is paired only
     with the later points in its x band, those at most ``reach`` past
     its last x.
     """
-    x = np.ascontiguousarray(points[:, 0])
-    y = np.ascontiguousarray(points[:, 1])
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(points[:, 0], kind="stable")
     by_x = points[order]
     xs = by_x[:, 0]
     # the tree compares rounded squared distances: a relative margin
@@ -251,14 +242,9 @@ def _close_pairs(points: np.ndarray, reach: float):
         later = pairs["j"] > pairs["i"]
         i = order[pairs["i"][later] + start]
         j = order[pairs["j"][later] + start]
+        d = pairs["v"][later]
         del pairs, later
-        # sqrt(dx*dx + dy*dy): the bits of scipy's euclidean distances
-        dx = x[i] - x[j]
-        dy = y[i] - y[j]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        yield i, j, np.sqrt(dx, out=dx)
+        yield i, j, d
 
 
 def _check_size(pattern: PointPattern, minimum: int, what: str) -> None:
@@ -277,8 +263,8 @@ def _check_size(pattern: PointPattern, minimum: int, what: str) -> None:
 # Estimators
 # ---------------------------------------------------------------------------
 
-def estimate_K(pattern: PointPattern, grid: RadiusGrid | None = None,
-               correction: str = "border") -> SummaryCurve:
+def estimate_K(pattern: PointPattern,
+               grid: RadiusGrid | None = None) -> SummaryCurve:
     """Reduced-sample estimate of the second-order statistic K.
 
     ``K(r)`` is the mean number of further points within distance
@@ -293,7 +279,6 @@ def estimate_K(pattern: PointPattern, grid: RadiusGrid | None = None,
     grid : RadiusGrid, optional
         Defaults to ``RadiusGrid.default`` with the pattern's
         intensity.
-    correction : {"border", "none"}
     """
     _check_size(pattern, 2, "K estimate")
     if grid is None:
@@ -302,7 +287,7 @@ def estimate_K(pattern: PointPattern, grid: RadiusGrid | None = None,
     n = pattern.n
     area = pattern.window.area()
 
-    stop = _retention_stop(pattern.window, pts, radii, correction)
+    stop = _retention_stop(pattern.window, pts, radii)
     # ordered pairs (i, j), i retained, within each radius: every
     # unordered pair counts once from each end
     num = np.zeros(radii.size, dtype=np.int64)
@@ -313,15 +298,11 @@ def estimate_K(pattern: PointPattern, grid: RadiusGrid | None = None,
         num += _live_counts(first, stop[i], radii.size)
         num += _live_counts(first, stop[j], radii.size)
 
-    if correction == "border":
-        m = _live_counts(np.zeros_like(stop), stop, radii.size)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(m > 0, area / (n - 1) * num / m, np.nan)
-    else:
-        values = area / ((n - 1) * n) * num
+    m = _live_counts(np.zeros_like(stop), stop, radii.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = np.where(m > 0, area / (n - 1) * num / m, np.nan)
     return SummaryCurve(grid=grid, values=values, kind="K",
-                        origin="empirical",
-                        meta={"n": n, "correction": correction})
+                        origin="empirical")
 
 
 def default_test_point_count(n: int) -> int:
@@ -331,14 +312,14 @@ def default_test_point_count(n: int) -> int:
 
 def estimate_F(pattern: PointPattern, grid: RadiusGrid | None = None,
                n_test: int | None = None, seed=0,
-               test_points: np.ndarray | None = None,
-               correction: str = "border") -> SummaryCurve:
-    """Empty-space function: distance from test locations to the pattern.
+               test_points: np.ndarray | None = None) -> SummaryCurve:
+    """Reduced-sample estimate of the empty-space function F.
 
     ``F(r)`` is the probability that a uniformly placed location has a
-    pattern point within distance ``r``.  Test locations are drawn
-    uniformly in the window from the given stream unless supplied
-    explicitly.
+    pattern point within distance ``r``; at ``r`` only the test
+    locations at least ``r`` from the window edge count.  Test
+    locations are drawn uniformly in the window from the given stream
+    unless supplied explicitly.
     """
     _check_size(pattern, 1, "F estimate")
     if grid is None:
@@ -352,29 +333,25 @@ def estimate_F(pattern: PointPattern, grid: RadiusGrid | None = None,
         test_points = np.asarray(test_points, dtype=float).reshape(-1, 2)
         n_test = test_points.shape[0]
 
-    stop = _retention_stop(pattern.window, test_points, grid.r, correction)
+    stop = _retention_stop(pattern.window, test_points, grid.r)
     dmin = cKDTree(pattern.points).query(test_points)[0]
     values = _reduced_sample_fraction(dmin, stop, grid.r)
     return SummaryCurve(grid=grid, values=values, kind="F",
-                        origin="empirical",
-                        meta={"n": pattern.n, "n_test": int(n_test),
-                              "correction": correction})
+                        origin="empirical", meta={"n_test": int(n_test)})
 
 
-def estimate_G(pattern: PointPattern, grid: RadiusGrid | None = None,
-               correction: str = "border") -> SummaryCurve:
-    """Nearest-neighbour function: distance from a point to its nearest
-    other point."""
+def estimate_G(pattern: PointPattern,
+               grid: RadiusGrid | None = None) -> SummaryCurve:
+    """Reduced-sample estimate of the nearest-neighbour function G: at
+    ``r``, the share of the points at least ``r`` from the window edge
+    whose nearest other point is within ``r``."""
     _check_size(pattern, 2, "G estimate")
     if grid is None:
         grid = _default_grid(pattern)
-
-    stop = _retention_stop(pattern.window, pattern.points, grid.r,
-                           correction)
+    stop = _retention_stop(pattern.window, pattern.points, grid.r)
     values = _reduced_sample_fraction(pattern.nn_distances, stop, grid.r)
     return SummaryCurve(grid=grid, values=values, kind="G",
-                        origin="empirical",
-                        meta={"n": pattern.n, "correction": correction})
+                        origin="empirical")
 
 
 def estimate_J(f_curve: SummaryCurve, g_curve: SummaryCurve) -> SummaryCurve:
@@ -393,13 +370,11 @@ def estimate_J(f_curve: SummaryCurve, g_curve: SummaryCurve) -> SummaryCurve:
                           np.nan)
     origin = (f_curve.origin if f_curve.origin == g_curve.origin
               else "empirical")
-    return SummaryCurve(grid=grid, values=values, kind="J", origin=origin,
-                        meta={"f_saturation": J_F_SATURATION})
+    return SummaryCurve(grid=grid, values=values, kind="J", origin=origin)
 
 
 def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
                      seed=0, n_test: int | None = None,
-                     correction: str = "border",
                      kinds=CURVE_KINDS) -> dict:
     """The empirical statistics ``kinds`` of one pattern on a shared
     grid, as a dict of kind -> curve; J brings F and G along."""
@@ -408,12 +383,11 @@ def empirical_curves(pattern: PointPattern, grid: RadiusGrid | None = None,
     need = set(kinds) | ({"F", "G"} if "J" in kinds else set())
     out = {}
     if "K" in need:
-        out["K"] = estimate_K(pattern, grid, correction=correction)
+        out["K"] = estimate_K(pattern, grid)
     if "F" in need:
-        out["F"] = estimate_F(pattern, grid, n_test=n_test, seed=seed,
-                              correction=correction)
+        out["F"] = estimate_F(pattern, grid, n_test=n_test, seed=seed)
     if "G" in need:
-        out["G"] = estimate_G(pattern, grid, correction=correction)
+        out["G"] = estimate_G(pattern, grid)
     if "J" in need:
         out["J"] = estimate_J(out["F"], out["G"])
     return out

@@ -315,23 +315,25 @@ class DelimitedTable:
 _CSV_BLOCK_ROWS = 1 << 14
 
 
-def write_csv(path, header, columns) -> None:
-    """``columns`` as CSV rows under ``header``.  A float array column
+def write_csv(path, header, tables) -> None:
+    """CSV rows under ``header``: those of each table of ``tables`` in
+    turn, a table being a list of columns.  A float array column
     writes each finite value as its ``repr`` and NaN or +-inf as an
     empty cell; any other column is written as its values are."""
-    rows = min(map(len, columns), default=0)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            cells = []
-            for column in columns:
-                column = column[start:start + _CSV_BLOCK_ROWS]
-                if isinstance(column, np.ndarray):
-                    column = [repr(v) if ok else "" for v, ok in zip(
-                        column.tolist(), np.isfinite(column).tolist())]
-                cells.append(column)
-            writer.writerows(zip(*cells))
+        for columns in tables:
+            rows = min(map(len, columns), default=0)
+            for start in range(0, rows, _CSV_BLOCK_ROWS):
+                cells = []
+                for column in columns:
+                    column = column[start:start + _CSV_BLOCK_ROWS]
+                    if isinstance(column, np.ndarray):
+                        column = [repr(v) if ok else "" for v, ok in zip(
+                            column.tolist(), np.isfinite(column).tolist())]
+                    cells.append(column)
+                writer.writerows(zip(*cells))
 
 
 def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
@@ -690,10 +692,10 @@ class QuadratTestResult:
 
 
 def _disk_cell_area(disk: Disk, x0, x1, y0, y1) -> float:
-    # area of [x0,x1]x[y0,y1] inside the disk, by integrating the
-    # clipped vertical chord; exact up to quadrature tolerance
-    from scipy import integrate
-
+    # area of [x0,x1]x[y0,y1] inside the disk, in closed form: between
+    # the breakpoints each end of the clipped vertical chord is a cell
+    # edge or the circle's y = +-sqrt(r^2 - x^2), whose integral is
+    # arc(b) - arc(a)
     r = disk.radius
     x0, x1 = x0 - disk.center_x, x1 - disk.center_x
     y0, y1 = y0 - disk.center_y, y1 - disk.center_y
@@ -701,9 +703,8 @@ def _disk_cell_area(disk: Disk, x0, x1, y0, y1) -> float:
     if lo >= hi:
         return 0.0
 
-    def chord(x):
-        h = math.sqrt(max(r * r - x * x, 0.0))
-        return max(min(y1, h) - max(y0, -h), 0.0)
+    def arc(x):
+        return (x * math.sqrt(r * r - x * x) + r * r * math.asin(x / r)) / 2
 
     breaks = sorted({lo, hi}
                     | {b for y in (y0, y1) if abs(y) < r
@@ -712,7 +713,11 @@ def _disk_cell_area(disk: Disk, x0, x1, y0, y1) -> float:
                        if lo < b < hi})
     val = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
-        val += integrate.quad(chord, a, b, limit=200)[0]
+        h = math.sqrt(r * r - ((a + b) / 2) ** 2)
+        if min(y1, h) > max(y0, -h):
+            top = y1 * (b - a) if y1 < h else arc(b) - arc(a)
+            bottom = y0 * (b - a) if y0 > -h else arc(a) - arc(b)
+            val += top - bottom
     return val
 
 

@@ -258,4 +258,4 @@ def write_band_csv(path, band: EnvelopeBand) -> None:
     if band.reference is not None:
         header.append("theoretical")
         columns.append(band.reference)
-    write_csv(path, header, columns)
+    write_csv(path, header, [columns])

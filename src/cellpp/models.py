@@ -81,6 +81,15 @@ _FAMILIES = {cls.name: cls for cls in (Poisson, CauchyDpp, GaussDpp,
 _EXISTENCE_SLACK = 1e-12
 
 
+def _load(intensity, scale) -> float:
+    """``intensity * pi * scale^2``, factor by factor (so finite or inf,
+    not an OverflowError) where ``scale^2`` passes the double range."""
+    try:
+        return intensity * math.pi * scale ** 2
+    except OverflowError:
+        return intensity * math.pi * float(scale) * float(scale)
+
+
 def validate(spec: ModelSpec) -> ExistenceViolation | None:
     """Return the binding existence violation, or None if the spec is
     admissible.  Boundary parameters are admissible; a parameter that is
@@ -90,8 +99,10 @@ def validate(spec: ModelSpec) -> ExistenceViolation | None:
                 value, (int, float, np.integer, np.floating)):
             return ExistenceViolation(f"{name} is a number, not "
                                       f"{value!r}", math.nan)
-        if not math.isfinite(value):
-            return ExistenceViolation(f"{name} is finite", value)
+        # compared exactly, so an int past the double range is not finite
+        if not abs(value) <= float(np.finfo(float).max):
+            return ExistenceViolation(f"{name} is finite", math.inf if
+                                      isinstance(value, int) else value)
     if not spec.intensity > 0:
         return ExistenceViolation("intensity > 0", -spec.intensity)
     if isinstance(spec, Poisson):
@@ -105,7 +116,7 @@ def validate(spec: ModelSpec) -> ExistenceViolation | None:
     if not spec.scale > 0:
         return ExistenceViolation("scale > 0", -spec.scale)
     if isinstance(spec, GaussDpp):
-        load = spec.intensity * math.pi * spec.scale ** 2
+        load = _load(spec.intensity, spec.scale)
         if load > 1.0 + _EXISTENCE_SLACK:
             return ExistenceViolation(
                 "intensity * pi * scale^2 <= 1", load - 1.0)
@@ -113,7 +124,7 @@ def validate(spec: ModelSpec) -> ExistenceViolation | None:
     if isinstance(spec, CauchyDpp):
         if not spec.shape > 0:
             return ExistenceViolation("shape > 0", -spec.shape)
-        load = spec.intensity * math.pi * spec.scale ** 2 / spec.shape
+        load = _load(spec.intensity, spec.scale) / spec.shape
         if load > 1.0 + _EXISTENCE_SLACK:
             return ExistenceViolation(
                 "intensity * pi * scale^2 / shape <= 1", load - 1.0)
@@ -498,4 +509,4 @@ def theoretical_curve(kind: str, spec: ModelSpec,
         else:
             values = (f if kind == "F" else g).copy()
     return SummaryCurve(grid=grid, values=values, kind=kind,
-                        origin="theoretical", meta=model_to_dict(spec))
+                        origin="theoretical")

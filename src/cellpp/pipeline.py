@@ -304,7 +304,7 @@ def auto_window(points, min_points: int = 80) -> Rectangle:
 def write_points_csv(path, points) -> None:
     """Planar points as two-column CSV (x, y in metres)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    write_csv(path, ["x", "y"], [pts[:, 0], pts[:, 1]])
+    write_csv(path, ["x", "y"], [[pts[:, 0], pts[:, 1]]])
 
 
 def read_points_csv(path, x_column: str = "x", y_column: str = "y"):
@@ -502,12 +502,15 @@ def data_curves(config: PipelineConfig, pattern: PointPattern,
                 kinds=CURVE_KINDS) -> dict:
     """Stage 5: the pattern's curves ``kinds`` (J brings F and G) on
     the configured grid; the F test locations come from the master
-    seed's test-point stream."""
+    seed's test-point stream, as many as ``envelope_test`` gives each
+    replicate."""
     with _stage("curves"):
         grid = RadiusGrid.default(pattern.window, config.grid_points,
                                   intensity=pattern.n / pattern.window.area())
         seed = RngStreamSpec(config.master_seed).substream(_STREAM_TEST_POINTS)
-        return empirical_curves(pattern, grid, seed=seed, kinds=kinds)
+        return empirical_curves(pattern, grid, seed=seed,
+                                n_test=default_test_point_count(pattern.n),
+                                kinds=kinds)
 
 
 def fit_family(config: PipelineConfig, pattern: PointPattern, family: str,

@@ -3,7 +3,9 @@
 These restate the border-corrected summary statistics from first
 principles, including the boundary-distance geometry, so the
 vectorized production code can be checked against them to machine
-precision.  Deliberately slow; keep the patterns small.
+precision.  ``naive_G`` also gives the uncorrected ratio over all
+points, which the production code does not offer.  Deliberately slow;
+keep the patterns small.
 """
 import math
 
@@ -20,7 +22,7 @@ def _bdist(p, window):
                y - window.y_min, window.y_max - y)
 
 
-def naive_K(points, window, radii, correction="border"):
+def naive_K(points, window, radii):
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     area = window.area()
@@ -37,19 +39,16 @@ def naive_K(points, window, radii, correction="border"):
                               pts[i, 1] - pts[j, 1]) <= r:
                     c += 1
             counts.append(c)
-        if correction == "border":
-            kept = [i for i in range(n) if b[i] >= r]
-            if not kept:
-                out.append(math.nan)
-            else:
-                num = sum(counts[i] for i in kept)
-                out.append(area / (n - 1) * num / len(kept))
+        kept = [i for i in range(n) if b[i] >= r]
+        if not kept:
+            out.append(math.nan)
         else:
-            out.append(area / ((n - 1) * n) * sum(counts))
+            num = sum(counts[i] for i in kept)
+            out.append(area / (n - 1) * num / len(kept))
     return np.array(out)
 
 
-def naive_F(points, window, radii, test_points, correction="border"):
+def naive_F(points, window, radii, test_points):
     pts = np.asarray(points, dtype=float)
     tst = np.asarray(test_points, dtype=float)
     b = [_bdist(u, window) for u in tst]
@@ -58,15 +57,12 @@ def naive_F(points, window, radii, test_points, correction="border"):
         dmin.append(min(math.hypot(u[0] - p[0], u[1] - p[1]) for p in pts))
     out = []
     for r in radii:
-        if correction == "border":
-            kept = [k for k in range(len(tst)) if b[k] >= r]
-            if not kept:
-                out.append(math.nan)
-            else:
-                hits = sum(1 for k in kept if dmin[k] <= r)
-                out.append(hits / len(kept))
+        kept = [k for k in range(len(tst)) if b[k] >= r]
+        if not kept:
+            out.append(math.nan)
         else:
-            out.append(sum(1 for d in dmin if d <= r) / len(tst))
+            hits = sum(1 for k in kept if dmin[k] <= r)
+            out.append(hits / len(kept))
     return np.array(out)
 
 

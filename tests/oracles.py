@@ -109,9 +109,7 @@ def j_second_order_approx(k_curve: SummaryCurve,
     r = k_curve.grid.r
     values = 1.0 - float(intensity) * (k_curve.values - np.pi * r * r)
     return SummaryCurve(grid=k_curve.grid, values=values, kind="J",
-                        origin=k_curve.origin,
-                        meta={"approx": "second-order",
-                              "intensity": float(intensity)})
+                        origin=k_curve.origin)
 
 
 def full_basis_projection_sample(propose, n: int, rng: np.random.Generator,

@@ -204,20 +204,15 @@ def test_estimators_match_bruteforce_oracle():
             pat = PointPattern(pts, window)
             grid = RadiusGrid.default(window, 64)
             tp = window.sample_uniform(123, rng)
-            for corr in ("border", "none"):
-                np.testing.assert_allclose(
-                    estimate_K(pat, grid, correction=corr).values,
-                    naive_K(pts, window, grid.r, correction=corr),
-                    atol=1e-12, rtol=0.0)
-                np.testing.assert_allclose(
-                    estimate_F(pat, grid, test_points=tp,
-                               correction=corr).values,
-                    naive_F(pts, window, grid.r, tp, correction=corr),
-                    atol=1e-12, rtol=0.0)
-                np.testing.assert_allclose(
-                    estimate_G(pat, grid, correction=corr).values,
-                    naive_G(pts, window, grid.r, correction=corr),
-                    atol=1e-12, rtol=0.0)
+            np.testing.assert_allclose(estimate_K(pat, grid).values,
+                                       naive_K(pts, window, grid.r),
+                                       atol=1e-12, rtol=0.0)
+            np.testing.assert_allclose(
+                estimate_F(pat, grid, test_points=tp).values,
+                naive_F(pts, window, grid.r, tp), atol=1e-12, rtol=0.0)
+            np.testing.assert_allclose(estimate_G(pat, grid).values,
+                                       naive_G(pts, window, grid.r),
+                                       atol=1e-12, rtol=0.0)
     _report("brute-force oracle", t0)
 
 

@@ -174,9 +174,23 @@ class TestSimulate:
         (["simulate", "--model", '{"model": "cauchy-dpp", "params": '
           '{"intensity": 1e-6, "scale": true, "shape": 1.0}}',
           "--output", "{out}"], 2, "scale"),
+        # integers past the double range
+        (["simulate", "--model", '{"model": "poisson", "params": '
+          '{"intensity": 1' + "0" * 400 + '}}', "--output", "{out}"], 2,
+         "intensity"),
+        (["simulate", "--model", '{"model": "cauchy-dpp", "params": '
+          '{"intensity": 1e-6, "scale": 50.0, "shape": 1' + "0" * 400
+          + '}}', "--output", "{out}"], 2, "shape"),
+        # finite scales whose square passes the double range
+        (["simulate", "--family", "gauss-dpp", "--intensity", "1e-4",
+          "--scale", "1e200", "--output", "{out}"], 2, "scale"),
+        (["simulate", "--model", '{"model": "cauchy-dpp", "params": '
+          '{"intensity": 1e-6, "scale": 1' + "0" * 200 + ', "shape": 1.0}}',
+          "--output", "{out}"], 2, "scale"),
     ], ids=["intensity-inf", "intensity-1e300", "shape-inf", "shape-1e300",
             "intensity-string", "intensity-null", "gof-intensity-list",
-            "scale-bool"])
+            "scale-bool", "intensity-huge-int", "shape-huge-int",
+            "scale-1e200", "scale-huge-int"])
     def test_unusable_parameters_are_refused(self, tmp_path, capsys, argv,
                                              code, parameter):
         # each is refused before any point is drawn, naming the parameter
@@ -371,10 +385,11 @@ class TestGof:
         write_points_csv(path, pat.points)
         counts = []
 
-        def spy(*args, **kwargs):
-            curve = estimate_F(*args, **kwargs)
-            counts.append(curve.meta["n_test"])
-            return curve
+        def spy(pattern, *args, n_test=None, **kwargs):
+            # the count estimate_F draws: the one given, else its default
+            counts.append(default_test_point_count(pattern.n)
+                          if n_test is None else n_test)
+            return estimate_F(pattern, *args, n_test=n_test, **kwargs)
 
         monkeypatch.setattr(estimators, "estimate_F", spy)
         with pytest.warns(UserWarning, match="weak test"):

@@ -85,22 +85,24 @@ class TestHandValues:
         w = Rectangle(0.0, 10.0, 0.0, 10.0)
         pat = PointPattern([[5.0, 5.0], [5.1, 5.0]], w)
         grid = RadiusGrid(np.array([0.0, 0.05, 0.2]))
-        for corr in ("border", "none"):
-            with pytest.warns(UserWarning, match="pattern has"):
-                k = estimate_K(pat, grid, correction=corr)
-            # no pair within 0.05; at 0.2 each point sees the other,
-            # so the estimate equals the window area exactly
-            assert np.allclose(k.values, [0.0, 0.0, 100.0])
+        with pytest.warns(UserWarning, match="pattern has"):
+            k = estimate_K(pat, grid)
+        # no pair within 0.05; at 0.2 each point sees the other,
+        # so the estimate equals the window area exactly
+        assert np.allclose(k.values, [0.0, 0.0, 100.0])
+        assert k.origin == "empirical"
 
     def test_F_saturates_with_interior_test_points(self):
-        # pattern point off the test lattice so r=0 scores no hit
-        pat = PointPattern([[0.51, 0.5]], UNIT_SQUARE)
+        # pattern point off the test lattice so r=0 scores no hit; the
+        # lattice in the unit square is at least 1.1 from the window's
+        # edge, so every test location is kept at r=0.75
+        pat = PointPattern([[0.51, 0.5]], Rectangle(-1.0, 2.0, -1.0, 2.0))
         grid = RadiusGrid(np.array([0.0, 0.75]))
         c = (np.arange(5) + 0.5) / 5.0
         tp = np.column_stack([np.repeat(c, 5), np.tile(c, 5)])
         with pytest.warns(UserWarning, match="pattern has"):
-            f = estimate_F(pat, grid, test_points=tp, correction="none")
-        # every location in the square is within 0.72 of the point
+            f = estimate_F(pat, grid, test_points=tp)
+        # every location in the unit square is within 0.72 of the point
         assert np.allclose(f.values, [0.0, 1.0])
         assert f.meta["n_test"] == 25
 
@@ -169,17 +171,15 @@ def test_estimators_match_naive_loops(window, n, rng):
     grid = RadiusGrid.default(window, 64)
     tp = window.sample_uniform(150, rng)
     with pytest.warns(UserWarning, match="pattern has"):
-        for corr in ("border", "none"):
-            k = estimate_K(pat, grid, correction=corr).values
-            want = naive_K(pts, window, grid.r, correction=corr)
-            np.testing.assert_allclose(k, want, atol=1e-12, rtol=0.0)
-            f = estimate_F(pat, grid, test_points=tp,
-                           correction=corr).values
-            want = naive_F(pts, window, grid.r, tp, correction=corr)
-            np.testing.assert_allclose(f, want, atol=1e-12, rtol=0.0)
-            g = estimate_G(pat, grid, correction=corr).values
-            want = naive_G(pts, window, grid.r, correction=corr)
-            np.testing.assert_allclose(g, want, atol=1e-12, rtol=0.0)
+        k = estimate_K(pat, grid).values
+        want = naive_K(pts, window, grid.r)
+        np.testing.assert_allclose(k, want, atol=1e-12, rtol=0.0)
+        f = estimate_F(pat, grid, test_points=tp).values
+        want = naive_F(pts, window, grid.r, tp)
+        np.testing.assert_allclose(f, want, atol=1e-12, rtol=0.0)
+        g = estimate_G(pat, grid).values
+        want = naive_G(pts, window, grid.r)
+        np.testing.assert_allclose(g, want, atol=1e-12, rtol=0.0)
 
 
 # Integer points in a 3-4-5 layout: nearest-neighbour distances 1, 2
@@ -202,17 +202,13 @@ def test_closed_ball_ties_on_grid_radii(window):
     pair_d = np.hypot(diff[..., 0], diff[..., 1])
     assert np.all(np.isin([1.0, 2.0, 5.0, grid.r[-1]], pair_d))
     with pytest.warns(UserWarning, match="pattern has"):
-        for corr in ("border", "none"):
-            np.testing.assert_array_equal(
-                estimate_K(pat, grid, correction=corr).values,
-                naive_K(TIE_POINTS, window, grid.r, correction=corr))
-            np.testing.assert_array_equal(
-                estimate_F(pat, grid, test_points=tp,
-                           correction=corr).values,
-                naive_F(TIE_POINTS, window, grid.r, tp, correction=corr))
-            np.testing.assert_array_equal(
-                estimate_G(pat, grid, correction=corr).values,
-                naive_G(TIE_POINTS, window, grid.r, correction=corr))
+        np.testing.assert_array_equal(estimate_K(pat, grid).values,
+                                      naive_K(TIE_POINTS, window, grid.r))
+        np.testing.assert_array_equal(
+            estimate_F(pat, grid, test_points=tp).values,
+            naive_F(TIE_POINTS, window, grid.r, tp))
+        np.testing.assert_array_equal(estimate_G(pat, grid).values,
+                                      naive_G(TIE_POINTS, window, grid.r))
 
 
 UNIFORM_GRIDS = {
@@ -359,21 +355,13 @@ class TestShapeInvariants:
             ok = ~np.isnan(v)
             assert np.all((v[ok] >= 0.0) & (v[ok] <= 1.0))
 
-    def test_uncorrected_curves_monotone(self, ppp100):
-        # the border-corrected ratio may dip when the retained set
-        # shrinks; only the uncorrected variant is monotone by
-        # construction
-        grid = RadiusGrid.default(UNIT_SQUARE, 128)
-        f = estimate_F(ppp100, grid, n_test=3000, correction="none").values
-        g = estimate_G(ppp100, grid, correction="none").values
-        assert np.all(np.diff(f) >= 0.0)
-        assert np.all(np.diff(g) >= 0.0)
-
     def test_meta_records_inputs(self, ppp100):
-        k = estimate_K(ppp100)
-        assert k.meta["n"] == ppp100.n
-        assert k.meta["correction"] == "border"
-        assert k.origin == "empirical"
+        # F records the test-location count it drew; no other curve
+        # carries meta
+        assert estimate_F(ppp100).meta == {
+            "n_test": default_test_point_count(ppp100.n)}
+        assert estimate_F(ppp100, n_test=500).meta == {"n_test": 500}
+        assert estimate_K(ppp100).meta == {}
 
 
 def thomas_cluster(seed, parents=25.0, mean_kids=8.0, sigma=0.03):
@@ -516,7 +504,3 @@ class TestDegenerateInputs:
     def test_clark_evans_needs_two(self):
         with pytest.raises(DegeneratePatternError):
             clark_evans_index(PointPattern([[0.1, 0.1]], UNIT_SQUARE))
-
-    def test_bad_correction_name(self, ppp100):
-        with pytest.raises(ValueError):
-            estimate_K(ppp100, correction="isotropic")

@@ -14,7 +14,7 @@ import pytest
 
 from cellpp.errors import (ExistenceViolation, NumericalError,
                            SamplerStallError, TruncationError)
-from cellpp.estimators import RadiusGrid, estimate_G, estimate_K
+from cellpp.estimators import RadiusGrid, estimate_K
 from cellpp.geom import Disk, PointPattern, Rectangle
 from cellpp import samplers
 from cellpp.models import (BetaGinibre, CauchyDpp, GaussDpp, Poisson,
@@ -23,6 +23,7 @@ from cellpp.rng import RngStreamSpec
 from cellpp.samplers import _projection_sample, expected_points, sample
 
 from conftest import UNIT_SQUARE
+from naive_estimators import naive_G
 from oracles import full_basis_projection_sample
 
 
@@ -371,7 +372,8 @@ class TestSharedInvariants:
         for name, draw in draws.items():
             acc = np.zeros(grid.size)
             for i in range(30):
-                acc += estimate_G(draw(i), grid, correction="none").values
+                acc += naive_G(draw(i).points, UNIT_SQUARE, grid.r,
+                               correction="none")
             mean_g = acc / 30
             assert (mean_g[sel] < g_pois[sel]).all(), name
 
