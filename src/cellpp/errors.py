@@ -10,6 +10,11 @@ truncation budgets).
 class CellppError(Exception):
     """Base class for all package-specific errors."""
 
+    def __reduce__(self):
+        # rebuild through __new__ from the message, then restore the
+        # attributes: subclass constructors take more than the message
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class ConfigError(CellppError):
     """Invalid configuration, option combination, or parameter value."""

@@ -472,6 +472,12 @@ class Rectangle:
     def min_extent(self) -> float:
         return min(self.x_max - self.x_min, self.y_max - self.y_min)
 
+    def equal_area_coordinates(self, points):
+        """x and y with their ranges: equal boxes are equal areas."""
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        return (p[:, 0], p[:, 1]), ((self.x_min, self.x_max),
+                                    (self.y_min, self.y_max))
+
     def sample_uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
         x = rng.uniform(self.x_min, self.x_max, size=n)
         y = rng.uniform(self.y_min, self.y_max, size=n)
@@ -529,6 +535,14 @@ class Disk:
 
     def min_extent(self) -> float:
         return 2.0 * self.radius
+
+    def equal_area_coordinates(self, points):
+        """(rho/r)^2 and the polar angle with their ranges: equal boxes
+        are rings times sectors of equal area."""
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        dx, dy = p[:, 0] - self.center_x, p[:, 1] - self.center_y
+        rho2 = (np.hypot(dx, dy) / self.radius) ** 2
+        return (rho2, np.arctan2(dy, dx)), ((0.0, 1.0), (-math.pi, math.pi))
 
     def sample_uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
         r = self.radius * np.sqrt(rng.uniform(size=n))
@@ -691,45 +705,15 @@ class QuadratTestResult:
     grid_size: int
 
 
-def _disk_cell_area(disk: Disk, x0, x1, y0, y1) -> float:
-    # area of [x0,x1]x[y0,y1] inside the disk, in closed form: between
-    # the breakpoints each end of the clipped vertical chord is a cell
-    # edge or the circle's y = +-sqrt(r^2 - x^2), whose integral is
-    # arc(b) - arc(a)
-    r = disk.radius
-    x0, x1 = x0 - disk.center_x, x1 - disk.center_x
-    y0, y1 = y0 - disk.center_y, y1 - disk.center_y
-    lo, hi = max(x0, -r), min(x1, r)
-    if lo >= hi:
-        return 0.0
-
-    def arc(x):
-        return (x * math.sqrt(r * r - x * x) + r * r * math.asin(x / r)) / 2
-
-    breaks = sorted({lo, hi}
-                    | {b for y in (y0, y1) if abs(y) < r
-                       for s in (-1.0, 1.0)
-                       for b in (s * math.sqrt(r * r - y * y),)
-                       if lo < b < hi})
-    val = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        h = math.sqrt(r * r - ((a + b) / 2) ** 2)
-        if min(y1, h) > max(y0, -h):
-            top = y1 * (b - a) if y1 < h else arc(b) - arc(a)
-            bottom = y0 * (b - a) if y0 > -h else arc(a) - arc(b)
-            val += top - bottom
-    return val
-
-
 def quadrat_stationarity(pattern: PointPattern,
                          grid_size: int | None = None) -> QuadratTestResult:
     """Chi-square screen for first-order homogeneity.
 
-    Counts points in a ``grid_size x grid_size`` partition of the
-    window's bounding box and compares against the uniform expectation
-    with a Pearson chi-square statistic.  Cells outside a disk window
-    are dropped; the degrees of freedom are the number of contributing
-    cells minus one.
+    Bins the window's equal-area coordinates on a ``grid_size x
+    grid_size`` grid (a rectangle's own grid; rings times sectors on a
+    disk), so that every cell expects ``n / grid_size**2`` points, and
+    compares the counts with a Pearson chi-square statistic on
+    ``grid_size**2 - 1`` degrees of freedom.
 
     This screens for gross intensity trends only; a small p-value
     says the homogeneous model is doubtful, not which alternative
@@ -745,28 +729,15 @@ def quadrat_stationarity(pattern: PointPattern,
             f"{pattern.n} points cannot fill a {m}x{m} quadrat grid")
 
     w = pattern.window
-    box = w.bounding_box()
-    x_edges = np.linspace(box.x_min, box.x_max, m + 1)
-    y_edges = np.linspace(box.y_min, box.y_max, m + 1)
-    if isinstance(w, Rectangle):
-        areas = np.full((m, m), w.area() / (m * m))
-    else:
-        areas = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                areas[i, j] = _disk_cell_area(w, x_edges[i], x_edges[i + 1],
-                                              y_edges[j], y_edges[j + 1])
-
-    counts, _, _ = np.histogram2d(pattern.points[:, 0], pattern.points[:, 1],
-                                  bins=[x_edges, y_edges])
-    keep = areas > 1e-9 * w.area()
-    expected = pattern.n * areas / areas[keep].sum()
-    if expected[keep].min() < 5.0:
-        warnings.warn("quadrat expectation below 5 in some cells; the "
+    (u, v), ranges = w.equal_area_coordinates(pattern.points)
+    counts, _, _ = np.histogram2d(u, v, bins=m, range=ranges)
+    areas = np.full((m, m), w.area() / (m * m))
+    expected = pattern.n * areas / areas.sum()
+    if pattern.n < 5 * m * m:
+        warnings.warn("quadrat expectation below 5 per cell; the "
                       "chi-square approximation is rough", stacklevel=2)
-    stat = float(((counts[keep] - expected[keep]) ** 2
-                  / expected[keep]).sum())
-    dof = int(keep.sum()) - 1
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    dof = m * m - 1
     p = float(chdtrc(dof, stat))
     return QuadratTestResult(statistic=stat, dof=dof, p_value=p,
                              counts=counts, expected=expected, grid_size=m)

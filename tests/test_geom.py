@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,39 @@ class TestQuadratScreen:
             quadrat_stationarity(PointPattern(pts, unit_square),
                                  grid_size=2)
 
+    def test_exact_expectation_of_5_does_not_warn(self, rng):
+        # 45 points on the default 3x3 grid expect exactly 5 per cell,
+        # which n * area / total area rounds to 4.999999999999999
+        w = Rectangle(0.0, 13000.0, 0.0, 13000.0)
+        pat = PointPattern(w.sample_uniform(45, rng), w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = quadrat_stationarity(pat)
+        assert res.grid_size == 3
+
+    def test_disk_cells_have_equal_expectation(self, rng):
+        # every one of the 20 x 20 cells expects 5 points, so no warning
+        w = Disk(0.0, 0.0, 1.0)
+        pat = PointPattern(w.sample_uniform(2000, rng), w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = quadrat_stationarity(pat)
+        assert res.grid_size == 20
+        assert res.dof == 399
+        assert res.expected.min() == pytest.approx(5.0)
+        assert res.counts.sum() == 2000
+
+    def test_disk_counts_centre_and_circle(self, rng):
+        # the centre and points on the circle that the window keeps; by
+        # dx^2 + dy^2 about a tenth of these lie past the outer ring
+        w = Disk(6500.0, 6500.0, 6500.0)
+        a = rng.uniform(-np.pi, np.pi, 200)
+        circle = np.column_stack([6500.0 + 6500.0 * np.cos(a),
+                                  6500.0 + 6500.0 * np.sin(a)])
+        pts = np.concatenate([[[6500.0, 6500.0]], circle[w.contains(circle)]])
+        res = quadrat_stationarity(PointPattern(pts, w), grid_size=2)
+        assert res.counts.sum() == len(pts)
+
     def test_disk_quadrants_hand_value(self):
         w = Disk(0.0, 0.0, 1.0)
         quadrant = np.array([[0.3, 0.3], [0.5, 0.2], [0.2, 0.5],
@@ -342,59 +376,26 @@ class TestQuadratScreen:
             blocks.append(reps + shift)
         pat = PointPattern(np.concatenate(blocks), w)
         res = quadrat_stationarity(pat, grid_size=2)
-        # quadrants have equal area, expectation 10 per cell:
-        # chi2 = 6^2/10 + 3 * 2^2/10 = 4.8, P(chi2_3 > 4.8) = 0.18704
+        # cells: rings split at r/sqrt(2), half-disks split at theta = 0,
+        # expectation 10 per cell.  Outside r/sqrt(2) lie (0.6, 0.4) in
+        # every quadrant (rho^2 = 0.52) and the shifted (0.261, 0.663)
+        # (rho^2 = 0.5077): upper half 20 inner + 4 outer, lower half
+        # 14 + 2.  chi2 = (10^2 + 4^2 + 8^2 + 6^2)/10 = 21.6,
+        # P(chi2_3 > 21.6) = 7.9004617e-5
+        assert res.counts.tolist() == [[14, 20], [2, 4]]
         assert res.dof == 3
-        assert res.statistic == pytest.approx(4.8)
-        assert res.p_value == pytest.approx(0.1870417489, abs=1e-9)
+        assert res.statistic == pytest.approx(21.6)
+        assert res.p_value == pytest.approx(7.9004617e-5, abs=1e-9)
 
-    @pytest.mark.parametrize("disk", [Disk(0.0, 0.0, 1.0),
-                                      Disk(6500.0, 6500.0, 6500.0)])
-    def test_disk_cell_areas_match_quadrature(self, disk):
-        # the clipped vertical chord integrated numerically, breaking at
-        # the x where the circle crosses a cell edge
-        from scipy import integrate
-
-        from cellpp.geom import _disk_cell_area
-
-        r = disk.radius
-
-        def quad_area(x0, x1, y0, y1):
-            x0, x1 = x0 - disk.center_x, x1 - disk.center_x
-            y0, y1 = y0 - disk.center_y, y1 - disk.center_y
-            lo, hi = max(x0, -r), min(x1, r)
-            cuts = [s * math.sqrt(r * r - y * y) for y in (y0, y1)
-                    if abs(y) < r for s in (-1.0, 1.0)]
-            breaks = sorted({lo, hi} | {b for b in cuts if lo < b < hi})
-
-            def chord(x):
-                h = math.sqrt(max(r * r - x * x, 0.0))
-                return max(min(y1, h) - max(y0, -h), 0.0)
-
-            return sum(integrate.quad(chord, a, b, limit=200, epsabs=1e-15,
-                                      epsrel=1e-13)[0]
-                       for a, b in zip(breaks[:-1], breaks[1:]))
-
-        box = disk.bounding_box()
-        for m in (2, 3, 7, 39, 44):
-            xs = np.linspace(box.x_min, box.x_max, m + 1)
-            ys = np.linspace(box.y_min, box.y_max, m + 1)
-            total = 0.0
-            for i in range(m):
-                for j in range(m):
-                    got = _disk_cell_area(disk, xs[i], xs[i + 1],
-                                          ys[j], ys[j + 1])
-                    want = quad_area(xs[i], xs[i + 1], ys[j], ys[j + 1])
-                    assert abs(got - want) <= 4e-15 * disk.area()
-                    total += got
-            assert total == pytest.approx(disk.area(), rel=1e-13)
-
-    def test_poisson_rejection_rate_near_nominal(self, unit_square):
+    @pytest.mark.parametrize("window", [Rectangle(0.0, 1.0, 0.0, 1.0),
+                                        Disk(0.0, 0.0, 1.0)],
+                             ids=["square", "disk"])
+    def test_poisson_rejection_rate_near_nominal(self, window):
         from conftest import ppp
         lows = 0
         n_trials = 300
         for seed in range(n_trials):
-            pat = ppp(120.0, unit_square, seed=700 + seed)
+            pat = ppp(120.0, window, seed=700 + seed)
             res = quadrat_stationarity(pat, grid_size=3)
             lows += res.p_value < 0.01
         assert lows / n_trials <= 0.03
