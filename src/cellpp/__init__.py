@@ -27,7 +27,6 @@ from .geom import (
     PointPattern,
     ProjectionSpec,
     Rectangle,
-    build_pattern,
     clip,
     ingest,
     intensity_estimate,

@@ -41,10 +41,6 @@ class ZoneError(DataError):
         self.index = index
 
 
-class OutsideWindowError(DataError):
-    """A point lies outside the observation window."""
-
-
 class DegeneratePatternError(DataError):
     """The pattern has too few points for the requested operation."""
 

@@ -29,7 +29,6 @@ from .errors import (
     DegeneratePatternError,
     EmptyInputError,
     InsufficientDataError,
-    OutsideWindowError,
     SchemaError,
     ZoneError,
 )
@@ -250,34 +249,31 @@ def _parse_float(text: str) -> float:
         return float(text.replace(",", "."))
 
 
-@contextlib.contextmanager
-def utf8_errors(path):
-    """Raise a decoding error in reading ``path`` as DataError."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
 class DelimitedTable:
     """Delimited text read with ``csv.reader``: the header, the
     positions of the named columns, and the records as lists.
 
-    ``positions`` holds the position of each name in ``columns``: its
-    last occurrence, whose value ``csv.DictReader`` keeps.  Iterating
-    ``reader`` gives the records after the header; a blank line is an
-    empty list.  Only the rows a caller keeps or rejects are turned
-    into dicts, by ``row`` and ``reject``.
+    The delimiter is ``;`` if the header line holds more ``;`` than
+    ``,``.  ``positions`` holds the position of each name in
+    ``columns``: its last occurrence, whose value ``csv.DictReader``
+    keeps.  Iterating ``reader`` gives the records after the header; a
+    blank line is an empty list.  Only the rows a caller keeps or
+    rejects are turned into dicts, by ``row`` and ``reject``.
 
     Raises
     ------
-    SchemaError
-        If a name in ``columns`` is not in the header.
+    EmptyInputError, SchemaError
+        If the header line is blank, or lacks a name in ``columns``.
     """
 
-    def __init__(self, fh, path, columns, delimiter: str = ","):
-        self.reader = csv.reader(fh, delimiter=delimiter)
-        self.header = next(self.reader, [])
+    def __init__(self, fh, path, columns):
+        head = fh.readline()
+        if not head.strip():
+            raise EmptyInputError(f"{path}: empty input")
+        fh.seek(0)
+        self.reader = csv.reader(
+            fh, delimiter=";" if head.count(";") > head.count(",") else ",")
+        self.header = next(self.reader)
         self.positions = []
         for col in columns:
             if col not in self.header:
@@ -336,6 +332,19 @@ def write_csv(path, header, tables) -> None:
                 writer.writerows(zip(*cells))
 
 
+@contextlib.contextmanager
+def _open_table(path, columns):
+    """``path``'s DelimitedTable, read as UTF-8 after an optional BOM;
+    text that is not UTF-8 or that ``csv`` cannot split is a DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield DelimitedTable(fh, path, columns)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except csv.Error as exc:  # such as a field past csv's size limit
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
            lat_column: str = "lat", operator_column: str | None = None,
            technology_column: str | None = None,
@@ -365,15 +374,9 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
     DataError
         If the file is not UTF-8 text.
     """
-    with open(path, newline="", encoding="utf-8") as fh, utf8_errors(path):
-        head = fh.readline()
-        if not head.strip():
-            raise EmptyInputError(f"{path}: empty input")
-        delimiter = ";" if head.count(";") > head.count(",") else ","
-        fh.seek(0)
-        names = [id_column, lon_column, lat_column]
-        names += [c for c in (operator_column, technology_column) if c]
-        table = DelimitedTable(fh, path, names, delimiter)
+    names = [id_column, lon_column, lat_column]
+    names += [c for c in (operator_column, technology_column) if c]
+    with _open_table(path, names) as table:
         id_i, lon_i, lat_i = table.positions[:3]
         op_i = table.positions[3] if operator_column else None
         tech_i = table.positions[-1] if technology_column else None
@@ -416,6 +419,35 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
     if not records and not rejects:
         raise EmptyInputError(f"{path}: no data rows")
     return IngestResult(records=records, rejects=rejects)
+
+
+def read_points_csv(path, x_column: str = "x", y_column: str = "y"):
+    """Planar points read as ``ingest`` reads a registry; returns
+    (points, rejects).  A row whose x or y is unparsable or not finite
+    is a reject; a file without rows, or of rejects only, is a DataError."""
+    points, rejects = [], []
+    with _open_table(path, (x_column, y_column)) as table:
+        x_i, y_i = table.positions
+        for fields in table.reader:
+            try:
+                x, y = _parse_float(fields[x_i]), _parse_float(fields[y_i])
+            except (IndexError, ValueError):
+                if fields:
+                    rejects.append(table.reject(fields,
+                                                "unparsable coordinate"))
+                continue
+            if math.isfinite(x) and math.isfinite(y):
+                points.append((x, y))
+            else:
+                rejects.append(table.reject(fields, "coordinate not finite"))
+    if not points and not rejects:
+        raise EmptyInputError(f"{path}: no data rows")
+    if not points:
+        first = rejects[0]
+        raise DataError(f"{path}: all {len(rejects)} rows rejected; first "
+                        f"at line {first['line']} ({first['reason']}): "
+                        f"{first['row']}")
+    return np.asarray(points, dtype=float).reshape(-1, 2), rejects
 
 
 # ---------------------------------------------------------------------------
@@ -598,33 +630,21 @@ class PointPattern:
 _JITTER_M = 1e-3
 
 
-def build_pattern(points, window: Window, *,
-                  on_duplicates: str = "reject") -> PointPattern:
-    """Validate points against a window and construct a pattern.
+def clip(points, window: Window, *,
+         on_duplicates: str = "reject") -> PointPattern:
+    """The pattern of the points inside ``window`` (boundary
+    inclusive); fewer than two is a DegeneratePatternError.
 
-    Parameters
-    ----------
-    points : (n, 2) array-like
-    window : Window
-    on_duplicates : {"reject", "jitter"}
-        Coincident points usually indicate a data problem (one mast
-        reported once per carrier), so the default refuses them.  With
-        ``"jitter"`` every repeat is displaced by ``_JITTER_M`` metres
-        in a deterministic direction and a warning is emitted.
+    Coincident points usually indicate a data problem (one mast
+    reported once per carrier), so ``on_duplicates="reject"`` refuses
+    them as a DataError.  With ``"jitter"`` every repeat is displaced by
+    ``_JITTER_M`` metres in a deterministic direction, a repeat moved
+    out of the window is dropped, and a warning gives both counts.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        raise DegeneratePatternError("pattern has no points")
-    inside = window.contains(pts)
-    if not np.all(inside):
-        i = int(np.argmax(~inside))
-        raise OutsideWindowError(
-            f"point {i} at ({pts[i, 0]:.3f}, {pts[i, 1]:.3f}) "
-            f"lies outside the window")
-
-    _, first_idx, counts = np.unique(pts, axis=0, return_index=True,
-                                     return_counts=True)
-    n_dup = pts.shape[0] - first_idx.shape[0]
+    pts = np.asarray(getattr(points, "points", points),
+                     dtype=float).reshape(-1, 2)
+    pts = pts[window.contains(pts)]
+    n_dup = pts.shape[0] - np.unique(pts, axis=0).shape[0]
     if n_dup > 0:
         if on_duplicates == "reject":
             raise DataError(
@@ -632,7 +652,6 @@ def build_pattern(points, window: Window, *,
                 f"to keep them with a {_JITTER_M:g} m displacement")
         if on_duplicates != "jitter":
             raise ValueError("on_duplicates must be 'reject' or 'jitter'")
-        pts = pts.copy()
         seen: dict = {}
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         moved = 0
@@ -645,29 +664,16 @@ def build_pattern(points, window: Window, *,
                 pts[i, 0] += _JITTER_M * math.cos(ang)
                 pts[i, 1] += _JITTER_M * math.sin(ang)
                 moved += 1
+        inside = window.contains(pts)
         warnings.warn(f"displaced {moved} duplicate point(s) by "
-                      f"{_JITTER_M:g} m", stacklevel=2)
-        pts = pts[window.contains(pts)]
-    return PointPattern(points=pts, window=window)
-
-
-def clip(points, window: Window, *,
-         on_duplicates: str = "reject") -> PointPattern:
-    """Keep the points inside ``window`` (boundary inclusive).
-
-    Raises
-    ------
-    DegeneratePatternError
-        If fewer than two points survive.
-    """
-    pts = np.asarray(getattr(points, "points", points),
-                     dtype=float).reshape(-1, 2)
-    kept = pts[window.contains(pts)]
-    if kept.shape[0] < 2:
+                      f"{_JITTER_M:g} m; dropped {int((~inside).sum())} "
+                      f"that left the window", stacklevel=2)
+        pts = pts[inside]
+    if pts.shape[0] < 2:
         raise DegeneratePatternError(
-            f"only {kept.shape[0]} point(s) inside the window; "
+            f"only {pts.shape[0]} point(s) inside the window; "
             f"need at least 2")
-    return build_pattern(kept, window, on_duplicates=on_duplicates)
+    return PointPattern(points=pts, window=window)
 
 
 class IntensityEstimate(NamedTuple):

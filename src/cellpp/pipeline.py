@@ -42,7 +42,6 @@ from .estimators import (
 )
 from .fitting import FAMILY_NAMES, ContrastSpec, FitResult, fit
 from .geom import (
-    DelimitedTable,
     PointPattern,
     ProjectionSpec,
     Rectangle,
@@ -51,7 +50,7 @@ from .geom import (
     intensity_estimate,
     project,
     quadrat_stationarity,
-    utf8_errors,
+    read_points_csv,
     window_from_dict,
     write_csv,
 )
@@ -290,46 +289,26 @@ def auto_window(points, min_points: int = 80) -> Rectangle:
     if n < min_points:
         raise InsufficientDataError(
             f"auto window needs {min_points} points; only {n} available")
-    cx, cy = pts.mean(axis=0)
-    cheb = np.maximum(np.abs(pts[:, 0] - cx), np.abs(pts[:, 1] - cy))
+    # finite points far apart can overflow the centroid or the area
+    with np.errstate(over="ignore", invalid="ignore"):
+        cx, cy = pts.mean(axis=0).tolist()
+        cheb = np.maximum(np.abs(pts[:, 0] - cx), np.abs(pts[:, 1] - cy))
     half = float(np.partition(cheb, min_points - 1)[min_points - 1])
     half *= 1.0 + 1e-9
     if half <= 0.0:
         raise DegeneratePatternError(
             "the nearest points to the centroid are all coincident; "
             "cannot build a window")
-    return Rectangle(cx - half, cx + half, cy - half, cy + half)
+    try:
+        return Rectangle(cx - half, cx + half, cy - half, cy + half)
+    except ValueError as exc:
+        raise DataError(f"auto window around the centroid: {exc}") from exc
 
 
 def write_points_csv(path, points) -> None:
     """Planar points as two-column CSV (x, y in metres)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     write_csv(path, ["x", "y"], [[pts[:, 0], pts[:, 1]]])
-
-
-def read_points_csv(path, x_column: str = "x", y_column: str = "y"):
-    """Planar points from CSV; returns (points, rejects)."""
-    from .errors import EmptyInputError
-
-    points, rejects = [], []
-    with open(path, newline="", encoding="utf-8") as fh, utf8_errors(path):
-        table = DelimitedTable(fh, path, (x_column, y_column))
-        x_i, y_i = table.positions
-        for fields in table.reader:
-            try:
-                points.append((float(fields[x_i]), float(fields[y_i])))
-            except (IndexError, ValueError):
-                if fields:
-                    rejects.append(table.reject(fields,
-                                                "unparsable coordinate"))
-    if not points and not rejects:
-        raise EmptyInputError(f"{path}: no data rows")
-    if not points:
-        first = rejects[0]
-        raise DataError(f"{path}: all {len(rejects)} rows rejected; first "
-                        f"at line {first['line']} ({first['reason']}): "
-                        f"{first['row']}")
-    return np.asarray(points, dtype=float).reshape(-1, 2), rejects
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,26 @@ class TestStats:
         summary = json.loads(capsys.readouterr().out)
         assert 80 <= summary["n_points"] <= pat.n
 
+    def test_non_finite_row_is_a_reject(self, pp_csv, tmp_path, capsys):
+        # it neither reaches the auto window nor vanishes in the clip
+        path, _ = pp_csv
+        with_nan = tmp_path / "nan.csv"
+        with_nan.write_text(Path(path).read_text() + "nan,5\n")
+        summaries = []
+        for source in (path, with_nan):
+            assert main(["stats", "--input", str(source), "--grid-points",
+                         "64", "--output", str(tmp_path / "c.csv")]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        assert summaries[0]["n_points"] == summaries[1]["n_points"]
+        assert main(["pipeline", "--input", str(with_nan), "--planar",
+                     "--config", PIPELINE_CONFIG,
+                     "--out", str(tmp_path / "out")]) == 0
+        rejects = (tmp_path / "out" / "rejects.jsonl").read_text()
+        assert [json.loads(line) for line in rejects.splitlines()] == [
+            {"line": Path(path).read_text().count("\n") + 1,
+             "reason": "coordinate not finite",
+             "row": {"x": "nan", "y": "5"}}]
+
     def test_too_few_grid_points_exits_2(self, pp_csv, tmp_path, capsys):
         path, _ = pp_csv
         rc = main(["stats", "--input", path, "--window", WINDOW_FLAG,
@@ -671,6 +691,61 @@ def test_non_utf8_input_exits_3(tmp_path, capsys, command):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error [ingest]: {path}: not UTF-8 text")
+
+
+def _planar(rows):
+    return "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows)
+
+
+# command, its input text made from the text of pp_csv's planar points,
+# its other flags, and the stage it fails in (None: it succeeds)
+DATA_FILES = {
+    "planar-empty": ("stats", lambda pts: "", [], "ingest"),
+    "planar-header-only": ("stats", lambda pts: "x,y\n", [], "ingest"),
+    "planar-bom": ("stats", lambda pts: "\ufeff" + pts, [], None),
+    "planar-semicolons": ("stats", lambda pts: pts.replace(",", ";"), [],
+                          None),
+    "planar-quoted-decimal-comma": (
+        "stats", lambda pts: pts + '"500,5",500\n', [], None),
+    "planar-nan": ("stats", lambda pts: pts + "nan,5\n", [], None),
+    "planar-inf": ("stats", lambda pts: pts + "inf,5\n", [], None),
+    "planar-1e300-outlier": ("stats", lambda pts: pts + "1e300,0\n", [],
+                             "window"),
+    "planar-overflowing-centroid": (
+        "stats", lambda pts: _planar([(1.5e308, 1.5e308)] * 50
+                                     + [(-1.5e308, -1.5e308)] * 50),
+        [], "window"),
+    "planar-all-unparsable": ("stats", lambda pts: "x,y\na,b\nc,d\n", [],
+                              "ingest"),
+    "planar-field-past-csv-limit": (
+        "stats", lambda pts: pts + '"' + "1" * 200_000 + '",5\n', [],
+        "ingest"),
+    "registry-bom": ("ingest", lambda pts: "\ufeffid,lon,lat\n"
+                     "a1,5.57,50.63\n", [], None),
+    "registry-all-filtered": (
+        "ingest", lambda pts: "id,lon,lat,operator\na1,5.57,50.63,alpha\n",
+        ["--operator-column", "operator", "--operator", "beta"], "ingest"),
+    "registry-nan-lon": ("ingest", lambda pts: "id,lon,lat\na1,nan,50.63\n"
+                         "a2,5.57,50.63\n", [], None),
+}
+
+
+@pytest.mark.parametrize("command, make_text, flags, stage",
+                         DATA_FILES.values(), ids=DATA_FILES)
+def test_data_files_exit_0_or_3_naming_the_stage(pp_csv, tmp_path, capsys,
+                                                 command, make_text, flags,
+                                                 stage):
+    path = tmp_path / "input.csv"
+    path.write_bytes(make_text(Path(pp_csv[0]).read_text()).encode())
+    rc = main([command, "--input", str(path), "--output",
+               str(tmp_path / "out.csv")] + flags)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if stage is None:
+        assert rc == 0, err
+    else:
+        assert rc == 3
+        assert err.startswith(f"data error [{stage}]: ")
 
 
 @pytest.mark.parametrize("argv", [

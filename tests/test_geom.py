@@ -10,7 +10,6 @@ from cellpp.errors import (
     DegeneratePatternError,
     EmptyInputError,
     InsufficientDataError,
-    OutsideWindowError,
     SchemaError,
     ZoneError,
 )
@@ -20,12 +19,12 @@ from cellpp.geom import (
     PointPattern,
     ProjectionSpec,
     Rectangle,
-    build_pattern,
     clip,
     ingest,
     intensity_estimate,
     project,
     quadrat_stationarity,
+    read_points_csv,
     window_from_dict,
 )
 
@@ -221,10 +220,6 @@ class TestWindows:
 
 
 class TestBuildPattern:
-    def test_outside_point_rejected(self, unit_square):
-        with pytest.raises(OutsideWindowError):
-            build_pattern([[0.5, 0.5], [1.5, 0.5]], unit_square)
-
     def test_clip_keeps_inside(self, unit_square):
         pts = [[0.5, 0.5], [1.5, 0.5], [0.2, 0.9], [-1.0, 0.0], [1.0, 1.0]]
         pat = clip(pts, unit_square)
@@ -243,23 +238,40 @@ class TestBuildPattern:
 
     def test_empty_pattern_rejected(self, unit_square):
         with pytest.raises(DegeneratePatternError):
-            build_pattern(np.empty((0, 2)), unit_square)
+            clip(np.empty((0, 2)), unit_square)
 
     def test_duplicates_rejected_by_default(self, unit_square):
         pts = [[0.5, 0.5], [0.2, 0.2], [0.5, 0.5]]
         with pytest.raises(DataError):
-            build_pattern(pts, unit_square)
+            clip(pts, unit_square)
 
     def test_duplicates_jittered_on_request(self):
         w = Rectangle(0.0, 100.0, 0.0, 100.0)
         pts = [[50.0, 50.0], [20.0, 20.0], [50.0, 50.0], [50.0, 50.0]]
         with pytest.warns(UserWarning, match="duplicate"):
-            pat = build_pattern(pts, w, on_duplicates="jitter")
+            pat = clip(pts, w, on_duplicates="jitter")
         assert pat.n == 4
         assert np.unique(pat.points, axis=0).shape[0] == 4
         moved = np.hypot(pat.points[:, 0] - np.array(pts)[:, 0],
                          pat.points[:, 1] - np.array(pts)[:, 1])
         assert np.max(moved) <= 1e-3 + 1e-12
+
+    def test_jittered_repeats_that_leave_the_window_are_counted(self):
+        # at a corner the repeats moved out of the window are dropped,
+        # before the two-point minimum is applied
+        w = Rectangle(0.0, 100.0, 0.0, 100.0)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(DegeneratePatternError, match="only 1 point"):
+            warnings.simplefilter("always")
+            clip([[0.0, 0.0], [0.0, 0.0]], w, on_duplicates="jitter")
+        assert [str(c.message) for c in caught] == [
+            "displaced 1 duplicate point(s) by 0.001 m; dropped 1 that "
+            "left the window"]
+        with pytest.warns(UserWarning, match="displaced 3 .*; dropped 2 "):
+            pat = clip([[0.0, 0.0]] * 4 + [[50.0, 50.0]], w,
+                       on_duplicates="jitter")
+        assert pat.n == 3
+        assert bool(np.all(w.contains(pat.points)))
 
 
 class TestIntensity:
@@ -545,6 +557,24 @@ def test_reject_lines_are_physical_lines(tmp_path):
     assert res.records[0].coordinate == GeoCoordinate(5.5, 50.1)
     assert res.records[1].attributes[None] == ["extra", "more"]
     assert res.records[-1].attributes[None] == [""]
+
+
+@pytest.mark.parametrize("text", [
+    MESSY_REGISTRY, "x;y\n1,5;2\n\noops;3\nnan;4\n5;6\n"],
+    ids=["registry", "planar"])
+def test_byte_order_mark_is_skipped(tmp_path, text):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    if text is MESSY_REGISTRY:
+        options = {"operator_column": "operator", "technology_column": "tech"}
+        assert ingest(marked, **options) == ingest(plain, **options)
+    else:
+        (got, got_rejects), (want, want_rejects) = map(read_points_csv,
+                                                       (marked, plain))
+        assert np.array_equal(got, want)
+        assert got_rejects == want_rejects
+        assert got.tolist() == [[1.5, 2.0], [5.0, 6.0]]
 
 
 def test_ingest_project_clip_chain(tmp_path):

@@ -174,6 +174,17 @@ class TestAutoWindow:
         with pytest.raises(InsufficientDataError):
             auto_window(np.zeros((10, 2)), min_points=80)
 
+    def test_overflowing_window_is_a_data_error(self):
+        # finite points whose square's area, or centroid, overflows
+        outlier = np.vstack([np.random.default_rng(8).uniform(size=(99, 2)),
+                             [[1e300, 0.0]]])
+        huge = np.repeat([[1.5e308, 1.5e308], [-1.5e308, -1.5e308]], 50,
+                         axis=0)
+        for pts, reason in ((outlier, "rectangle area must be finite"),
+                            (huge, "rectangle bounds must be finite")):
+            with pytest.raises(DataError, match=reason):
+                auto_window(pts, min_points=80)
+
 
 class TestPointsCsv:
     def test_round_trip(self, tmp_path):
@@ -200,6 +211,19 @@ class TestPointsCsv:
         assert pts.tolist() == [[2.0, 1.0], [5.0, 4.0]]
         assert rejects == [{"line": 6, "reason": "unparsable coordinate",
                             "row": {"x": None, "y": "oops"}}]
+
+    def test_read_as_ingest_reads_a_registry(self, tmp_path):
+        # semicolons, decimal commas (quoted when the delimiter is a
+        # comma), and non-finite coordinates as rejects
+        path = tmp_path / "pts.csv"
+        path.write_text("x;y\n1,5;2\nnan;3\n4;-inf\n5;6e400\n7;8\n")
+        pts, rejects = read_points_csv(path)
+        assert pts.tolist() == [[1.5, 2.0], [7.0, 8.0]]
+        assert [(r["line"], r["reason"]) for r in rejects] == [
+            (3, "coordinate not finite"), (4, "coordinate not finite"),
+            (5, "coordinate not finite")]
+        path.write_text('x,y\n"1,5",2\n')
+        assert read_points_csv(path)[0].tolist() == [[1.5, 2.0]]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "pts.csv"
