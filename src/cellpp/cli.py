@@ -175,11 +175,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config, pattern, curves = _load_data(
-        args, max_evaluations=args.max_evaluations,
-        contrast={"statistic": args.statistic, "p": args.p, "q": args.q,
-                  "r_min": args.r_min, "r_max": args.r_max,
-                  "step_weighted": not args.raw_sum})
+    config, pattern, curves = _load_data(args, contrast={
+        "statistic": args.statistic, "p": args.p, "q": args.q,
+        "r_min": args.r_min, "r_max": args.r_max,
+        "step_weighted": not args.raw_sum})
     result = fit_family(config, pattern, args.family, curves)
     text = json_text(result.to_dict())
     if args.output is not None:
@@ -297,7 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_contrast_args(p)
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the F test locations")
-    p.add_argument("--max-evaluations", type=int, default=500)
     p.add_argument("--output", default=None, help="also write JSON here")
     p.set_defaults(func=_cmd_fit)
 

@@ -48,13 +48,15 @@ FAMILY_NAMES = ("poisson", "beta-ginibre", "gauss-dpp", "cauchy-dpp")
 # beyond that the border-corrected estimators get noisy.
 DEFAULT_RANGE_FRACTION = 1060.0 / 13000.0
 
-# Shape-parameter search boxes.  The lower ends are the near-Poisson
-# limits; the upper ends are the existence bounds (resolved per fit).
-# They do not depend on the window: a draw's cost is set by its expected
-# point count, whatever the scale.
+# Ends of the search boxes (see ``_search_box``).  They do not depend on
+# the window: a draw's cost is set by its expected point count, whatever
+# the scale.
 BETA_SEARCH_MIN = 0.01
 SCALE_FRACTION_MIN = 1e-3
 CAUCHY_SHAPE_BOUNDS = (0.05, 50.0)
+
+# Objective evaluations a fit may spend before ConvergenceError.
+MAX_EVALUATIONS = 500
 
 # Relative parameter tolerance of the searches, and the points of the
 # golden-section search's coarse scan.
@@ -90,7 +92,8 @@ class ContrastSpec:
         if self.statistic not in CURVE_KINDS:
             raise ConfigError(f"statistic must be one of {CURVE_KINDS}, "
                               f"got {self.statistic!r}")
-        if not (0.0 < self.p < math.inf and 0.0 < self.q < math.inf):
+        top = float(np.finfo(float).max)  # exact: an int past it fails
+        if not (0.0 < self.p <= top and 0.0 < self.q <= top):
             raise ConfigError("contrast exponents must be finite and > 0")
         if self.r_min < 0.0:
             raise ConfigError("r_min must be >= 0")
@@ -229,10 +232,35 @@ def _golden_minimize(fn, lo: float, hi: float, budget: int):
 # Fit
 # ---------------------------------------------------------------------------
 
+def _search_box(family: str, intensity: float):
+    """(lower, upper, make): the ends of each search coordinate and the
+    map from coordinates to the model.  Lower ends are near-Poisson;
+    upper ends are existence bounds or the largest Cauchy shape."""
+    if family == "poisson":
+        return (), (), lambda: Poisson(intensity)
+    if family == "beta-ginibre":
+        return ((BETA_SEARCH_MIN,), (1.0,),
+                lambda beta: BetaGinibre(intensity=intensity, beta=beta))
+    if family == "gauss-dpp":
+        bound = 1.0 / math.sqrt(math.pi * intensity)
+        return ((SCALE_FRACTION_MIN * bound,), (bound,),
+                lambda scale: GaussDpp(intensity=intensity, scale=scale))
+
+    # Cauchy: (scale fraction f of the existence bound, log shape nu);
+    # the box maps onto the admissible wedge.  lam * int(1 - g) is
+    # f^2 nu / (2 nu + 1), which vanishes with nu as well as with f.
+    def unpack(fraction, log_shape):
+        shape = math.exp(log_shape)
+        return CauchyDpp(intensity=intensity, scale=fraction * math.sqrt(
+            shape / (math.pi * intensity)), shape=shape)
+
+    return ((SCALE_FRACTION_MIN, math.log(CAUCHY_SHAPE_BOUNDS[0])),
+            (1.0, math.log(CAUCHY_SHAPE_BOUNDS[1])), unpack)
+
+
 def fit(pattern: PointPattern, family: str,
         cspec: ContrastSpec | None = None, *,
-        curves: dict | None = None,
-        max_evaluations: int = 500) -> FitResult:
+        curves: dict | None = None) -> FitResult:
     """Fit one family to a pattern by minimum contrast.
 
     Parameters
@@ -251,13 +279,16 @@ def fit(pattern: PointPattern, family: str,
     Notes
     -----
     The intensity is fixed to the empirical estimate, never searched.
+    The search runs in the family's box (``_search_box``): golden
+    section for one coordinate, bounded Nelder-Mead for two, at most
+    ``MAX_EVALUATIONS`` evaluations.  A coordinate within 10 tolerances
+    of an end of its range is pinned there.
     ``diagnostics["near_poisson"]`` flags fits that do not improve on
-    the Poisson baseline by more than 5% or that pin the shape
-    parameter at its near-Poisson bound: such data cannot support a
-    repulsion claim.  ``diagnostics["pinned_upper_bound"]`` flags fits
-    that end at the top of the search box (beta = 1, a scale at the
-    existence bound, or the largest Cauchy shape): the data ask for
-    more repulsion than the family can give.
+    the Poisson baseline by more than 5% or that are pinned at a lower,
+    near-Poisson end: such data cannot support a repulsion claim.
+    ``diagnostics["pinned_upper_bound"]`` flags fits pinned at an upper
+    end (beta = 1, a scale at the existence bound, or the largest Cauchy
+    shape): the data ask for more repulsion than the family can give.
     """
     if family not in FAMILY_NAMES:
         raise ConfigError(f"unknown family {family!r}; "
@@ -292,59 +323,36 @@ def fit(pattern: PointPattern, family: str,
         return contrast(emp, mc, spec)
 
     poisson_value = objective_for(Poisson(lam))
-    pinned_low = pinned_high = False
+    lower, upper, make = _search_box(family, lam)
 
-    if family == "poisson":
-        model = Poisson(lam)
-        value = poisson_value
+    if not lower:
+        x, value = (), poisson_value
         evaluations, converged, trace = 1, True, [(None, value)]
-    elif family in ("beta-ginibre", "gauss-dpp"):
-        if family == "beta-ginibre":
-            def make(beta):
-                return BetaGinibre(intensity=lam, beta=beta)
-
-            lo, hi = BETA_SEARCH_MIN, 1.0
-        else:
-            def make(scale):
-                return GaussDpp(intensity=lam, scale=scale)
-
-            hi = 1.0 / math.sqrt(math.pi * lam)
-            lo = SCALE_FRACTION_MIN * hi
-        x, value, evaluations, converged, trace = _golden_minimize(
-            lambda x: objective_for(make(x)), lo, hi, max_evaluations)
-        model = make(x)
-        pinned_low = x <= lo * (1.0 + 10.0 * _REL_TOL)
-        pinned_high = x >= hi * (1.0 - 10.0 * _REL_TOL)
+    elif len(lower) == 1:
+        xb, value, evaluations, converged, trace = _golden_minimize(
+            lambda x: objective_for(make(x)), lower[0], upper[0],
+            MAX_EVALUATIONS)
+        x = (xb,)
     else:
         from scipy import optimize
-
-        # Cauchy: search (scale fraction of the existence bound,
-        # log shape); the box maps onto the admissible wedge.
-        lo_w, hi_w = (math.log(CAUCHY_SHAPE_BOUNDS[0]),
-                      math.log(CAUCHY_SHAPE_BOUNDS[1]))
-
-        def unpack(x):
-            shape = math.exp(float(x[1]))
-            return CauchyDpp(intensity=lam, scale=float(x[0]) * math.sqrt(
-                shape / (math.pi * lam)), shape=shape)
 
         trace = []
 
         def obj(x):
-            v = objective_for(unpack(x))
-            trace.append(((float(x[0]), float(x[1])), v))
+            v = objective_for(make(*map(float, x)))
+            trace.append((tuple(map(float, x)), v))
             return v
 
+        # the start and first simplex of the two-coordinate box
         x0 = np.array([0.5, 0.0])
         f0 = obj(x0)
         res = optimize.minimize(
-            obj, x0, method="Nelder-Mead",
-            bounds=[(SCALE_FRACTION_MIN, 1.0), (lo_w, hi_w)],
+            obj, x0, method="Nelder-Mead", bounds=list(zip(lower, upper)),
             options={"xatol": _REL_TOL, "fatol": 1e-10 * (1.0 + abs(f0)),
-                     "maxfev": max_evaluations,
+                     "maxfev": MAX_EVALUATIONS,
                      "initial_simplex": np.array(
                          [[0.5, 0.0], [0.8, 0.0], [0.5, 1.0]])})
-        model = unpack(res.x)
+        x = tuple(map(float, res.x))
         value = float(res.fun)
         evaluations = int(res.nfev) + 1
         # The parameter tolerance is what matters; the function-value
@@ -352,10 +360,11 @@ def fit(pattern: PointPattern, family: str,
         simplex = res.final_simplex[0]
         x_spread = float(np.max(np.abs(simplex - simplex[0])))
         converged = bool(res.success) or x_spread <= 10.0 * _REL_TOL
-        pinned_low = res.x[0] <= SCALE_FRACTION_MIN * (1.0 + 10.0 * _REL_TOL)
-        # the box tops: the existence-bound scale and the largest shape
-        pinned_high = (res.x[0] >= 1.0 - 10.0 * _REL_TOL
-                       or res.x[1] >= hi_w - 10.0 * _REL_TOL)
+    model = make(*x)
+    pinned_low, pinned_high = (
+        any(abs(xi - end) <= 10.0 * _REL_TOL * (hi - lo)
+            for xi, end, lo, hi in zip(x, ends, lower, upper))
+        for ends in (lower, upper))
 
     if not converged:
         raise ConvergenceError(

@@ -38,6 +38,8 @@ _A = 6378137.0
 _F = 1.0 / 298.257222101
 _E2 = _F * (2.0 - _F)
 _E = math.sqrt(_E2)
+# Window bounds compare with it exactly: an int past it is not finite.
+_MAX_DOUBLE = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -466,12 +468,12 @@ class Rectangle:
     kind = "rectangle"
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x_min, self.x_max,
-                                       self.y_min, self.y_max))):
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(abs(v) <= _MAX_DOUBLE for v in bounds):
             raise ValueError("rectangle bounds must be finite")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise ValueError("rectangle must have positive extent")
-        if not math.isfinite(self.area()):
+        if not self.area() <= _MAX_DOUBLE:
             raise ValueError("rectangle area must be finite")
 
     def area(self) -> float:
@@ -531,8 +533,8 @@ class Disk:
     kind = "disk"
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.center_x, self.center_y,
-                                       self.radius))):
+        if not all(abs(v) <= _MAX_DOUBLE
+                   for v in (self.center_x, self.center_y, self.radius)):
             raise ValueError("disk centre and radius must be finite")
         if not self.radius > 0:
             raise ValueError("disk must have positive radius")

@@ -156,7 +156,7 @@ def projection_from_dict(d: dict | None, origin=None) -> ProjectionSpec:
                 lat_max_deg=float(d.get("lat_max", 89.0)))
     except KeyError as exc:
         raise ConfigError(f"{kind} projection config missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {kind} projection config {d!r}: "
                           f"{exc}") from exc
 
@@ -181,7 +181,6 @@ class PipelineConfig:
     # curves are exact, so nothing reads them.
     fit_replicates: int = 200
     model_test_points: int = 2000
-    max_evaluations: int = 500
     master_seed: int = 0
     output_dir: str | None = None
     place: str | None = None
@@ -217,27 +216,14 @@ class PipelineConfig:
         _require_known(self.filters, () if self.planar
                        else {"operator", "technology"},
                        "planar filters" if self.planar else "filters")
-        _require_known(self.envelope, {"replicates", "mode", "gate"},
-                       "envelope")
+        _require_known(self.envelope, {"replicates", "mode"}, "envelope")
         mode = self.envelope.get("mode", "both")
         if mode not in ("pointwise", "global", "both"):
             raise ConfigError("envelope mode must be pointwise, global "
                               "or both")
-        # The global band is the whole-curve test with exact size, so
-        # it is the default pass/fail gate; pointwise bands are
-        # per-radius diagnostics.
-        gate = self.envelope.get("gate",
-                                 "pointwise" if mode == "pointwise"
-                                 else "global")
-        if gate not in ("pointwise", "global"):
-            raise ConfigError("envelope gate must be pointwise or global")
-        if mode != "both" and gate != mode:
-            raise ConfigError(f"envelope gate {gate!r} needs mode "
-                              f"{gate!r} or 'both'")
         replicates = _require_int(self.envelope.get("replicates", 39),
                                   "envelope replicates", MIN_REPLICATES)
-        self.envelope = {"replicates": replicates, "mode": mode,
-                         "gate": gate}
+        self.envelope = {"replicates": replicates, "mode": mode}
         _require_known(self.contrast,
                        {"statistic", "p", "q", "r_min", "r_max",
                         "step_weighted"}, "contrast")
@@ -258,8 +244,6 @@ class PipelineConfig:
                 f"replicate-radius pairs")
         self.auto_window_min_points = _require_int(
             self.auto_window_min_points, "auto_window_min_points", 2)
-        self.max_evaluations = _require_int(self.max_evaluations,
-                                            "max_evaluations", 1)
         self.master_seed = _require_int(self.master_seed, "master_seed", 0)
 
     @classmethod
@@ -496,8 +480,7 @@ def fit_family(config: PipelineConfig, pattern: PointPattern, family: str,
                curves: dict) -> FitResult:
     """Stage 6, one family: minimum-contrast fit to the data curves."""
     with _stage(f"fit:{family}"):
-        return fit(pattern, family, config.cspec, curves=curves,
-                   max_evaluations=config.max_evaluations)
+        return fit(pattern, family, config.cspec, curves=curves)
 
 
 def envelope_test(config: PipelineConfig, pattern: PointPattern, model,
@@ -536,7 +519,9 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
     curves = data_curves(config, pattern)
     grid = curves["F"].grid
 
-    gate = config.envelope["gate"]
+    # The global band, the whole-curve test with exact size, is the gate
+    # unless only pointwise (per-radius diagnostic) bands are drawn.
+    gate = "pointwise" if config.envelope["mode"] == "pointwise" else "global"
     # Verdicts cover the fitted range only: beyond it the model was
     # never asked to match and the border-corrected curves get noisy.
     verdict_r_max = config.cspec.resolved(grid, pattern.window).r_max
@@ -652,7 +637,7 @@ def retention_row(report: dict) -> tuple:
         beta = None if entry is None else entry["fit"]["params"].get("beta")
         # adding 0.0 refuses a string or container with TypeError
         return place, tech, None if beta is None else float(beta + 0.0)
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
         raise DataError(f"field {name!r} is missing or has the wrong type: "
                         f"{exc!r}") from exc
 

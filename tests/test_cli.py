@@ -18,7 +18,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import cellpp
-from cellpp import estimators, geom, pipeline, samplers
+from cellpp import estimators, fitting, geom, pipeline, samplers
 from cellpp.cli import main
 from cellpp.estimators import default_test_point_count, estimate_F
 from cellpp.geom import Rectangle
@@ -344,11 +344,12 @@ class TestFit:
         assert rc == 3
         assert "data error" in capsys.readouterr().err
 
-    def test_exhausted_budget_exits_4(self, pp_csv, tmp_path, capsys):
+    def test_exhausted_budget_exits_4(self, pp_csv, tmp_path, capsys,
+                                      monkeypatch):
         path, _ = pp_csv
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 5)
         # and a contrast that overflows is no fit either
-        for argv in (["--family", "beta-ginibre", "--statistic", "K",
-                      "--max-evaluations", "5"],
+        for argv in (["--family", "beta-ginibre", "--statistic", "K"],
                      ["--family", "poisson", "--statistic", "K",
                       "--exponent-q", "1e300"]):
             rc = main(["fit", "--input", path, "--window", WINDOW_FLAG]
@@ -793,7 +794,9 @@ class TestReport:
         ({"families": ["x"]}, "'families'"),
         ({"families": {"beta-ginibre": {"fit": {"params": {"beta": "0.9"}}}}},
          "families.beta-ginibre.fit.params.beta"),
-    ], ids=["no-fit", "families-list", "beta-string"])
+        ({"families": {"beta-ginibre": {"fit": {"params": {
+            "beta": 10**400}}}}}, "families.beta-ginibre.fit.params.beta"),
+    ], ids=["no-fit", "families-list", "beta-string", "beta-past-double"])
     def test_malformed_field_exits_3(self, tmp_path, capsys, report, field):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report))
@@ -859,10 +862,10 @@ class TestPipeline:
         assert f"a {family} draw at intensity " in err
         assert f"bound is {samplers.DPP_POINT_BUDGET}\n" in err
 
-    def test_numerical_failure_names_stage(self, pp_csv, capsys):
+    def test_numerical_failure_names_stage(self, pp_csv, capsys, monkeypatch):
         path, _ = pp_csv
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 5)
         config = {"families": ["beta-ginibre"], "grid_points": 128,
-                  "max_evaluations": 5,
                   "window": {"kind": "rectangle", "x_min": 0.0,
                              "x_max": 1000.0, "y_min": 0.0,
                              "y_max": 1000.0}}
@@ -881,8 +884,13 @@ class TestPipeline:
         {"kind": "disk", "center_x": 0.0, "center_y": 0.0, "radius": -1.0},
         {"kind": "rectangle", "x_min": 0.0, "x_max": float("inf"),
          "y_min": 0.0, "y_max": 1000.0},
+        {"kind": "rectangle", "x_min": 0.0, "x_max": 10**400,
+         "y_min": 0.0, "y_max": 1000.0},
+        {"kind": "disk", "center_x": 0.0, "center_y": 0.0,
+         "radius": 10**400},
     ], ids=["no-kind", "unknown-kind", "missing-key", "flat-rectangle",
-            "negative-radius", "infinite-bound"])
+            "negative-radius", "infinite-bound", "int-past-double-bound",
+            "int-past-double-radius"])
     def test_bad_window_exits_2(self, pp_csv, capsys, window):
         path, _ = pp_csv
         config = {"families": ["poisson"], "window": window}

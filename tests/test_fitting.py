@@ -15,7 +15,8 @@ from cellpp.fitting import (CAUCHY_SHAPE_BOUNDS, DEFAULT_RANGE_FRACTION,
                             SCALE_FRACTION_MIN, ContrastSpec, FitResult,
                             contrast, fit)
 from cellpp.geom import Disk, PointPattern, Rectangle
-from cellpp.models import BetaGinibre, CauchyDpp, GaussDpp, Poisson
+from cellpp.models import (BetaGinibre, CauchyDpp, GaussDpp, Poisson,
+                           theoretical_curve)
 from cellpp.pipeline import json_text
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import sample
@@ -305,6 +306,23 @@ class TestFitSpectralFamilies:
         assert low.diagnostics["pinned_lower_bound"]
         assert not low.diagnostics["pinned_upper_bound"]
 
+    def test_cauchy_fit_pinned_at_the_smallest_shape_is_flagged(self):
+        # the exact curves of a shape-0.02 member at its existence bound
+        # ask for less than the smallest shape in the box
+        pat = sample(Poisson(0.7e-6), KM13, RngStreamSpec(91, 0))
+        lam = pat.n / KM13.area()
+        member = CauchyDpp(lam, math.sqrt(0.02 / (math.pi * lam)), 0.02)
+        grid = RadiusGrid.default(KM13, 512, intensity=lam)
+        curves = {kind: theoretical_curve(kind, member, grid)
+                  for kind in ("K", "F", "G", "J")}
+        res = fit(pat, "cauchy-dpp", ContrastSpec(statistic="K"),
+                  curves=curves)
+        assert res.model.shape == pytest.approx(CAUCHY_SHAPE_BOUNDS[0],
+                                                rel=1e-5)
+        assert res.diagnostics["pinned_lower_bound"]
+        assert not res.diagnostics["pinned_upper_bound"]
+        assert res.diagnostics["near_poisson"]
+
     def test_gauss_scale_equivariance(self):
         pat = sample(BetaGinibre(0.7e-6, 0.6), KM13, RngStreamSpec(92, 0))
         scaled = PointPattern(points=pat.points / 1000.0,
@@ -340,10 +358,13 @@ class TestFitContract:
         with pytest.warns(UserWarning, match="fitting on"):
             fit(pat, "beta-ginibre")
 
-    def test_convergence_error_carries_trace(self):
+    def test_convergence_error_carries_trace(self, monkeypatch):
+        import cellpp.fitting as fitting
+
         pat = sample(BetaGinibre(0.7e-6, 0.9), KM13, RngStreamSpec(90, 3))
+        monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 5)
         with pytest.raises(ConvergenceError) as err:
-            fit(pat, "beta-ginibre", max_evaluations=5)
+            fit(pat, "beta-ginibre")
         assert len(err.value.trace) > 0
 
     def test_result_serialization(self, tmp_path):

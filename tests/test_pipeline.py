@@ -2,18 +2,22 @@
 full runs on synthetic data, determinism of the written report."""
 
 import json
+import math
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cellpp.errors import (ConfigError, DataError, InsufficientDataError,
-                           SchemaError)
-from cellpp.geom import Rectangle
-from cellpp.pipeline import (PipelineConfig, Report, auto_window,
-                             emit_table_one_regression, load_pattern,
-                             projection_from_dict, read_points_csv,
-                             run_pipeline, write_points_csv)
+from cellpp.errors import (CellppError, ConfigError, DataError,
+                           InsufficientDataError, SchemaError)
+from cellpp.estimators import RadiusGrid, SummaryCurve
+from cellpp.fitting import ContrastSpec, contrast
+from cellpp.geom import Disk, Rectangle
+from cellpp.pipeline import (_PROJECTION_KEYS, PipelineConfig, Report,
+                             auto_window, emit_table_one_regression,
+                             load_pattern, projection_from_dict,
+                             read_points_csv, run_pipeline, write_points_csv)
 from cellpp.models import BetaGinibre, Poisson
 from cellpp.rng import RngStreamSpec
 from cellpp.samplers import sample
@@ -72,17 +76,18 @@ class TestConfig:
             PipelineConfig(planar=True, filters={"technology": "LTE-800"})
 
     def test_envelope_defaults_and_gate(self):
+        # the gate follows from the mode, so the config holds no gate
         cfg = PipelineConfig()
-        assert cfg.envelope == {"replicates": 39, "mode": "both",
-                                "gate": "global"}
+        assert cfg.envelope == {"replicates": 39, "mode": "both"}
         cfg = PipelineConfig(envelope={"mode": "pointwise"})
-        assert cfg.envelope["gate"] == "pointwise"
+        assert cfg.envelope == {"replicates": 39, "mode": "pointwise"}
 
     def test_gate_mode_conflict(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(envelope={"mode": "pointwise", "gate": "global"})
-        with pytest.raises(ConfigError):
-            PipelineConfig(envelope={"mode": "global", "gate": "pointwise"})
+        # an old config's gate key is an unknown envelope key
+        for gate, mode in (("global", "pointwise"), ("pointwise", "global"),
+                           ("global", "both")):
+            with pytest.raises(ConfigError, match="unknown envelope key"):
+                PipelineConfig(envelope={"mode": mode, "gate": gate})
 
     def test_bad_scalars(self):
         with pytest.raises(ConfigError):
@@ -147,6 +152,73 @@ class TestProjectionConfig:
         with pytest.raises(ConfigError):
             projection_from_dict({"kind": "lambert-conformal-conic",
                                   "origin_lon": 3.0, "origin_lat": 46.5})
+
+
+# Each value replaces one key of a valid planar config at a time.
+SWEEP_VALUES = (math.nan, math.inf, -math.inf, 0, -1, 1e300, 10**400, [],
+                None, "")
+
+
+def sweep_configs(base, projections):
+    """(label, config dict) for every key of the config, its contrast,
+    envelope, window (both kinds) and each projection kind, crossed with
+    SWEEP_VALUES; the keys come from the code, so a new key joins."""
+    windows = {"window": base["window"],
+               "disk window": Disk(500.0, 500.0, 500.0).to_dict()}
+    nested = [("contrast", {}, [f.name for f in fields(ContrastSpec)]),
+              ("envelope", {}, list(PipelineConfig().envelope))]
+    nested += [(name, d, list(d)) for name, d in windows.items()]
+    nested += [(f"{kind} projection", projections[kind],
+                ["kind", *sorted(keys)])
+               for kind, keys in _PROJECTION_KEYS.items()]
+    for value in SWEEP_VALUES:
+        for f in fields(PipelineConfig):
+            yield f"{f.name}={value!r:.12}", {**base, f.name: value}
+        for name, d, keys in nested:
+            top = name.split()[-1]
+            for key in keys:
+                yield (f"{name}.{key}={value!r:.12}",
+                       {**base, top: {**d, key: value}})
+
+
+def test_config_sweep_builds_or_raises_cellpp_errors(tmp_path):
+    # a pathological value gives a config, a pattern and the resolved
+    # contrast of two curves, or a CellppError (an unreadable input path an OSError,
+    # exit 3 on the command line); no case fits or draws
+    grid = RadiusGrid(np.linspace(0.0, 1.0, 21))
+    path = tmp_path / "pts.csv"
+    write_points_csv(path, np.random.default_rng(5).uniform(
+        0.0, 1000.0, (150, 2)))
+    base = {"input": str(path), "planar": True, "families": ["poisson"],
+            "window": Rectangle(0.0, 1000.0, 0.0, 1000.0).to_dict()}
+    projections = {
+        "lambert-93": {"kind": "lambert-93"},
+        "local-tangent": {"kind": "local-tangent", "origin_lon": 5.0,
+                          "origin_lat": 50.0},
+        "lambert-conformal-conic": {
+            "kind": "lambert-conformal-conic", "origin_lon": 3.0,
+            "origin_lat": 46.5, "std_parallel_1": 44.0,
+            "std_parallel_2": 49.0}}
+    assert set(projections) == set(_PROJECTION_KEYS)
+    crashes, n = [], 0
+    for label, config in sweep_configs(base, projections):
+        n += 1
+        try:
+            config = PipelineConfig.from_dict(config)
+            load_pattern(config)
+            a, b = (SummaryCurve(grid, np.linspace(0.0, top, 21),
+                                 config.cspec.statistic, "empirical")
+                    for top in (2.0, 1.5))
+            contrast(a, b, config.cspec.resolved(grid))
+        except CellppError:
+            pass
+        except OSError:
+            if not label.startswith("input="):
+                crashes.append(f"{label}: OSError")
+        except Exception as exc:
+            crashes.append(f"{label}: {type(exc).__name__}: {exc}"[:120])
+    assert n > 400
+    assert not crashes, "\n".join(crashes)
 
 
 class TestAutoWindow:
