@@ -183,8 +183,9 @@ def sweep_configs(base, projections):
 
 def test_config_sweep_builds_or_raises_cellpp_errors(tmp_path):
     # a pathological value gives a config, a pattern and the resolved
-    # contrast of two curves, or a CellppError (an unreadable input path an OSError,
-    # exit 3 on the command line); no case fits or draws
+    # contrast of two curves, or a CellppError (or, for an unreadable
+    # input path, an OSError: exit 3 on the command line); no case fits
+    # or draws
     grid = RadiusGrid(np.linspace(0.0, 1.0, 21))
     path = tmp_path / "pts.csv"
     write_points_csv(path, np.random.default_rng(5).uniform(
