@@ -20,10 +20,7 @@ from . import pipeline
 from . import samplers
 from .rng import RngStreamSpec
 from .geom import (
-    AntennaRecord,
     Disk,
-    GeoCoordinate,
-    IngestResult,
     PointPattern,
     ProjectionSpec,
     Rectangle,

@@ -99,6 +99,9 @@ class ContrastSpec:
             raise ConfigError("r_min must be >= 0")
         if self.r_max is not None and not self.r_max > self.r_min:
             raise ConfigError("r_max must exceed r_min")
+        if not isinstance(self.step_weighted, bool):
+            raise ConfigError(f"step_weighted must be true or false, "
+                              f"got {self.step_weighted!r}")
 
     def resolved(self, grid: RadiusGrid,
                  window: Window | None = None) -> "ContrastSpec":

@@ -17,7 +17,7 @@ import csv
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,25 +42,6 @@ _E = math.sqrt(_E2)
 _MAX_DOUBLE = float(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class GeoCoordinate:
-    """Geographic position, degrees, east and north positive."""
-
-    lon_deg: float
-    lat_deg: float
-
-
-@dataclass(frozen=True)
-class AntennaRecord:
-    """One antenna site from a registry export."""
-
-    record_id: str
-    coordinate: GeoCoordinate
-    operator: str = ""
-    technology: str = ""
-    attributes: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # Projections
 # ---------------------------------------------------------------------------
@@ -73,7 +54,8 @@ class ProjectionSpec:
     ellipsoidal formulas) or ``"local-tangent"`` (equirectangular on
     the tangent plane at the origin, exactly invertible).  The validity
     box guards against applying the projection far outside the region
-    it was configured for.
+    it was configured for.  Every number must be finite: a NaN bound
+    would let every coordinate through the box.
     """
 
     kind: str
@@ -91,6 +73,9 @@ class ProjectionSpec:
     def __post_init__(self):
         if self.kind not in ("lambert-conformal-conic", "local-tangent"):
             raise ValueError(f"unknown projection kind: {self.kind!r}")
+        for name, value in vars(self).items():
+            if name != "kind" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     @staticmethod
     def lambert_93() -> "ProjectionSpec":
@@ -161,24 +146,12 @@ def _local_radii(lat_rad: float):
     return mr, nu
 
 
-def _coerce_lonlat(coords):
-    if isinstance(coords, GeoCoordinate):
-        coords = [coords]
-    if len(coords) and isinstance(coords[0], GeoCoordinate):
-        arr = np.array([[c.lon_deg, c.lat_deg] for c in coords], dtype=float)
-    else:
-        arr = np.atleast_2d(np.asarray(coords, dtype=float))
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("coordinates must be (n, 2) lon/lat pairs")
-    return arr
-
-
-def project(coords, spec: ProjectionSpec, record_ids=None) -> np.ndarray:
+def project(lonlat, spec: ProjectionSpec, record_ids=None) -> np.ndarray:
     """Project lon/lat coordinates to planar metres.
 
     Parameters
     ----------
-    coords : (n, 2) array-like or sequence of GeoCoordinate
+    lonlat : (n, 2) array-like
         Longitude, latitude in degrees.
     spec : ProjectionSpec
     record_ids : sequence, optional
@@ -191,10 +164,14 @@ def project(coords, spec: ProjectionSpec, record_ids=None) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If ``lonlat`` is not an (n, 2) array.
     ZoneError
         If any coordinate lies outside the validity box of ``spec``.
     """
-    lonlat = _coerce_lonlat(coords)
+    lonlat = np.asarray(lonlat, dtype=float)
+    if lonlat.ndim != 2 or lonlat.shape[1] != 2:
+        raise ValueError("coordinates must be (n, 2) lon/lat pairs")
     lon, lat = lonlat[:, 0], lonlat[:, 1]
     bad = ((lon < spec.lon_min_deg) | (lon > spec.lon_max_deg)
            | (lat < spec.lat_min_deg) | (lat > spec.lat_max_deg))
@@ -231,18 +208,6 @@ def project(coords, spec: ProjectionSpec, record_ids=None) -> np.ndarray:
 # Registry ingest
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IngestResult:
-    """Parsed antenna records plus the rows that could not be used.
-
-    Each reject is ``{"line": int, "reason": str, "row": dict}`` so a
-    run can be audited; bad rows are collected, never silently dropped.
-    """
-
-    records: list
-    rejects: list
-
-
 def _parse_float(text: str) -> float:
     try:
         return float(text)
@@ -259,8 +224,8 @@ class DelimitedTable:
     ``,``.  ``positions`` holds the position of each name in
     ``columns``: its last occurrence, whose value ``csv.DictReader``
     keeps.  Iterating ``reader`` gives the records after the header; a
-    blank line is an empty list.  Only the rows a caller keeps or
-    rejects are turned into dicts, by ``row`` and ``reject``.
+    blank line is an empty list.  Only the rows a caller rejects are
+    turned into dicts, by ``reject``; kept rows stay lists.
 
     Raises
     ------
@@ -284,11 +249,15 @@ class DelimitedTable:
             self.positions.append(
                 len(self.header) - 1 - self.header[::-1].index(col))
 
-    def row(self, fields) -> dict:
-        """``fields`` keyed as ``csv.DictReader`` keys them: the last
-        of duplicate header names wins, missing trailing fields are
-        None and the extras of an overlong row are a list under key
-        None."""
+    def reject(self, fields, reason: str) -> dict:
+        """The reject entry of the record just read: the physical line
+        it starts on (the reader's line count less the line breaks in
+        its quoted fields), ``reason`` and its row, keyed as
+        ``csv.DictReader`` keys it: the last of duplicate header names
+        wins, missing trailing fields are None and the extras of an
+        overlong row are a list under key None."""
+        breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n")
+                     for f in fields)
         header = self.header
         row = dict(zip(header, fields))
         if len(header) < len(fields):
@@ -296,16 +265,8 @@ class DelimitedTable:
         else:
             for key in header[len(fields):]:
                 row[key] = None
-        return row
-
-    def reject(self, fields, reason: str) -> dict:
-        """The reject entry of the record just read: the physical line
-        it starts on (the reader's line count less the line breaks in
-        its quoted fields), ``reason`` and its row."""
-        breaks = sum(f.count("\n") + f.count("\r") - f.count("\r\n")
-                     for f in fields)
         return {"line": self.reader.line_num - breaks, "reason": reason,
-                "row": self.row(fields)}
+                "row": row}
 
 
 # Rows formatted and written at a time, so that a long table holds one
@@ -351,12 +312,16 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
            lat_column: str = "lat", operator_column: str | None = None,
            technology_column: str | None = None,
            operator: str | None = None,
-           technology: str | None = None) -> IngestResult:
+           technology: str | None = None):
     """Read a registry export: header row, comma or semicolon delimited.
 
     Rows with an unparsable or out-of-range coordinate, or too short to
     hold the id, operator or technology field, are rejects; the others
-    that pass the filters are records.
+    that pass the filters are kept.  Returns ``(ids, lonlat, rejects)``:
+    the kept rows' ids as read, their (n, 2) float array of longitude
+    and latitude in degrees, and the rejects, each
+    ``{"line": int, "reason": str, "row": dict}`` so that a run can be
+    audited.
 
     Parameters
     ----------
@@ -364,8 +329,8 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
     id_column, lon_column, lat_column : str
         Header names of the mandatory columns.
     operator_column, technology_column : str, optional
-        When given, the values are attached to the records and the
-        ``operator`` / ``technology`` filters apply to them.
+        When given, the ``operator`` / ``technology`` filters apply to
+        their values.
 
     Raises
     ------
@@ -389,7 +354,7 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
                  if i is not None]
         width = 1 + max(i for i, _ in named)
 
-        records, rejects = [], []
+        ids, lonlat, rejects = [], [], []
         for fields in table.reader:
             try:
                 lon = _parse_float(fields[lon_i])
@@ -413,14 +378,12 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
             op = fields[op_i].strip() if op_i is not None else ""
             if operator is not None and op != operator:
                 continue
-            records.append(AntennaRecord(
-                record_id=fields[id_i],
-                coordinate=GeoCoordinate(lon_deg=lon, lat_deg=lat),
-                operator=op, technology=tech, attributes=table.row(fields)))
+            ids.append(fields[id_i])
+            lonlat.append((lon, lat))
 
-    if not records and not rejects:
+    if not ids and not rejects:
         raise EmptyInputError(f"{path}: no data rows")
-    return IngestResult(records=records, rejects=rejects)
+    return ids, np.asarray(lonlat, dtype=float).reshape(-1, 2), rejects
 
 
 def read_points_csv(path, x_column: str = "x", y_column: str = "y"):

@@ -388,7 +388,7 @@ def load_points(config: PipelineConfig):
                 config.input, x_column=cols.get("x", "x"),
                 y_column=cols.get("y", "y"))
         else:
-            result = ingest(
+            ids, lonlat, rejects = ingest(
                 config.input,
                 id_column=cols.get("id", "id"),
                 lon_column=cols.get("lon", "lon"),
@@ -397,20 +397,19 @@ def load_points(config: PipelineConfig):
                 technology_column=cols.get("technology"),
                 operator=config.filters.get("operator"),
                 technology=config.filters.get("technology"))
-            rejects = result.rejects
-            if not result.records:
+            if not ids:
                 raise DataError(f"{config.input}: no records left after "
                                 f"filtering")
     with _stage("project"):
         if not config.planar:
-            coords = [r.coordinate for r in result.records]
             pspec = config.pspec
             if pspec.kind == "local-tangent":
+                # np.mean of a column sums pairwise; lonlat.mean(axis=0)
+                # adds row by row and can move the last bit
                 pspec = projection_from_dict(config.projection, origin=(
-                    float(np.mean([c.lon_deg for c in coords])),
-                    float(np.mean([c.lat_deg for c in coords]))))
-            points = project(coords, pspec,
-                             record_ids=[r.record_id for r in result.records])
+                    float(np.mean(lonlat[:, 0])),
+                    float(np.mean(lonlat[:, 1]))))
+            points = project(lonlat, pspec, record_ids=ids)
     # project keeps every record or raises: a row read is a point or a reject
     return points, {"n_read": points.shape[0] + len(rejects),
                     "n_projected": points.shape[0], "rejects": rejects}

@@ -145,13 +145,14 @@ def _single_blas_thread():
 
     The sampler's products are a few hundred elements wide.  OpenBLAS
     threads them anyway, its idle workers spin, and a threaded rank-one
-    update runs several times slower than a serial one: on a 2-vCPU
-    x86-64 VM, the bench's ``pipeline-4fam-K`` run (seed 1) took 56.4 s
-    wall and 110.6 s CPU with the thread counts left alone, against
-    4.3 s and 4.1 s with this limiter (median of 5 runs each), 13 times
-    the wall time.  A no-op for other BLAS libraries.  The counts are
-    process-global: samplers running in several threads at once can
-    restore them out of order and leave them at 1."""
+    update runs many times slower than a serial one: on a 2-vCPU x86-64
+    VM, 39 Gauss draws at the existence bound on the 13 km square
+    (intensity 0.7e-6, about 119 points each) took 0.57 s wall and CPU
+    with this limiter, against 18.7-18.9 s wall and 37.1-37.5 s CPU
+    with the thread counts left alone, about 33 times the wall time.
+    A no-op for other BLAS libraries.  The counts are process-global:
+    samplers running in several threads at once can restore them out
+    of order and leave them at 1."""
     setters = _openblas_thread_setters()
     before = [get() for get, _ in setters]
     for _, set_ in setters:

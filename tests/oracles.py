@@ -11,9 +11,8 @@ import numpy as np
 
 from cellpp.errors import ConfigError, SamplerStallError
 from cellpp.estimators import RadiusGrid, SummaryCurve
-from cellpp.geom import (_A, _E, AntennaRecord, GeoCoordinate, IngestResult,
-                         ProjectionSpec, _lcc_constants, _local_radii,
-                         _parse_float)
+from cellpp.geom import (_A, _E, ProjectionSpec, _lcc_constants,
+                         _local_radii, _parse_float)
 from cellpp.models import (_ANGULAR_NODES, _RADIAL_NODES, BetaGinibre,
                            GaussDpp, Poisson, _gauss_legendre_01,
                            _kernel_profile, check_valid)
@@ -220,9 +219,10 @@ def read_curves_csv(path) -> list:
 def dictreader_ingest(path, *, id_column="id", lon_column="lon",
                       lat_column="lat", operator_column=None,
                       technology_column=None, operator=None,
-                      technology=None) -> IngestResult:
+                      technology=None):
     """``geom.ingest`` as a ``csv.DictReader`` loop: the reference for
-    the rows it keys, rejects and keeps.
+    the rows it keys, rejects and keeps; returns the same
+    ``(ids, lonlat, rejects)``.
 
     A row starts on the first line after the previous row that is not
     blank, blank lines being the ones DictReader skips; a field
@@ -243,7 +243,7 @@ def dictreader_ingest(path, *, id_column="id", lon_column="lon",
         reader = csv.DictReader(read_lines(), delimiter=delimiter)
         reader.fieldnames
         done = len(lines)
-        records, rejects = [], []
+        ids, lonlat, rejects = [], [], []
         for row in reader:
             line = 1 + done + next(
                 k for k, text in enumerate(lines[done:])
@@ -276,8 +276,6 @@ def dictreader_ingest(path, *, id_column="id", lon_column="lon",
                 continue
             if technology is not None and tech != technology:
                 continue
-            records.append(AntennaRecord(
-                record_id=str(row[id_column]),
-                coordinate=GeoCoordinate(lon_deg=lon, lat_deg=lat),
-                operator=op, technology=tech, attributes=dict(row)))
-    return IngestResult(records=records, rejects=rejects)
+            ids.append(str(row[id_column]))
+            lonlat.append([lon, lat])
+    return ids, np.array(lonlat, dtype=float).reshape(-1, 2), rejects

@@ -980,20 +980,26 @@ BAD_NUMBERS = {
                               WINDOW_FLAG, "--family", "poisson",
                               "--intensity", "1.5e-4", "--replicates",
                               "1000000000"],
+    "ingest-origin-nan": ["ingest", "--input", "{registry}", "--output",
+                          "{out}", "--projection", "local-tangent",
+                          "--origin-lon", "nan", "--origin-lat", "50.5"],
 }
 
 
 @pytest.mark.parametrize("argv", BAD_NUMBERS.values(), ids=BAD_NUMBERS)
-def test_bad_numbers_exit_2(pp_csv, tmp_path, capsys, monkeypatch, argv):
-    # envelope replicates draw through samplers.sample; none may start
-    def no_draw(*args, **kwargs):
-        raise AssertionError("sampled before refusing the numbers")
+def test_bad_numbers_exit_2(pp_csv, registry_csv, tmp_path, capsys,
+                           monkeypatch, argv):
+    # envelope replicates draw through samplers.sample and a registry
+    # is read by pipeline.ingest; neither may start
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled or ingested before refusing the "
+                             "numbers")
 
-    monkeypatch.setattr(samplers, "sample", no_draw)
+    monkeypatch.setattr(samplers, "sample", no_work)
+    monkeypatch.setattr(pipeline, "ingest", no_work)
     path, _ = pp_csv
-    args = [a.replace("{input}", path).replace("{out}",
-                                               str(tmp_path / "out.csv"))
-            for a in argv]
+    args = [a.replace("{input}", path).replace("{registry}", registry_csv)
+            .replace("{out}", str(tmp_path / "out.csv")) for a in argv]
     assert main(args) == 2
     assert "config error" in capsys.readouterr().err
 
@@ -1007,6 +1013,15 @@ BAD_CONFIGS = {
     "planar-filters": '{"filters": {"technology": "LTE-800"}}',
     "projection-origin": '{"projection": {"kind": "local-tangent", '
                          '"origin_lon": "x", "origin_lat": 1}}',
+    "contrast-step-weighted": '{"contrast": {"step_weighted": "false"}}',
+    "projection-origin-nan": '{"projection": {"kind": "local-tangent", '
+                             '"origin_lon": NaN, "origin_lat": 50.5}}',
+    "projection-half-span-nan": '{"projection": {"kind": "local-tangent", '
+                                '"half_span": NaN}}',
+    "projection-parallel-inf": '{"projection": {"kind": '
+                               '"lambert-conformal-conic", "origin_lon": 3, '
+                               '"origin_lat": 46.5, "std_parallel_1": '
+                               'Infinity, "std_parallel_2": 49}}',
 }
 
 

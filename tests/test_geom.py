@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from cellpp.errors import (
 )
 from cellpp.geom import (
     Disk,
-    GeoCoordinate,
     PointPattern,
     ProjectionSpec,
     Rectangle,
@@ -101,9 +101,8 @@ class TestLambert93:
         assert err.value.record_id == "b"
         assert err.value.index == 1
 
-    def test_geocoordinate_input(self):
-        xy = project([GeoCoordinate(3.0, 46.5), GeoCoordinate(2.35, 48.85)],
-                     self.spec)
+    def test_paris_position(self):
+        xy = project([[3.0, 46.5], [2.35, 48.85]], self.spec)
         assert xy.shape == (2, 2)
         # Paris is roughly 100 km west, 250 km north of the false origin
         assert 550000 < xy[1, 0] < 700000
@@ -434,16 +433,13 @@ class TestIngest:
     def test_basic(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text(REGISTRY)
-        res = ingest(path, operator_column="operator",
-                     technology_column="tech")
-        assert len(res.records) == 3
-        assert res.rejects == []
-        rec = res.records[0]
-        assert rec.record_id == "s1"
-        assert rec.coordinate == GeoCoordinate(5.5740, 50.6450)
-        assert rec.operator == "alpha"
-        assert rec.technology == "lte-1800"
-        assert rec.attributes["lon"] == "5.5740"
+        ids, lonlat, rejects = ingest(path, operator_column="operator",
+                                      technology_column="tech")
+        assert ids == ["s1", "s2", "s3"]
+        assert rejects == []
+        assert lonlat.dtype == np.float64
+        assert lonlat.tolist() == [[5.5740, 50.6450], [5.5810, 50.6391],
+                                   [5.5695, 50.6512]]
 
     def test_malformed_rows_become_rejects(self, tmp_path):
         path = tmp_path / "reg.csv"
@@ -451,30 +447,32 @@ class TestIngest:
                         "a,5.57,50.64\n"
                         "b,not-a-number,50.64\n"
                         "c,5.58,95.0\n")
-        res = ingest(path)
-        assert len(res.records) == 1
-        reasons = {r["line"]: r["reason"] for r in res.rejects}
+        ids, lonlat, rejects = ingest(path)
+        assert ids == ["a"]
+        assert lonlat.tolist() == [[5.57, 50.64]]
+        reasons = {r["line"]: r["reason"] for r in rejects}
         assert reasons == {3: "unparsable coordinate",
                            4: "coordinate out of range"}
 
     def test_semicolon_and_decimal_comma(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text("id;lon;lat\nx1;5,6405;50,6412\nx2;5,61;50,63\n")
-        res = ingest(path)
-        assert len(res.records) == 2
-        assert res.records[0].coordinate.lon_deg == pytest.approx(5.6405)
-        assert res.records[0].coordinate.lat_deg == pytest.approx(50.6412)
+        ids, lonlat, _ = ingest(path)
+        assert ids == ["x1", "x2"]
+        assert lonlat.tolist() == [[5.6405, 50.6412], [5.61, 50.63]]
 
     def test_operator_and_technology_filters(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text(REGISTRY)
-        res = ingest(path, operator_column="operator",
-                     technology_column="tech", operator="alpha")
-        assert [r.record_id for r in res.records] == ["s1", "s2"]
-        res = ingest(path, operator_column="operator",
-                     technology_column="tech", operator="alpha",
-                     technology="lte-1800")
-        assert [r.record_id for r in res.records] == ["s1"]
+        ids, lonlat, _ = ingest(path, operator_column="operator",
+                                technology_column="tech", operator="alpha")
+        assert ids == ["s1", "s2"]
+        assert lonlat.shape == (2, 2)
+        ids, lonlat, _ = ingest(path, operator_column="operator",
+                                technology_column="tech", operator="alpha",
+                                technology="lte-1800")
+        assert ids == ["s1"]
+        assert lonlat.tolist() == [[5.5740, 50.6450]]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "reg.csv"
@@ -495,9 +493,10 @@ class TestIngest:
     def test_custom_column_names(self, tmp_path):
         path = tmp_path / "reg.csv"
         path.write_text("site;longitude;latitude\nq7;5.6;50.6\n")
-        res = ingest(path, id_column="site", lon_column="longitude",
-                     lat_column="latitude")
-        assert res.records[0].record_id == "q7"
+        ids, lonlat, _ = ingest(path, id_column="site",
+                                lon_column="longitude", lat_column="latitude")
+        assert ids == ["q7"]
+        assert lonlat.tolist() == [[5.6, 50.6]]
 
 
 # A duplicate "lon" header (the last one is read), quoted ids broken by
@@ -534,29 +533,33 @@ MESSY_REGISTRY = (
 def test_ingest_matches_the_dictreader_loop(tmp_path, options):
     path = tmp_path / "messy.csv"
     path.write_text(MESSY_REGISTRY)
-    got, want = ingest(path, **options), dictreader_ingest(path, **options)
-    assert got.records == want.records
-    assert got.rejects == want.rejects
+    (ids, lonlat, rejects), (want_ids, want_lonlat, want_rejects) = (
+        ingest(path, **options), dictreader_ingest(path, **options))
+    assert ids == want_ids
+    assert np.array_equal(lonlat, want_lonlat)
+    assert lonlat.shape == (len(ids), 2)
+    assert rejects == want_rejects
 
 
 def test_reject_lines_are_physical_lines(tmp_path):
     path = tmp_path / "messy.csv"
     path.write_text(MESSY_REGISTRY)
-    res = ingest(path, operator_column="operator", technology_column="tech")
+    ids, lonlat, rejects = ingest(path, operator_column="operator",
+                                  technology_column="tech")
     assert {r["row"]["id"]: (r["line"], r["reason"])
-            for r in res.rejects} == {
+            for r in rejects} == {
         "m4\r\nbad": (10, "unparsable coordinate"),
         "m5": (12, "unparsable coordinate"),
         "m7": (16, "coordinate out of range"),
         "m8": (17, "no 'tech' field"),
         "m9": (18, "no 'operator' field"),
     }
-    assert [r.record_id for r in res.records] == [
+    assert ids == [
         "m1", "m2", "m3\nsecond line", "m3b\r\nthird\rfourth", "m6",
         "m10"]
-    assert res.records[0].coordinate == GeoCoordinate(5.5, 50.1)
-    assert res.records[1].attributes[None] == ["extra", "more"]
-    assert res.records[-1].attributes[None] == [""]
+    # the last "lon" column is read, with or without a decimal comma
+    assert lonlat.tolist() == [[5.5, 50.1], [5.6, 50.2], [5.7, 50.3],
+                               [5.7, 50.3], [5.8, 50.6], [5.95, 50.95]]
 
 
 @pytest.mark.parametrize("text", [
@@ -568,7 +571,12 @@ def test_byte_order_mark_is_skipped(tmp_path, text):
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
     if text is MESSY_REGISTRY:
         options = {"operator_column": "operator", "technology_column": "tech"}
-        assert ingest(marked, **options) == ingest(plain, **options)
+        (ids, lonlat, rejects), (want_ids, want_lonlat, want_rejects) = (
+            ingest(marked, **options), ingest(plain, **options))
+        assert ids == want_ids
+        assert np.array_equal(lonlat, want_lonlat)
+        assert rejects == want_rejects
+        assert ids[0] == "m1"
     else:
         (got, got_rejects), (want, want_rejects) = map(read_points_csv,
                                                        (marked, plain))
@@ -580,14 +588,38 @@ def test_byte_order_mark_is_skipped(tmp_path, text):
 def test_ingest_project_clip_chain(tmp_path):
     path = tmp_path / "reg.csv"
     path.write_text(REGISTRY)
-    res = ingest(path)
+    ids, lonlat, _ = ingest(path)
+    assert ids == ["s1", "s2", "s3"]
     spec = ProjectionSpec.local_tangent(5.575, 50.645)
-    xy = project([r.coordinate for r in res.records], spec)
+    xy = project(lonlat, spec, record_ids=ids)
     w = Rectangle(-1500.0, 1500.0, -1500.0, 1500.0)
     pat = clip(xy, w)
     assert pat.n == 3
     # a degree of longitude at 50.6N is about 70.8 km, so 7 mdeg ~ 500 m
     assert np.max(np.abs(pat.points)) < 1200.0
+
+
+def test_ingest_memory_stays_per_array_not_per_record(tmp_path):
+    # 20,000 kept rows: their ids, a (n, 2) array and the reader's
+    # buffers fit in 8 MB; an object and a dict of all fields per row
+    # would take about 14 MB
+    path = tmp_path / "reg.csv"
+    with open(path, "w") as fh:
+        fh.write("id,lon,lat,operator,tech\n")
+        for i in range(20_000):
+            fh.write(f"site{i:05d},{5 + i * 1e-5:.6f},{50 + i * 2e-5:.6f},"
+                     f"alpha,lte-1800\n")
+    tracemalloc.start()
+    try:
+        ids, lonlat, rejects = ingest(path, operator_column="operator",
+                                      technology_column="tech",
+                                      operator="alpha")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ids) == 20_000 and lonlat.shape == (20_000, 2)
+    assert rejects == []
+    assert peak < 8 * 2**20
 
 
 # Finite values whose shortest repr is long or signed, and the three

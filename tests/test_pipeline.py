@@ -13,10 +13,10 @@ from cellpp.errors import (CellppError, ConfigError, DataError,
                            InsufficientDataError, SchemaError)
 from cellpp.estimators import RadiusGrid, SummaryCurve
 from cellpp.fitting import ContrastSpec, contrast
-from cellpp.geom import Disk, Rectangle
+from cellpp.geom import Disk, ProjectionSpec, Rectangle, project
 from cellpp.pipeline import (_PROJECTION_KEYS, PipelineConfig, Report,
                              auto_window, emit_table_one_regression,
-                             load_pattern, projection_from_dict,
+                             load_pattern, load_points, projection_from_dict,
                              read_points_csv, run_pipeline, write_points_csv)
 from cellpp.models import BetaGinibre, Poisson
 from cellpp.rng import RngStreamSpec
@@ -102,6 +102,20 @@ class TestConfig:
                            ("planar", "no")):
             with pytest.raises(ConfigError, match=f"{key} has the wrong"):
                 PipelineConfig(**{key: value})
+        # a string is truthy: "false" would turn the weighting on
+        for flag in ("false", 0, None):
+            with pytest.raises(ConfigError, match="step_weighted must be"):
+                PipelineConfig(contrast={"step_weighted": flag})
+        # a NaN bound lets every coordinate through the validity box
+        for projection in (
+                {"kind": "local-tangent", "origin_lon": math.nan,
+                 "origin_lat": 50.5},
+                {"kind": "local-tangent", "half_span": math.nan},
+                {"kind": "lambert-conformal-conic", "origin_lon": 3.0,
+                 "origin_lat": 46.5, "std_parallel_1": math.inf,
+                 "std_parallel_2": 49.0}):
+            with pytest.raises(ConfigError, match="must be finite"):
+                PipelineConfig(projection=projection)
 
     def test_non_object_config(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -337,6 +351,25 @@ class TestLoadPattern:
         assert info["n_read"] == 31
         assert len(info["rejects"]) == 1
         assert pattern.n >= 20
+
+    def test_originless_tangent_plane_centres_on_the_mean(self, tmp_path):
+        # the origin is np.mean of the Python lists of kept lon and lat;
+        # summed row by row, as lonlat.mean(axis=0) does, it can differ
+        # in the last bit
+        rng = np.random.default_rng(23)
+        lon_list = (5.57 + rng.uniform(-0.3, 0.3, 500)).tolist()
+        lat_list = (50.63 + rng.uniform(-0.3, 0.3, 500)).tolist()
+        path = tmp_path / "registry.csv"
+        path.write_text("id,lon,lat\n" + "".join(
+            f"s{i},{lon!r},{lat!r}\n"
+            for i, (lon, lat) in enumerate(zip(lon_list, lat_list))))
+        points, info = load_points(PipelineConfig(
+            input=str(path), projection={"kind": "local-tangent"}))
+        want = project(np.column_stack([lon_list, lat_list]),
+                       ProjectionSpec.local_tangent(np.mean(lon_list),
+                                                    np.mean(lat_list)))
+        assert info["n_projected"] == 500
+        assert np.array_equal(points, want)
 
     def test_duplicate_points_fail_at_clip_stage(self, tmp_path):
         path = tmp_path / "dup.csv"
