@@ -67,44 +67,49 @@ def _load_json_arg(text: str) -> dict:
     return value
 
 
+def _given(**values) -> dict:
+    """The ``values`` whose flag was given; a flag left out passes
+    nothing, so the config's own default applies."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _model_from_args(args) -> object:
     if args.model is not None:
         return model_from_dict(_load_json_arg(args.model))
     if args.family is None or args.intensity is None:
         raise ConfigError("give either --model JSON or --family with "
                           "--intensity (plus shape flags)")
-    shape = {"beta": args.beta, "scale": args.scale, "shape": args.shape}
-    params = {"intensity": args.intensity,
-              **{k: v for k, v in shape.items() if v is not None}}
+    params = {"intensity": args.intensity, **_given(
+        beta=args.beta, scale=args.scale, shape=args.shape)}
     return model_from_dict({"model": args.family, "params": params})
 
 
 def _load_data(args, kinds=CURVE_KINDS, **settings):
     """Planar CSV plus window flags -> (config, clipped pattern, data
     curves ``kinds``); the config also carries the command's other
-    ``settings``."""
+    ``settings``, those given."""
     window = (None if args.window is None
               else _parse_window(args.window).to_dict())
     config = PipelineConfig(
         input=args.input, planar=True, window=window,
-        columns={"x": args.x_column, "y": args.y_column},
-        auto_window_min_points=args.min_points,
-        duplicates=args.duplicates, master_seed=args.seed, **settings)
+        columns=_given(x=args.x_column, y=args.y_column),
+        **_given(auto_window_min_points=args.min_points,
+                 duplicates=args.duplicates, master_seed=args.seed,
+                 **settings))
     pattern = load_pattern(config)[0]
     return config, pattern, data_curves(config, pattern, kinds)
 
 
 def _add_pattern_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="planar points CSV")
-    p.add_argument("--x-column", default="x")
-    p.add_argument("--y-column", default="y")
+    p.add_argument("--x-column")
+    p.add_argument("--y-column")
     p.add_argument("--window", default=None,
                    help="'x0,x1,y0,y1' or 'disk:cx,cy,r'; default: "
                         "auto square around the centroid")
-    p.add_argument("--min-points", type=int, default=80,
+    p.add_argument("--min-points", type=int,
                    help="auto-window point target")
-    p.add_argument("--duplicates", choices=("reject", "jitter"),
-                   default="reject")
+    p.add_argument("--duplicates", choices=("reject", "jitter"))
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -119,12 +124,13 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_contrast_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--statistic", choices=("K", "F", "G", "J"), default="F")
-    p.add_argument("--exponent-p", type=float, default=1.0, dest="p")
-    p.add_argument("--exponent-q", type=float, default=2.0, dest="q")
-    p.add_argument("--r-min", type=float, default=0.0)
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--raw-sum", action="store_true",
+    p.add_argument("--statistic", choices=CURVE_KINDS)
+    p.add_argument("--exponent-p", type=float, dest="p")
+    p.add_argument("--exponent-q", type=float, dest="q")
+    p.add_argument("--r-min", type=float)
+    p.add_argument("--r-max", type=float)
+    p.add_argument("--raw-sum", action="store_false", dest="step_weighted",
+                   default=None,
                    help="index-sum contrast instead of step-weighted")
 
 
@@ -133,15 +139,14 @@ def _add_contrast_args(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    origin = {"origin_lon": args.origin_lon, "origin_lat": args.origin_lat}
     points, info = load_points(PipelineConfig(
         input=args.input,
-        columns={"id": args.id_column, "lon": args.lon_column,
-                 "lat": args.lat_column, "operator": args.operator_column,
-                 "technology": args.technology_column},
-        filters={"operator": args.operator, "technology": args.technology},
-        projection={"kind": args.projection,
-                    **{k: v for k, v in origin.items() if v is not None}}))
+        columns=_given(id=args.id_column, lon=args.lon_column,
+                       lat=args.lat_column, operator=args.operator_column,
+                       technology=args.technology_column),
+        filters=_given(operator=args.operator, technology=args.technology),
+        projection=_given(kind=args.projection, origin_lon=args.origin_lon,
+                          origin_lat=args.origin_lat)))
     write_points_csv(args.output, points)
     if args.rejects is not None:
         write_rejects_jsonl(args.rejects, info["rejects"])
@@ -175,10 +180,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config, pattern, curves = _load_data(args, contrast={
-        "statistic": args.statistic, "p": args.p, "q": args.q,
-        "r_min": args.r_min, "r_max": args.r_max,
-        "step_weighted": not args.raw_sum})
+    config, pattern, curves = _load_data(args, contrast=_given(
+        statistic=args.statistic, p=args.p, q=args.q, r_min=args.r_min,
+        r_max=args.r_max, step_weighted=args.step_weighted))
     result = fit_family(config, pattern, args.family, curves)
     text = json_text(result.to_dict())
     if args.output is not None:
@@ -195,9 +199,9 @@ def _cmd_gof(args) -> int:
     spec = _model_from_args(args)
     config, pattern, curves = _load_data(
         args, kinds, grid_points=args.grid_points,
-        envelope={"replicates": args.replicates, "mode": args.mode})
-    tests = envelope_test(config, pattern, spec, curves, kinds=kinds,
-                          r_max=args.r_max)
+        envelope=_given(replicates=args.replicates))
+    tests = envelope_test(config, pattern, spec, curves, modes=(args.mode,),
+                          kinds=kinds, r_max=args.r_max)
     out = {}
     for (_, kind), (band, v) in tests.items():
         out[kind] = {**v.to_dict(), "significance": band.significance}
@@ -224,16 +228,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config_dict = _load_json_arg(args.config) if args.config else {}
-    overrides = {
-        "input": args.input,
-        "planar": True if args.planar else None,
-        "master_seed": args.seed,
-        "place": args.place,
-        "technology": args.technology,
-        "families": (None if args.families is None
-                     else [f.strip() for f in args.families.split(",")]),
-    }
-    config_dict.update({k: v for k, v in overrides.items() if v is not None})
+    config_dict.update(_given(
+        input=args.input, planar=args.planar or None,
+        master_seed=args.seed, place=args.place, technology=args.technology,
+        families=(None if args.families is None
+                  else [f.strip() for f in args.families.split(",")])))
     config = PipelineConfig.from_dict(config_dict)
     report = run_pipeline(config, out_dir=args.out)
     for family, entry in report.families.items():
@@ -261,15 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="registry CSV -> planar points CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--id-column", default="id")
-    p.add_argument("--lon-column", default="lon")
-    p.add_argument("--lat-column", default="lat")
+    p.add_argument("--id-column")
+    p.add_argument("--lon-column")
+    p.add_argument("--lat-column")
     p.add_argument("--operator-column", default=None)
     p.add_argument("--technology-column", default=None)
     p.add_argument("--operator", default=None, help="keep this operator")
     p.add_argument("--technology", default=None, help="keep this technology")
-    p.add_argument("--projection", choices=("lambert-93", "local-tangent"),
-                   default="lambert-93")
+    p.add_argument("--projection", choices=("lambert-93", "local-tangent"))
     p.add_argument("--origin-lon", type=float, default=None)
     p.add_argument("--origin-lat", type=float, default=None)
     p.add_argument("--rejects", default=None, help="rejects JSONL path")
@@ -285,8 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="empirical summary curves of a CSV")
     _add_pattern_args(p)
-    p.add_argument("--grid-points", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True, help="curves CSV path")
     p.set_defaults(func=_cmd_stats)
 
@@ -294,8 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pattern_args(p)
     p.add_argument("--family", choices=FAMILY_NAMES, required=True)
     _add_contrast_args(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the F test locations")
+    p.add_argument("--seed", type=int, help="seed of the F test locations")
     p.add_argument("--output", default=None, help="also write JSON here")
     p.set_defaults(func=_cmd_fit)
 
@@ -306,10 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of K,F,G,J")
     p.add_argument("--mode", choices=("pointwise", "global"),
                    default="pointwise")
-    p.add_argument("--replicates", type=int, default=39)
-    p.add_argument("--grid-points", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r-max", type=float, default=None,
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--r-max", type=float,
                    help="test radii up to this only")
     p.add_argument("--bands-dir", default=None)
     p.set_defaults(func=_cmd_gof)

@@ -32,6 +32,7 @@ from .estimators import (
 )
 from .geom import PointPattern, Window, intensity_estimate
 from .models import (
+    FAMILIES,
     BetaGinibre,
     CauchyDpp,
     GaussDpp,
@@ -42,7 +43,7 @@ from .models import (
     theoretical_curve,
 )
 
-FAMILY_NAMES = ("poisson", "beta-ginibre", "gauss-dpp", "cauchy-dpp")
+FAMILY_NAMES = tuple(cls.name for cls in FAMILIES)
 
 # Upper fit radius defaults to this share of the shorter window side;
 # beyond that the border-corrected estimators get noisy.
@@ -289,9 +290,12 @@ def fit(pattern: PointPattern, family: str,
     ``diagnostics["near_poisson"]`` flags fits that do not improve on
     the Poisson baseline by more than 5% or that are pinned at a lower,
     near-Poisson end: such data cannot support a repulsion claim.
-    ``diagnostics["pinned_upper_bound"]`` flags fits pinned at an upper
-    end (beta = 1, a scale at the existence bound, or the largest Cauchy
-    shape): the data ask for more repulsion than the family can give.
+    ``diagnostics["pinned_upper_bound"]`` flags fits with a coordinate
+    pinned at an upper end.  Only beta = 1, a Gauss scale at the
+    existence bound or the Cauchy corner (scale fraction 1 and shape
+    50) is the family's most repulsive member, where the data may ask
+    for more repulsion than the family can give; a Cauchy fit at
+    fraction 1 with an interior shape still has repulsion available.
     """
     if family not in FAMILY_NAMES:
         raise ConfigError(f"unknown family {family!r}; "

@@ -48,7 +48,9 @@ _MAX_DOUBLE = float(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class ProjectionSpec:
-    """Planar projection description.
+    """Planar projection description; the field names are the keys of a
+    pipeline config's ``projection``.  Angles are in degrees, offsets in
+    metres.
 
     ``kind`` is ``"lambert-conformal-conic"`` (two standard parallels,
     ellipsoidal formulas) or ``"local-tangent"`` (equirectangular on
@@ -59,16 +61,16 @@ class ProjectionSpec:
     """
 
     kind: str
-    origin_lon_deg: float
-    origin_lat_deg: float
-    std_parallel_1_deg: float = 0.0
-    std_parallel_2_deg: float = 0.0
-    false_easting_m: float = 0.0
-    false_northing_m: float = 0.0
-    lon_min_deg: float = -180.0
-    lon_max_deg: float = 180.0
-    lat_min_deg: float = -89.0
-    lat_max_deg: float = 89.0
+    origin_lon: float
+    origin_lat: float
+    std_parallel_1: float
+    std_parallel_2: float
+    false_easting: float = 0.0
+    false_northing: float = 0.0
+    lon_min: float = -180.0
+    lon_max: float = 180.0
+    lat_min: float = -89.0
+    lat_max: float = 89.0
 
     def __post_init__(self):
         if self.kind not in ("lambert-conformal-conic", "local-tangent"):
@@ -86,30 +88,34 @@ class ProjectionSpec:
         """
         return ProjectionSpec(
             kind="lambert-conformal-conic",
-            origin_lon_deg=3.0,
-            origin_lat_deg=46.5,
-            std_parallel_1_deg=44.0,
-            std_parallel_2_deg=49.0,
-            false_easting_m=700000.0,
-            false_northing_m=6600000.0,
-            lon_min_deg=-9.86,
-            lon_max_deg=10.38,
-            lat_min_deg=41.15,
-            lat_max_deg=51.56,
+            origin_lon=3.0,
+            origin_lat=46.5,
+            std_parallel_1=44.0,
+            std_parallel_2=49.0,
+            false_easting=700000.0,
+            false_northing=6600000.0,
+            lon_min=-9.86,
+            lon_max=10.38,
+            lat_min=41.15,
+            lat_max=51.56,
         )
 
     @staticmethod
-    def local_tangent(origin_lon_deg: float, origin_lat_deg: float,
-                      half_span_deg: float = 3.0) -> "ProjectionSpec":
-        """Tangent-plane projection centred on (lon, lat)."""
+    def local_tangent(origin_lon: float, origin_lat: float,
+                      half_span: float = 3.0) -> "ProjectionSpec":
+        """Tangent-plane projection centred on (lon, lat), valid within
+        ``half_span`` degrees of it; true to scale on the origin's
+        parallel, which stands for both standard parallels."""
         return ProjectionSpec(
             kind="local-tangent",
-            origin_lon_deg=origin_lon_deg,
-            origin_lat_deg=origin_lat_deg,
-            lon_min_deg=origin_lon_deg - half_span_deg,
-            lon_max_deg=origin_lon_deg + half_span_deg,
-            lat_min_deg=origin_lat_deg - half_span_deg,
-            lat_max_deg=origin_lat_deg + half_span_deg,
+            origin_lon=origin_lon,
+            origin_lat=origin_lat,
+            std_parallel_1=origin_lat,
+            std_parallel_2=origin_lat,
+            lon_min=origin_lon - half_span,
+            lon_max=origin_lon + half_span,
+            lat_min=origin_lat - half_span,
+            lat_max=origin_lat + half_span,
         )
 
 
@@ -124,9 +130,9 @@ def _lcc_t(phi):
 
 
 def _lcc_constants(spec: ProjectionSpec):
-    phi1 = math.radians(spec.std_parallel_1_deg)
-    phi2 = math.radians(spec.std_parallel_2_deg)
-    phi0 = math.radians(spec.origin_lat_deg)
+    phi1 = math.radians(spec.std_parallel_1)
+    phi2 = math.radians(spec.std_parallel_2)
+    phi0 = math.radians(spec.origin_lat)
     m1, m2 = _lcc_m(phi1), _lcc_m(phi2)
     t0, t1, t2 = _lcc_t(phi0), _lcc_t(phi1), _lcc_t(phi2)
     if abs(phi1 - phi2) > 1e-12:
@@ -173,34 +179,34 @@ def project(lonlat, spec: ProjectionSpec, record_ids=None) -> np.ndarray:
     if lonlat.ndim != 2 or lonlat.shape[1] != 2:
         raise ValueError("coordinates must be (n, 2) lon/lat pairs")
     lon, lat = lonlat[:, 0], lonlat[:, 1]
-    bad = ((lon < spec.lon_min_deg) | (lon > spec.lon_max_deg)
-           | (lat < spec.lat_min_deg) | (lat > spec.lat_max_deg))
+    bad = ((lon < spec.lon_min) | (lon > spec.lon_max)
+           | (lat < spec.lat_min) | (lat > spec.lat_max))
     if np.any(bad):
         i = int(np.argmax(bad))
         rid = record_ids[i] if record_ids is not None else None
         raise ZoneError(
             f"coordinate ({lon[i]:.5f}, {lat[i]:.5f}) outside projection "
-            f"zone [{spec.lon_min_deg}, {spec.lon_max_deg}] x "
-            f"[{spec.lat_min_deg}, {spec.lat_max_deg}]"
+            f"zone [{spec.lon_min}, {spec.lon_max}] x "
+            f"[{spec.lat_min}, {spec.lat_max}]"
             + (f" (record {rid})" if rid is not None else f" (row {i})"),
             record_id=rid, index=i)
 
     lam = np.radians(lon)
     phi = np.radians(lat)
-    lam0 = math.radians(spec.origin_lon_deg)
+    lam0 = math.radians(spec.origin_lon)
 
     if spec.kind == "lambert-conformal-conic":
         n, big_f, rho0 = _lcc_constants(spec)
         t = _lcc_t(phi)
         rho = _A * big_f * t ** n
         theta = n * (lam - lam0)
-        x = spec.false_easting_m + rho * np.sin(theta)
-        y = spec.false_northing_m + rho0 - rho * np.cos(theta)
+        x = spec.false_easting + rho * np.sin(theta)
+        y = spec.false_northing + rho0 - rho * np.cos(theta)
     else:
-        phi0 = math.radians(spec.origin_lat_deg)
+        phi0 = math.radians(spec.origin_lat)
         mr, nu = _local_radii(phi0)
-        x = spec.false_easting_m + nu * math.cos(phi0) * (lam - lam0)
-        y = spec.false_northing_m + mr * (phi - phi0)
+        x = spec.false_easting + nu * math.cos(phi0) * (lam - lam0)
+        y = spec.false_northing + mr * (phi - phi0)
     return np.column_stack([x, y])
 
 

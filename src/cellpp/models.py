@@ -72,8 +72,10 @@ class BetaGinibre:
 
 ModelSpec = Poisson | CauchyDpp | GaussDpp | BetaGinibre
 
-_FAMILIES = {cls.name: cls for cls in (Poisson, CauchyDpp, GaussDpp,
-                                       BetaGinibre)}
+# The families in report order; every list of family names derives
+# from this tuple.
+FAMILIES = (Poisson, BetaGinibre, GaussDpp, CauchyDpp)
+_FAMILIES = {cls.name: cls for cls in FAMILIES}
 
 # Existence boundaries are admissible; the slack absorbs the rounding
 # of intensity*pi*scale^2 when the intensity was computed from the

@@ -5,7 +5,7 @@ accept a window, clip, screen for gross inhomogeneity, compute the
 empirical summary curves, fit each requested family by minimum
 contrast, test each fitted model with simulated envelopes, and pick
 the winner (lowest F-contrast among families whose four statistics all
-stay inside their bands).  Every random draw hangs off one master
+stay inside their global bands).  Every random draw hangs off one master
 seed, so a rerun with the same config and inputs is byte-identical;
 wall-clock metadata goes to a sidecar file, never into the report.
 """
@@ -54,7 +54,8 @@ from .geom import (
     window_from_dict,
     write_csv,
 )
-from .gof import MIN_REPLICATES, gof, replicate_curves, write_band_csv
+from .gof import (MIN_REPLICATES, RECOMMENDED_REPLICATES, gof,
+                  replicate_curves, write_band_csv)
 from .models import theoretical_curve
 from .rng import RngStreamSpec
 from .samplers import check_samplable
@@ -78,8 +79,9 @@ REFERENCE_RETENTION = {
     ("millevaches", "umts-900"): 0.83,
 }
 
-# Stream-id layout under the master seed.  Families use fixed offsets
-# (not list positions) so reordering the config cannot change results.
+# Stream-id layout under the master seed.  Families use fixed offsets,
+# not positions in the config or in ``models.FAMILIES``: a reorder of
+# either must not move a family's stream.
 _STREAM_TEST_POINTS = 1
 _STREAM_GOF = {"poisson": 1_000_000, "beta-ginibre": 2_000_000,
                "gauss-dpp": 3_000_000, "cauchy-dpp": 4_000_000}
@@ -109,14 +111,13 @@ def _require_known(d: dict, allowed, where: str) -> None:
                           f"allowed: {', '.join(sorted(allowed)) or 'none'}")
 
 
-# The keys besides "kind" that each projection kind reads.
+# The keys besides "kind" that each projection kind reads; a conic's
+# are the spec's own fields.
 _PROJECTION_KEYS = {
     "lambert-93": set(),
     "local-tangent": {"origin_lon", "origin_lat", "half_span"},
-    "lambert-conformal-conic": {"origin_lon", "origin_lat",
-                                "std_parallel_1", "std_parallel_2",
-                                "false_easting", "false_northing",
-                                "lon_min", "lon_max", "lat_min", "lat_max"},
+    "lambert-conformal-conic": {f.name for f in fields(ProjectionSpec)}
+                               - {"kind"},
 }
 
 
@@ -132,30 +133,16 @@ def projection_from_dict(d: dict | None, origin=None) -> ProjectionSpec:
         raise ConfigError(f"unknown projection kind {kind!r}")
     _require_known(d, {"kind"} | _PROJECTION_KEYS[kind],
                    f"{kind} projection")
+    numbers = {k: v for k, v in d.items() if k != "kind"}
     try:
         if kind == "lambert-93":
             return ProjectionSpec.lambert_93()
         if kind == "local-tangent":
             if origin is not None:
-                d = {"origin_lon": origin[0], "origin_lat": origin[1], **d}
-            return ProjectionSpec.local_tangent(
-                float(d["origin_lon"]), float(d["origin_lat"]),
-                half_span_deg=float(d.get("half_span", 3.0)))
-        if kind == "lambert-conformal-conic":
-            return ProjectionSpec(
-                kind=kind,
-                origin_lon_deg=float(d["origin_lon"]),
-                origin_lat_deg=float(d["origin_lat"]),
-                std_parallel_1_deg=float(d["std_parallel_1"]),
-                std_parallel_2_deg=float(d["std_parallel_2"]),
-                false_easting_m=float(d.get("false_easting", 0.0)),
-                false_northing_m=float(d.get("false_northing", 0.0)),
-                lon_min_deg=float(d.get("lon_min", -180.0)),
-                lon_max_deg=float(d.get("lon_max", 180.0)),
-                lat_min_deg=float(d.get("lat_min", -89.0)),
-                lat_max_deg=float(d.get("lat_max", 89.0)))
-    except KeyError as exc:
-        raise ConfigError(f"{kind} projection config missing {exc}") from exc
+                numbers = {"origin_lon": origin[0], "origin_lat": origin[1],
+                           **numbers}
+            return ProjectionSpec.local_tangent(**numbers)
+        return ProjectionSpec(kind=kind, **numbers)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {kind} projection config {d!r}: "
                           f"{exc}") from exc
@@ -216,17 +203,13 @@ class PipelineConfig:
         _require_known(self.filters, () if self.planar
                        else {"operator", "technology"},
                        "planar filters" if self.planar else "filters")
-        _require_known(self.envelope, {"replicates", "mode"}, "envelope")
-        mode = self.envelope.get("mode", "both")
-        if mode not in ("pointwise", "global", "both"):
-            raise ConfigError("envelope mode must be pointwise, global "
-                              "or both")
-        replicates = _require_int(self.envelope.get("replicates", 39),
+        _require_known(self.envelope, {"replicates"}, "envelope")
+        replicates = _require_int(self.envelope.get("replicates",
+                                                    RECOMMENDED_REPLICATES),
                                   "envelope replicates", MIN_REPLICATES)
-        self.envelope = {"replicates": replicates, "mode": mode}
-        _require_known(self.contrast,
-                       {"statistic", "p", "q", "r_min", "r_max",
-                        "step_weighted"}, "contrast")
+        self.envelope = {"replicates": replicates}
+        _require_known(self.contrast, {f.name for f in fields(ContrastSpec)},
+                       "contrast")
         try:
             # not a field: the report echoes the config as given
             self.cspec = ContrastSpec(**self.contrast)
@@ -483,14 +466,13 @@ def fit_family(config: PipelineConfig, pattern: PointPattern, family: str,
 
 
 def envelope_test(config: PipelineConfig, pattern: PointPattern, model,
-                  curves: dict, *, model_curves=None, kinds=CURVE_KINDS,
+                  curves: dict, *, modes=("pointwise", "global"),
+                  model_curves=None, kinds=CURVE_KINDS,
                   r_max: float | None = None) -> dict:
     """Stage 7, one model: ``gof.gof`` of the data ``curves`` against
     replicates drawn on the family's stream, with the data's F
-    test-point count; global bands centre on ``model_curves``, computed
-    here when not given."""
-    mode = config.envelope["mode"]
-    modes = ("pointwise", "global") if mode == "both" else (mode,)
+    test-point count, in each envelope mode of ``modes``; global bands
+    centre on ``model_curves``, computed here when not given."""
     grid = curves[kinds[0]].grid
     with _stage(f"gof:{model.name}"):
         reps = replicate_curves(
@@ -518,9 +500,6 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
     curves = data_curves(config, pattern)
     grid = curves["F"].grid
 
-    # The global band, the whole-curve test with exact size, is the gate
-    # unless only pointwise (per-radius diagnostic) bands are drawn.
-    gate = "pointwise" if config.envelope["mode"] == "pointwise" else "global"
     # Verdicts cover the fitted range only: beyond it the model was
     # never asked to match and the border-corrected curves get noisy.
     verdict_r_max = config.cspec.resolved(grid, pattern.window).r_max
@@ -531,17 +510,19 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
         tests = envelope_test(config, pattern, res.model, curves,
                               model_curves=res.model_curves,
                               r_max=verdict_r_max)
-        verdicts = {}
+        verdicts = {"pointwise": {}, "global": {}}
         for (m, kind), (band, v) in tests.items():
             all_bands[(family, kind, m)] = band
-            verdicts.setdefault(m, {})[kind] = v.to_dict()
+            verdicts[m][kind] = v.to_dict()
+        # The global band, the whole-curve test with exact size, is the
+        # gate; a pointwise band over-rejects across radii (GofVerdict),
+        # so it is a per-radius diagnostic only.
         families[family] = {
             "fit": res.to_dict(),
-            "gate": gate,
-            "verdicts": verdicts[gate],
-            "diagnostic_verdicts": {m: verdicts[m] for m in verdicts
-                                    if m != gate},
-            "all_pass": all(v["passed"] for v in verdicts[gate].values()),
+            "gate": "global",
+            "verdicts": verdicts["global"],
+            "diagnostic_verdicts": {"pointwise": verdicts["pointwise"]},
+            "all_pass": all(v["passed"] for v in verdicts["global"].values()),
         }
 
     with _stage("report"):
@@ -563,7 +544,7 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
             "window": pattern.window.to_dict(),
             "grid_points": int(grid.size),
             "grid_r_max": float(grid.r[-1]),
-            "test_points": curves["F"].meta["n_test"],
+            "test_points": default_test_point_count(pattern.n),
         }
         # the input's file name only, so that the same data read from
         # another directory gives the same report bytes

@@ -173,9 +173,9 @@ def unproject(points, spec: ProjectionSpec) -> np.ndarray:
     """Inverse of ``geom.project``; returns (n, 2) lon/lat degrees, the
     round-trip oracle of the projections."""
     xy = np.atleast_2d(np.asarray(points, dtype=float))
-    x = xy[:, 0] - spec.false_easting_m
-    y = xy[:, 1] - spec.false_northing_m
-    lam0 = math.radians(spec.origin_lon_deg)
+    x = xy[:, 0] - spec.false_easting
+    y = xy[:, 1] - spec.false_northing
+    lam0 = math.radians(spec.origin_lon)
 
     if spec.kind == "lambert-conformal-conic":
         n, big_f, rho0 = _lcc_constants(spec)
@@ -194,7 +194,7 @@ def unproject(points, spec: ProjectionSpec) -> np.ndarray:
                 break
             phi = phi_new
     else:
-        phi0 = math.radians(spec.origin_lat_deg)
+        phi0 = math.radians(spec.origin_lat)
         mr, nu = _local_radii(phi0)
         lam = lam0 + x / (nu * math.cos(phi0))
         phi = phi0 + y / mr

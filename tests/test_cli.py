@@ -615,6 +615,42 @@ def test_loading_errors_name_their_stage(pp_csv, tmp_path, capsys, command,
     assert message in capsys.readouterr().err
 
 
+# The defaults the stage commands' flags used to state themselves.
+PATTERN_DEFAULTS = ["--x-column", "x", "--y-column", "y", "--min-points",
+                    "80", "--duplicates", "reject", "--seed", "0"]
+OLD_DEFAULTS = {
+    "ingest": ["--id-column", "id", "--lon-column", "lon", "--lat-column",
+               "lat", "--projection", "lambert-93"],
+    "stats": [*PATTERN_DEFAULTS, "--grid-points", "512"],
+    "fit": [*PATTERN_DEFAULTS, "--statistic", "F", "--exponent-p", "1.0",
+            "--exponent-q", "2.0", "--r-min", "0.0"],
+    "gof": [*PATTERN_DEFAULTS, "--replicates", "39", "--grid-points", "512"],
+}
+
+
+@pytest.mark.parametrize("command", OLD_DEFAULTS)
+def test_left_out_flags_keep_the_config_defaults(pp_csv, registry_csv,
+                                                 tmp_path, capsys, command):
+    # a flag left out passes nothing, so the config's default applies;
+    # it gives the bytes of the old flag defaults spelled out
+    required = {"ingest": ["--input", registry_csv],
+                "stats": ["--input", pp_csv[0]],
+                "fit": ["--input", pp_csv[0], "--family", "poisson"],
+                "gof": ["--input", pp_csv[0], "--family", "poisson",
+                        "--intensity", "1.5e-4"]}[command]
+    runs = []
+    for flags in ([], OLD_DEFAULTS[command]):
+        out = tmp_path / f"out{len(runs)}.csv"
+        argv = [command, *required, *flags]
+        if command in ("ingest", "stats"):
+            argv += ["--output", str(out)]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        runs.append((printed, out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0]
+
+
 class TestStagesMatchThePipeline:
     """``stats``, ``fit`` and ``gof`` at seed s reproduce the numbers of
     a one-family ``pipeline --seed s`` run on the same window."""
@@ -1018,6 +1054,7 @@ BAD_CONFIGS = {
                              '"origin_lon": NaN, "origin_lat": 50.5}}',
     "projection-half-span-nan": '{"projection": {"kind": "local-tangent", '
                                 '"half_span": NaN}}',
+    "envelope-mode": '{"envelope": {"mode": "pointwise"}}',
     "projection-parallel-inf": '{"projection": {"kind": '
                                '"lambert-conformal-conic", "origin_lon": 3, '
                                '"origin_lat": 46.5, "std_parallel_1": '
@@ -1103,16 +1140,45 @@ def test_json_output_is_strict(pp_csv, registry_csv, tmp_path, capsys, argv,
             _strict_json(doc)
 
 
+def _child_env(**variables) -> dict:
+    """The environment plus ``variables``, with the imported cellpp's
+    source directory first on PYTHONPATH."""
+    src = str(Path(cellpp.__file__).resolve().parents[1])
+    env = {**os.environ, **variables}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # every command pays the import; scipy.stats, scipy.integrate and
     # scipy.optimize are loaded only by the code paths that call them
-    src = str(Path(cellpp.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, cellpp.cli; print(sorted(m for m in "
             "('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(pp_csv, tmp_path):
+    # only the sampler pins BLAS to one thread; the Fredholm model
+    # curves of the Gauss fit run at the default count, so one run at 1
+    # and one at 2 threads must write the same bytes
+    config = json.dumps({"families": ["poisson", "gauss-dpp"],
+                         "contrast": {"statistic": "K"}, "grid_points": 64,
+                         "envelope": {"replicates": 19}})
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "cellpp.cli", "pipeline", "--config",
+             config, "--input", pp_csv[0], "--planar", "--out", str(out)],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads),
+            capture_output=True, check=True, timeout=300)
+        outputs.append({str(p.relative_to(out)): p.read_bytes()
+                        for p in sorted(out.rglob("*"))
+                        if p.is_file() and p.name != "run_meta.json"})
+    assert "curves/model_gauss-dpp.csv" in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -129,7 +129,7 @@ class TestLocalTangent:
         assert abs(xy[1, 1] - 6367381.816 * math.radians(0.01)) < 0.01
 
     def test_round_trip_exact(self, rng):
-        spec = ProjectionSpec.local_tangent(5.5, 50.6, half_span_deg=2.0)
+        spec = ProjectionSpec.local_tangent(5.5, 50.6, half_span=2.0)
         coords = np.column_stack([rng.uniform(4.0, 7.0, 50),
                                   rng.uniform(49.0, 52.0, 50)])
         back = unproject(project(coords, spec), spec)

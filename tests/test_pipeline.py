@@ -76,18 +76,23 @@ class TestConfig:
             PipelineConfig(planar=True, filters={"technology": "LTE-800"})
 
     def test_envelope_defaults_and_gate(self):
-        # the gate follows from the mode, so the config holds no gate
-        cfg = PipelineConfig()
-        assert cfg.envelope == {"replicates": 39, "mode": "both"}
-        cfg = PipelineConfig(envelope={"mode": "pointwise"})
-        assert cfg.envelope == {"replicates": 39, "mode": "pointwise"}
+        # every run draws both bands and gates on the global one, so the
+        # envelope holds the replicate count alone
+        assert PipelineConfig().envelope == {"replicates": 39}
+        cfg = PipelineConfig(envelope={"replicates": 19})
+        assert cfg.envelope == {"replicates": 19}
 
     def test_gate_mode_conflict(self):
-        # an old config's gate key is an unknown envelope key
-        for gate, mode in (("global", "pointwise"), ("pointwise", "global"),
-                           ("global", "both")):
-            with pytest.raises(ConfigError, match="unknown envelope key"):
-                PipelineConfig(envelope={"mode": mode, "gate": gate})
+        # an old config's mode or gate key is an unknown envelope key,
+        # named in the message
+        for envelope, named in (({"mode": "pointwise"}, "mode"),
+                                ({"mode": "both"}, "mode"),
+                                ({"gate": "global"}, "gate"),
+                                ({"mode": "global", "gate": "pointwise"},
+                                 "gate, mode")):
+            with pytest.raises(ConfigError, match=r"unknown envelope "
+                                                  rf"key\(s\): {named};"):
+                PipelineConfig(envelope=envelope)
 
     def test_bad_scalars(self):
         with pytest.raises(ConfigError):
@@ -131,7 +136,7 @@ class TestProjectionConfig:
     def test_default_is_lambert_93(self):
         spec = projection_from_dict(None)
         assert spec.kind == "lambert-conformal-conic"
-        assert spec.false_easting_m == 700000.0
+        assert spec.false_easting == 700000.0
 
     def test_local_tangent_requires_origin(self):
         with pytest.raises(ConfigError):
@@ -139,7 +144,7 @@ class TestProjectionConfig:
         spec = projection_from_dict({"kind": "local-tangent",
                                      "origin_lon": 5.57,
                                      "origin_lat": 50.63})
-        assert spec.origin_lat_deg == 50.63
+        assert spec.origin_lat == 50.63
 
     def test_unknown_kind_and_keys(self):
         with pytest.raises(ConfigError):

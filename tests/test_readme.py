@@ -50,3 +50,23 @@ def test_readme_command_lines_parse():
     assert len(commands) == 7
     for argv in commands:
         _build_parser().parse_args(argv[1:])
+
+
+def test_readme_pipeline_config_names_every_key():
+    # the Pipeline config section names every config key, contrast
+    # field, projection kind and projection key, and no snake_case name
+    # besides them, so a new key cannot go undocumented and a deleted
+    # one cannot stay documented
+    from dataclasses import fields
+
+    from cellpp.fitting import ContrastSpec
+    from cellpp.pipeline import _PROJECTION_KEYS, PipelineConfig
+
+    section = README.read_text().split("\n## Pipeline config\n")[1]
+    section = section.split("\n## ")[0]
+    names = ({f.name for f in fields(PipelineConfig)}
+             | {f.name for f in fields(ContrastSpec)}
+             | set(_PROJECTION_KEYS) | set().union(*_PROJECTION_KEYS.values()))
+    assert sorted(n for n in names if f"`{n}`" not in section) == []
+    snake = set(re.findall(r"`([a-z]\w*_\w+)`", section))
+    assert sorted(snake - names) == []
