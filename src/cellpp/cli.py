@@ -8,6 +8,7 @@ success, 2 configuration problem, 3 data problem, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from .errors import CellppError, ConfigError, DataError, NumericalError
 from .estimators import CURVE_KINDS, write_curves_csv
 from .fitting import FAMILY_NAMES
 from .geom import Disk, Rectangle
-from .gof import write_band_csv
+from .gof import write_bands
 from .models import model_from_dict, model_to_dict
 from .pipeline import (
     PipelineConfig,
@@ -200,17 +201,11 @@ def _cmd_gof(args) -> int:
     config, pattern, curves = _load_data(
         args, kinds, grid_points=args.grid_points,
         envelope=_given(replicates=args.replicates))
-    tests = envelope_test(config, pattern, spec, curves, modes=(args.mode,),
-                          kinds=kinds, r_max=args.r_max)
-    out = {}
-    for (_, kind), (band, v) in tests.items():
-        out[kind] = {**v.to_dict(), "significance": band.significance}
-        if args.bands_dir is not None:
-            band_dir = Path(args.bands_dir)
-            band_dir.mkdir(parents=True, exist_ok=True)
-            write_band_csv(band_dir / f"{spec.name}_{kind}_{args.mode}.csv",
-                           band)
-    print(json_text({"model": model_to_dict(spec), "verdicts": out}))
+    record, bands = envelope_test(config, pattern, spec, curves,
+                                  kinds=kinds, r_max=args.r_max)
+    if args.bands_dir is not None:
+        write_bands(args.bands_dir, spec.name, bands)
+    print(json_text({"model": model_to_dict(spec), **record}))
     return 0
 
 
@@ -254,10 +249,13 @@ def _cmd_pipeline(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellpp",
-        description="Point-process analysis of antenna deployments")
+        description="Point-process analysis of antenna deployments",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviations, so a dropped flag (--mode) cannot read as --model
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("ingest", help="registry CSV -> planar points CSV")
+    p = command("ingest", help="registry CSV -> planar points CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--id-column")
@@ -273,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rejects", default=None, help="rejects JSONL path")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("simulate", help="sample a model into a points CSV")
+    p = command("simulate", help="sample a model into a points CSV")
     _add_model_args(p)
     p.add_argument("--window", required=True, help="'x0,x1,y0,y1' or "
                                                    "'disk:cx,cy,r'")
@@ -281,14 +279,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("stats", help="empirical summary curves of a CSV")
+    p = command("stats", help="empirical summary curves of a CSV")
     _add_pattern_args(p)
     p.add_argument("--grid-points", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True, help="curves CSV path")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("fit", help="minimum-contrast fit of one family")
+    p = command("fit", help="minimum-contrast fit of one family")
     _add_pattern_args(p)
     p.add_argument("--family", choices=FAMILY_NAMES, required=True)
     _add_contrast_args(p)
@@ -296,27 +294,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="also write JSON here")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("gof", help="envelope test of a model on a CSV")
+    p = command("gof", help="envelope test of a model on a CSV")
     _add_pattern_args(p)
     _add_model_args(p)
     p.add_argument("--statistics", default="K,F,G,J",
                    help="comma-separated subset of K,F,G,J")
-    p.add_argument("--mode", choices=("pointwise", "global"),
-                   default="pointwise")
     p.add_argument("--replicates", type=int)
     p.add_argument("--grid-points", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--r-max", type=float,
-                   help="test radii up to this only")
-    p.add_argument("--bands-dir", default=None)
+                   help="test radii up to this only (default: fit range)")
+    p.add_argument("--bands-dir", help="write both bands here")
     p.set_defaults(func=_cmd_gof)
 
-    p = sub.add_parser("report", help="compare fitted retentions against "
-                                      "published reference values")
+    p = command("report", help="compare fitted retentions against "
+                               "published reference values")
     p.add_argument("reports", nargs="*", help="report.json paths")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("pipeline", help="run every stage from a config")
+    p = command("pipeline", help="run every stage from a config")
     p.add_argument("--config", default=None, help="JSON config (inline "
                                                   "or @file)")
     p.add_argument("--input", default=None)

@@ -343,7 +343,8 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
     SchemaError
         If a mandatory column is missing.
     EmptyInputError
-        If the file holds no data rows.
+        If every row after the header is blank.  A file whose rows the
+        filters all drop returns no ids instead.
     DataError
         If the file is not UTF-8 text.
     """
@@ -361,6 +362,7 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
         width = 1 + max(i for i, _ in named)
 
         ids, lonlat, rejects = [], [], []
+        filtered = False
         for fields in table.reader:
             try:
                 lon = _parse_float(fields[lon_i])
@@ -380,14 +382,16 @@ def ingest(path, *, id_column: str = "id", lon_column: str = "lon",
                 continue
             tech = fields[tech_i].strip() if tech_i is not None else ""
             if technology is not None and tech != technology:
+                filtered = True
                 continue
             op = fields[op_i].strip() if op_i is not None else ""
             if operator is not None and op != operator:
+                filtered = True
                 continue
             ids.append(fields[id_i])
             lonlat.append((lon, lat))
 
-    if not ids and not rejects:
+    if not (ids or rejects or filtered):
         raise EmptyInputError(f"{path}: no data rows")
     return ids, np.asarray(lonlat, dtype=float).reshape(-1, 2), rejects
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -221,33 +222,35 @@ def verdict(band: EnvelopeBand, empirical: SummaryCurve,
     inside[defined] = ((values[defined] >= band.lower[defined])
                        & (values[defined] <= band.upper[defined]))
     exits = defined & ~inside
-    if exits.any():
-        first_exit = float(band.grid.r[int(np.argmax(exits))])
-        frac = float(exits.sum() / n_defined)
-        return GofVerdict(kind=band.kind, passed=False,
-                          first_exit_radius=first_exit,
-                          exceedance_fraction=frac, n_defined=n_defined,
-                          r_max=r_max)
-    return GofVerdict(kind=band.kind, passed=True, first_exit_radius=None,
-                      exceedance_fraction=0.0, n_defined=n_defined,
-                      r_max=r_max)
+    passed = not exits.any()
+    return GofVerdict(
+        kind=band.kind, passed=passed,
+        first_exit_radius=(None if passed
+                           else float(band.grid.r[int(np.argmax(exits))])),
+        exceedance_fraction=float(exits.sum() / n_defined),
+        n_defined=n_defined, r_max=r_max)
 
 
-def gof(replicates: dict, curves: dict, modes, model_curves=None,
-        r_max: float | None = None) -> dict:
-    """(mode, kind) -> (band, verdict) for each kind of ``replicates``
-    (from ``replicate_curves``) under each envelope mode; ``curves`` and
-    ``model_curves`` map kinds to the data and model curves."""
-    tests = {}
+def gof(replicates: dict, curves: dict, model_curves: dict,
+        r_max: float | None = None):
+    """``(record, bands)``: both bands of each kind of ``replicates``
+    (from ``replicate_curves``), by (kind, mode), global ones centred on
+    ``model_curves``, and ``record``, a family's ``report.json`` entry
+    less its fit, with the verdicts of the data ``curves`` up to
+    ``r_max``.  The global band, the whole-curve test with exact size,
+    is the gate; a pointwise band over-rejects across radii
+    (``GofVerdict``), so its verdicts are a per-radius diagnostic."""
+    bands, verdicts = {}, {"pointwise": {}, "global": {}}
     for kind, values in replicates.items():
-        for mode in modes:
-            if mode == "global":
-                band = global_envelope(values, model_curves[kind])
-            else:
-                band = pointwise_envelope(values, curves[kind].grid, kind)
-            tests[(mode, kind)] = (band, verdict(band, curves[kind],
-                                                 r_max=r_max))
-    return tests
+        bands[(kind, "pointwise")] = pointwise_envelope(
+            values, curves[kind].grid, kind)
+        bands[(kind, "global")] = global_envelope(values, model_curves[kind])
+    for (kind, mode), band in bands.items():
+        verdicts[mode][kind] = verdict(band, curves[kind], r_max).to_dict()
+    gate = verdicts["global"]
+    return {"gate": "global", "verdicts": gate,
+            "diagnostic_verdicts": {"pointwise": verdicts["pointwise"]},
+            "all_pass": all(v["passed"] for v in gate.values())}, bands
 
 
 def write_band_csv(path, band: EnvelopeBand) -> None:
@@ -259,3 +262,11 @@ def write_band_csv(path, band: EnvelopeBand) -> None:
         header.append("theoretical")
         columns.append(band.reference)
     write_csv(path, header, [columns])
+
+
+def write_bands(directory, name: str, bands: dict) -> None:
+    """``bands`` (from ``gof``) of the model ``name`` as
+    ``<name>_<kind>_<mode>.csv`` files in ``directory``, made if missing."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for (kind, mode), band in bands.items():
+        write_band_csv(Path(directory, f"{name}_{kind}_{mode}.csv"), band)

@@ -55,7 +55,7 @@ from .geom import (
     write_csv,
 )
 from .gof import (MIN_REPLICATES, RECOMMENDED_REPLICATES, gof,
-                  replicate_curves, write_band_csv)
+                  replicate_curves, write_bands)
 from .models import theoretical_curve
 from .rng import RngStreamSpec
 from .samplers import check_samplable
@@ -188,10 +188,12 @@ class PipelineConfig:
                 raise ConfigError(f"{name} has the wrong type: "
                                   f"{getattr(self, name)!r}")
         self.families = tuple(self.families)
-        for name in self.families:
+        for i, name in enumerate(self.families):
             if name not in FAMILY_NAMES:
                 raise ConfigError(f"unknown family {name!r}; "
                                   f"choose from {FAMILY_NAMES}")
+            if name in self.families[:i]:
+                raise ConfigError(f"family {name!r} is listed twice")
         if not self.families:
             raise ConfigError("at least one family is required")
         if self.duplicates not in ("reject", "jitter"):
@@ -466,24 +468,27 @@ def fit_family(config: PipelineConfig, pattern: PointPattern, family: str,
 
 
 def envelope_test(config: PipelineConfig, pattern: PointPattern, model,
-                  curves: dict, *, modes=("pointwise", "global"),
-                  model_curves=None, kinds=CURVE_KINDS,
-                  r_max: float | None = None) -> dict:
-    """Stage 7, one model: ``gof.gof`` of the data ``curves`` against
-    replicates drawn on the family's stream, with the data's F
-    test-point count, in each envelope mode of ``modes``; global bands
-    centre on ``model_curves``, computed here when not given."""
+                  curves: dict, *, model_curves=None, kinds=CURVE_KINDS,
+                  r_max: float | None = None):
+    """Stage 7, one model: ``gof.gof``'s ``(record, bands)`` for the
+    data ``curves`` and replicates drawn on the family's stream, with
+    the data's F test-point count; ``model_curves`` are computed when
+    not given.  ``r_max`` defaults to the fit range: beyond it the
+    model was never asked to match and the border-corrected curves get
+    noisy."""
     grid = curves[kinds[0]].grid
     with _stage(f"gof:{model.name}"):
+        if r_max is None:
+            r_max = config.cspec.resolved(grid, pattern.window).r_max
         reps = replicate_curves(
             model, pattern.window, config.envelope["replicates"], grid,
             stream=RngStreamSpec(config.master_seed).substream(
                 _STREAM_GOF[model.name]),
             n_test=default_test_point_count(pattern.n), kinds=kinds)
-        if model_curves is None and "global" in modes:
+        if model_curves is None:
             model_curves = {kind: theoretical_curve(kind, model, grid)
                             for kind in reps}
-        return gof(reps, curves, modes, model_curves, r_max=r_max)
+        return gof(reps, curves, model_curves, r_max=r_max)
 
 
 def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
@@ -500,30 +505,13 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
     curves = data_curves(config, pattern)
     grid = curves["F"].grid
 
-    # Verdicts cover the fitted range only: beyond it the model was
-    # never asked to match and the border-corrected curves get noisy.
-    verdict_r_max = config.cspec.resolved(grid, pattern.window).r_max
-    families, fit_results, all_bands = {}, {}, {}
+    families, fit_results, bands = {}, {}, {}
     for family in config.families:
         res = fit_results[family] = fit_family(config, pattern, family,
                                                curves)
-        tests = envelope_test(config, pattern, res.model, curves,
-                              model_curves=res.model_curves,
-                              r_max=verdict_r_max)
-        verdicts = {"pointwise": {}, "global": {}}
-        for (m, kind), (band, v) in tests.items():
-            all_bands[(family, kind, m)] = band
-            verdicts[m][kind] = v.to_dict()
-        # The global band, the whole-curve test with exact size, is the
-        # gate; a pointwise band over-rejects across radii (GofVerdict),
-        # so it is a per-radius diagnostic only.
-        families[family] = {
-            "fit": res.to_dict(),
-            "gate": "global",
-            "verdicts": verdicts["global"],
-            "diagnostic_verdicts": {"pointwise": verdicts["pointwise"]},
-            "all_pass": all(v["passed"] for v in verdicts["global"].values()),
-        }
+        record, bands[family] = envelope_test(
+            config, pattern, res.model, curves, model_curves=res.model_curves)
+        families[family] = {"fit": res.to_dict(), **record}
 
     with _stage("report"):
         candidates = [
@@ -555,7 +543,7 @@ def analyze_pattern(config: PipelineConfig, pattern: PointPattern,
                         stationarity=stationarity, families=families,
                         winner=winner, near_poisson=near_poisson,
                         curves=curves, fit_results=fit_results,
-                        bands=all_bands)
+                        bands=bands)
     return report
 
 
@@ -564,7 +552,6 @@ def write_outputs(report: Report, out_dir, rejects=None) -> None:
     and the wall-clock sidecar."""
     out = Path(out_dir)
     (out / "curves").mkdir(parents=True, exist_ok=True)
-    (out / "bands").mkdir(parents=True, exist_ok=True)
 
     (out / "report.json").write_text(report.to_json())
 
@@ -575,8 +562,8 @@ def write_outputs(report: Report, out_dir, rejects=None) -> None:
         if res.model_curves:
             write_curves_csv(out / "curves" / f"model_{name}.csv",
                              [res.model_curves[k] for k in CURVE_KINDS])
-    for (name, kind, mode), band in (report.bands or {}).items():
-        write_band_csv(out / "bands" / f"{name}_{kind}_{mode}.csv", band)
+    for name, bands in (report.bands or {}).items():
+        write_bands(out / "bands", name, bands)
 
     write_rejects_jsonl(out / "rejects.jsonl", rejects or [])
 

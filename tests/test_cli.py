@@ -366,35 +366,64 @@ class TestGof:
         rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
                    "--family", "poisson",
                    "--intensity", repr(pat.n / AREA),
-                   "--statistics", "K,F", "--mode", "global",
+                   "--statistics", "K,F",
                    "--replicates", "39", "--grid-points", "64",
                    "--seed", "1", "--bands-dir", str(bands)])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert out["model"]["model"] == "poisson"
+        assert out["gate"] == "global"
         assert set(out["verdicts"]) == {"K", "F"}
+        assert set(out["diagnostic_verdicts"]) == {"pointwise"}
+        assert set(out["diagnostic_verdicts"]["pointwise"]) == {"K", "F"}
         for kind in ("K", "F"):
-            v = out["verdicts"][kind]
-            assert v["significance"] == pytest.approx(1.0 / 40.0)
-            assert isinstance(v["passed"], bool)
-        # correct model at the frozen seed stays inside both bands
+            assert isinstance(out["verdicts"][kind]["passed"], bool)
+        # correct model at the frozen seed stays inside the global bands
         assert out["verdicts"]["K"]["passed"]
         assert out["verdicts"]["F"]["passed"]
-        assert (bands / "poisson_K_global.csv").stat().st_size > 0
-        assert (bands / "poisson_F_global.csv").stat().st_size > 0
+        assert out["all_pass"] is True
+        # both bands of each statistic are written
+        assert sorted(f.name for f in bands.iterdir()) == [
+            f"poisson_{kind}_{mode}.csv" for kind in ("F", "K")
+            for mode in ("global", "pointwise")]
 
     def test_pointwise_single_statistic(self, pp_csv, capsys):
         path, pat = pp_csv
         rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
                    "--family", "poisson",
                    "--intensity", repr(pat.n / AREA),
-                   "--statistics", "J", "--mode", "pointwise",
+                   "--statistics", "J",
                    "--replicates", "39", "--grid-points", "64",
                    "--seed", "1"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert list(out["verdicts"]) == ["J"]
-        assert out["verdicts"]["J"]["significance"] == pytest.approx(0.05)
+        assert list(out["diagnostic_verdicts"]["pointwise"]) == ["J"]
+
+    def test_verdicts_cover_the_fit_range_unless_r_max_is_inf(self, pp_csv,
+                                                              capsys):
+        path, pat = pp_csv
+        window = Rectangle(0.0, 1000.0, 0.0, 1000.0)
+        grid = estimators.RadiusGrid.default(window, 64,
+                                             intensity=pat.n / AREA)
+        fit_range = fitting.ContrastSpec().resolved(grid, window).r_max
+        assert fit_range < grid.r[-1]
+        printed = []
+        for flags in ([], ["--r-max", "inf"]):
+            assert main(["gof", "--input", path, "--window", WINDOW_FLAG,
+                         "--family", "poisson",
+                         "--intensity", repr(pat.n / AREA),
+                         "--statistics", "K", "--replicates", "19",
+                         "--grid-points", "64", "--seed", "1"] + flags) == 0
+            printed.append(json.loads(capsys.readouterr().out))
+        for out, r_max in zip(printed, (fit_range, None)):
+            for v in (out["verdicts"]["K"],
+                      out["diagnostic_verdicts"]["pointwise"]["K"]):
+                assert v["r_max"] == r_max
+        # K is defined at every radius, so n_defined counts the radii
+        assert printed[0]["verdicts"]["K"]["n_defined"] == int(
+            np.sum(grid.r <= fit_range))
+        assert printed[1]["verdicts"]["K"]["n_defined"] == grid.size
 
     def test_replicates_use_the_data_test_point_count(self, tmp_path,
                                                       monkeypatch, capsys):
@@ -466,6 +495,18 @@ class TestGof:
 
 
 class TestIngest:
+
+    def test_registry_the_filters_empty_says_so(self, tmp_path, capsys):
+        path = tmp_path / "lte.csv"
+        path.write_text("id,lon,lat,technology\n"
+                        "a,5.57,50.63,LTE\nb,5.58,50.64,LTE\n")
+        rc = main(["ingest", "--input", str(path), "--output",
+                   str(tmp_path / "p.csv"), "--technology-column",
+                   "technology", "--technology", "GSM"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error [ingest]: {path}: no records left after "
+            f"filtering\n")
 
     def test_local_tangent_roundtrip(self, registry_csv, tmp_path, capsys):
         out = tmp_path / "points.csv"
@@ -696,18 +737,34 @@ class TestStagesMatchThePipeline:
         printed = json.loads(capsys.readouterr().out)
         assert printed == report["families"][self.FAMILY]["fit"]
 
-    @pytest.mark.parametrize("mode", ["pointwise", "global"])
-    def test_gof_writes_the_pipeline_bands(self, pp_csv, run, tmp_path,
-                                           capsys, mode):
-        out, report = run
+    def gof(self, pp_csv, run, tmp_path, capsys, *flags):
+        """What ``gof`` of the run's fitted model at the run's seed
+        prints."""
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(report["families"][self.FAMILY]["fit"]))
+        model.write_text(json.dumps(run[1]["families"][self.FAMILY]["fit"]))
+        capsys.readouterr()
+        assert main(self.stage(pp_csv, ["gof", "--model", f"@{model}",
+                                        "--replicates", "19", *flags])) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_gof_prints_the_report_entry(self, pp_csv, run, tmp_path,
+                                         capsys):
+        entry = dict(run[1]["families"][self.FAMILY])
+        fit = entry.pop("fit")
+        printed = self.gof(pp_csv, run, tmp_path, capsys)
+        assert printed.pop("model") == {"model": fit["model"],
+                                        "params": fit["params"]}
+        assert printed == entry
+
+    def test_gof_writes_the_pipeline_bands(self, pp_csv, run, tmp_path,
+                                           capsys):
+        out, _ = run
         bands = tmp_path / "bands"
-        assert main(self.stage(pp_csv, [
-            "gof", "--model", f"@{model}", "--replicates", "19",
-            "--mode", mode, "--bands-dir", str(bands)])) == 0
-        for kind in ("K", "F", "G", "J"):
-            name = f"{self.FAMILY}_{kind}_{mode}.csv"
+        self.gof(pp_csv, run, tmp_path, capsys, "--bands-dir", str(bands))
+        names = sorted(f.name for f in bands.iterdir())
+        assert len(names) == 8
+        assert names == sorted(f.name for f in (out / "bands").iterdir())
+        for name in names:
             assert ((bands / name).read_bytes()
                     == (out / "bands" / name).read_bytes()), name
 
@@ -1055,6 +1112,8 @@ BAD_CONFIGS = {
     "projection-half-span-nan": '{"projection": {"kind": "local-tangent", '
                                 '"half_span": NaN}}',
     "envelope-mode": '{"envelope": {"mode": "pointwise"}}',
+    "families-repeated": '{"families": ["poisson", "poisson", '
+                         '"beta-ginibre"]}',
     "projection-parallel-inf": '{"projection": {"kind": '
                                '"lambert-conformal-conic", "origin_lon": 3, '
                                '"origin_lat": 46.5, "std_parallel_1": '
@@ -1071,6 +1130,25 @@ def test_bad_pipeline_configs_exit_2(pp_csv, registry_csv, capsys, config):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert "unknown family" not in err
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["gof", "--input", "{input}", "--family", "poisson", "--intensity",
+      "1.5e-4", "--mode", "global"], "--mode global"),
+    (["stats", "--input", "{input}", "--output", "{out}", "--out", "x"],
+     "--out x"),
+], ids=["gof-mode", "stats-out"])
+def test_flag_abbreviations_are_refused(pp_csv, tmp_path, capsys, argv,
+                                        unknown):
+    # a prefix of a flag is an unknown flag, not that flag: a stale
+    # --mode does not read as --model
+    args = [a.replace("{input}", pp_csv[0])
+            .replace("{out}", str(tmp_path / "c.csv")) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_bad_projection_exits_2_before_ingest(registry_csv, capsys,

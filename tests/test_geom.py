@@ -489,6 +489,21 @@ class TestIngest:
         header_only.write_text("id,lon,lat\n")
         with pytest.raises(EmptyInputError):
             ingest(header_only)
+        blank_rows = tmp_path / "blank.csv"
+        blank_rows.write_text("id,lon,lat\n\n\r\n\n")
+        with pytest.raises(EmptyInputError):
+            ingest(blank_rows)
+
+    def test_rows_the_filters_drop_are_data_rows(self, tmp_path):
+        # a registry the filters empty has rows: it returns no ids, and
+        # the caller says that nothing is left after filtering
+        path = tmp_path / "reg.csv"
+        path.write_text("id,lon,lat,technology\n"
+                        "a,5.57,50.64,LTE\n\n"
+                        "b,5.58,50.65,LTE\n")
+        ids, lonlat, rejects = ingest(path, technology_column="technology",
+                                      technology="GSM")
+        assert (ids, lonlat.shape, rejects) == ([], (0, 2), [])
 
     def test_custom_column_names(self, tmp_path):
         path = tmp_path / "reg.csv"

@@ -54,8 +54,13 @@ class TestConfig:
             PipelineConfig.from_dict({"inputt": "x.csv"})
 
     def test_unknown_family(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(families=("poisson", "thomas"))
+        # an unknown or a repeated family is refused and named
+        for families, named in (
+                (("poisson", "thomas"), "unknown family 'thomas'"),
+                (("poisson", "poisson", "beta-ginibre"),
+                 "family 'poisson' is listed twice")):
+            with pytest.raises(ConfigError, match=named):
+                PipelineConfig(families=families)
 
     def test_empty_families(self):
         with pytest.raises(ConfigError):

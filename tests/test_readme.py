@@ -52,6 +52,26 @@ def test_readme_command_lines_parse():
         _build_parser().parse_args(argv[1:])
 
 
+def test_readme_flags_are_options():
+    # every --flag in a backticked span of the prose is an option of
+    # some subcommand, so prose cannot keep a flag the parser dropped
+    # (test_readme_command_lines_parse checks the shell blocks)
+    import argparse
+
+    from cellpp.cli import _build_parser
+
+    subcommands = next(a for a in _build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in subcommands.choices.values()
+               for o in p._option_string_actions}
+    prose = re.sub(r"^```.*?^```", "", README.read_text(),
+                   flags=re.M | re.S)
+    cited = {flag for span in re.findall(r"`([^`]*)`", prose)
+             for flag in re.findall(r"--[a-z][\w-]*", span)}
+    assert len(cited) >= 10
+    assert sorted(cited - options) == []
+
+
 def test_readme_pipeline_config_names_every_key():
     # the Pipeline config section names every config key, contrast
     # field, projection kind and projection key, and no snake_case name
