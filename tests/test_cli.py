@@ -756,15 +756,18 @@ class TestStagesMatchThePipeline:
                                         "params": fit["params"]}
         assert printed == entry
 
+    @pytest.mark.parametrize("mode", ["pointwise", "global"])
     def test_gof_writes_the_pipeline_bands(self, pp_csv, run, tmp_path,
-                                           capsys):
+                                           capsys, mode):
+        # one gof run writes both bands of every statistic
         out, _ = run
         bands = tmp_path / "bands"
         self.gof(pp_csv, run, tmp_path, capsys, "--bands-dir", str(bands))
         names = sorted(f.name for f in bands.iterdir())
         assert len(names) == 8
         assert names == sorted(f.name for f in (out / "bands").iterdir())
-        for name in names:
+        for kind in ("K", "F", "G", "J"):
+            name = f"{self.FAMILY}_{kind}_{mode}.csv"
             assert ((bands / name).read_bytes()
                     == (out / "bands" / name).read_bytes()), name
 
