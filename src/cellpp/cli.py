@@ -74,17 +74,6 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-def _model_from_args(args) -> object:
-    if args.model is not None:
-        return model_from_dict(_load_json_arg(args.model))
-    if args.family is None or args.intensity is None:
-        raise ConfigError("give either --model JSON or --family with "
-                          "--intensity (plus shape flags)")
-    params = {"intensity": args.intensity, **_given(
-        beta=args.beta, scale=args.scale, shape=args.shape)}
-    return model_from_dict({"model": args.family, "params": params})
-
-
 def _load_data(args, kinds=CURVE_KINDS, **settings):
     """Planar CSV plus window flags -> (config, clipped pattern, data
     curves ``kinds``); the config also carries the command's other
@@ -111,17 +100,6 @@ def _add_pattern_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-points", type=int,
                    help="auto-window point target")
     p.add_argument("--duplicates", choices=("reject", "jitter"))
-
-
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default=None,
-                   help="model JSON (inline or @file)")
-    p.add_argument("--family", choices=FAMILY_NAMES, default=None)
-    p.add_argument("--intensity", type=float, default=None,
-                   help="points per square metre")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--scale", type=float, default=None)
-    p.add_argument("--shape", type=float, default=None)
 
 
 def _add_contrast_args(p: argparse.ArgumentParser) -> None:
@@ -161,11 +139,11 @@ def _cmd_simulate(args) -> int:
     if sidecar_path == Path(args.output):
         raise ConfigError(f"--output {args.output}: the .json sidecar "
                           f"would overwrite the points")
-    spec = _model_from_args(args)
+    spec = model_from_dict(_load_json_arg(args.model))
     window = _parse_window(args.window)
     pattern = sample(spec, window, RngStreamSpec(args.seed))
     write_points_csv(args.output, pattern.points)
-    sidecar = {"model": model_to_dict(spec), "seed": args.seed,
+    sidecar = {**model_to_dict(spec), "seed": args.seed,
                "window": window.to_dict(), "n_points": pattern.n}
     sidecar_path.write_text(json_text(sidecar) + "\n")
     print(f"{pattern.n} points from {spec.name} written to {args.output}")
@@ -197,9 +175,12 @@ def _cmd_gof(args) -> int:
     if not set(kinds) <= set(CURVE_KINDS):
         raise ConfigError(f"--statistics {args.statistics!r}: expected a "
                           f"comma-separated subset of {','.join(CURVE_KINDS)}")
-    spec = _model_from_args(args)
+    model = _load_json_arg(args.model)
+    spec = model_from_dict(model)
+    # a fit's record carries its range, the verdicts' default r_max
     config, pattern, curves = _load_data(
         args, kinds, grid_points=args.grid_points,
+        contrast=model.get("contrast"),
         envelope=_given(replicates=args.replicates))
     record, bands = envelope_test(config, pattern, spec, curves,
                                   kinds=kinds, r_max=args.r_max)
@@ -272,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = command("simulate", help="sample a model into a points CSV")
-    _add_model_args(p)
+    p.add_argument("--model", required=True,
+                   help="model JSON (inline or @file)")
     p.add_argument("--window", required=True, help="'x0,x1,y0,y1' or "
                                                    "'disk:cx,cy,r'")
     p.add_argument("--seed", type=int, default=0)
@@ -296,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("gof", help="envelope test of a model on a CSV")
     _add_pattern_args(p)
-    _add_model_args(p)
+    p.add_argument("--model", required=True,
+                   help="model JSON (inline or @file)")
     p.add_argument("--statistics", default="K,F,G,J",
                    help="comma-separated subset of K,F,G,J")
     p.add_argument("--replicates", type=int)

@@ -205,6 +205,12 @@ class PipelineConfig:
         _require_known(self.filters, () if self.planar
                        else {"operator", "technology"},
                        "planar filters" if self.planar else "filters")
+        for key in self.filters:
+            # without its column, ingest reads every row's value as ""
+            if key not in self.columns:
+                raise ConfigError(f"filters.{key} needs the registry column "
+                                  f"that holds it: set columns.{key} "
+                                  f"(--{key}-column)")
         _require_known(self.envelope, {"replicates"}, "envelope")
         replicates = _require_int(self.envelope.get("replicates",
                                                     RECOMMENDED_REPLICATES),
@@ -218,9 +224,9 @@ class PipelineConfig:
         except TypeError as exc:
             raise ConfigError(f"bad contrast {self.contrast!r}: "
                               f"{exc}") from exc
-        # not a field either; resolved here so that a bad projection fails
-        # before ingest (load_points centres an originless tangent plane)
-        self.pspec = projection_from_dict(self.projection, origin=(0.0, 0.0))
+        # a bad projection fails before ingest; load_points resolves it
+        # once the origin an originless tangent plane centres on is known
+        projection_from_dict(self.projection, origin=(0.0, 0.0))
         self.grid_points = _require_int(self.grid_points, "grid_points", 2)
         if replicates * self.grid_points > CURVE_ENTRY_BUDGET:
             raise ConfigError(
@@ -387,13 +393,11 @@ def load_points(config: PipelineConfig):
                                 f"filtering")
     with _stage("project"):
         if not config.planar:
-            pspec = config.pspec
-            if pspec.kind == "local-tangent":
-                # np.mean of a column sums pairwise; lonlat.mean(axis=0)
-                # adds row by row and can move the last bit
-                pspec = projection_from_dict(config.projection, origin=(
-                    float(np.mean(lonlat[:, 0])),
-                    float(np.mean(lonlat[:, 1]))))
+            # only a tangent plane reads the origin.  np.mean of a column
+            # sums pairwise; lonlat.mean(axis=0) adds row by row and can
+            # move the last bit
+            pspec = projection_from_dict(config.projection, origin=(
+                float(np.mean(lonlat[:, 0])), float(np.mean(lonlat[:, 1]))))
             points = project(lonlat, pspec, record_ids=ids)
     # project keeps every record or raises: a row read is a point or a reject
     return points, {"n_read": points.shape[0] + len(rejects),
@@ -599,7 +603,7 @@ def retention_row(report: dict) -> tuple:
         place = str(config.get("place") or "?")
         tech = str(config.get("technology") or "?")
         name = "families"
-        entry = report.get("families", {}).get("beta-ginibre")
+        entry = report["families"].get("beta-ginibre")
         name = "families.beta-ginibre.fit.params.beta"
         beta = None if entry is None else entry["fit"]["params"].get("beta")
         # adding 0.0 refuses a string or container with TypeError

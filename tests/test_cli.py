@@ -34,6 +34,14 @@ WINDOW_FLAG = "0,1000,0,1000"
 AREA = 1000.0 * 1000.0
 
 
+def model_json(family, **params):
+    """The ``--model`` JSON of ``family`` with ``params``."""
+    return json.dumps({"model": family, "params": params})
+
+
+POISSON = model_json("poisson", intensity=1e-4)
+
+
 @pytest.fixture(scope="module")
 def pp_csv(tmp_path_factory):
     """A Poisson pattern of ~150 points in a 1 km square."""
@@ -60,15 +68,14 @@ class TestSimulate:
 
     def test_writes_points_and_sidecar(self, tmp_path):
         out = tmp_path / "sim.csv"
-        rc = main(["simulate", "--family", "poisson",
-                   "--intensity", "1e-4", "--window", WINDOW_FLAG,
+        rc = main(["simulate", "--model", POISSON, "--window", WINDOW_FLAG,
                    "--seed", "5", "--output", str(out)])
         assert rc == 0
         points, rejects = read_points_csv(out)
         assert rejects == []
         sidecar = json.loads(out.with_suffix(".json").read_text())
-        assert sidecar["model"] == {"model": "poisson",
-                                    "params": {"intensity": 1e-4}}
+        assert sidecar["model"] == "poisson"
+        assert sidecar["params"] == {"intensity": 1e-4}
         assert sidecar["seed"] == 5
         assert sidecar["window"]["kind"] == "rectangle"
         assert sidecar["n_points"] == len(points)
@@ -92,12 +99,13 @@ class TestSimulate:
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= 500.0)
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["window"]["kind"] == "disk"
-        assert sidecar["model"] == model
+        assert {k: sidecar[k] for k in model} == model
 
     def test_gauss_on_disk_window(self, tmp_path):
         out = tmp_path / "gauss.csv"
-        rc = main(["simulate", "--family", "gauss-dpp", "--intensity",
-                   "5e-5", "--scale", "40", "--window", "disk:100,-50,500",
+        rc = main(["simulate", "--model", model_json(
+                       "gauss-dpp", intensity=5e-5, scale=40.0),
+                   "--window", "disk:100,-50,500",
                    "--seed", "4", "--output", str(out)])
         assert rc == 0
         pts = np.asarray(read_points_csv(out)[0])
@@ -122,7 +130,7 @@ class TestSimulate:
         ("disk:0,0,-1", "positive radius"),
     ], ids=["nonsense", "area-overflow", "negative-radius"])
     def test_bad_window_exits_2(self, tmp_path, capsys, window, reason):
-        rc = main(["simulate", "--family", "poisson", "--intensity", "1e-4",
+        rc = main(["simulate", "--model", POISSON,
                    "--window", window, "--output",
                    str(tmp_path / "x.csv")])
         assert rc == 2
@@ -130,8 +138,8 @@ class TestSimulate:
 
     def test_existence_violation_exits_2(self, tmp_path, capsys):
         # 1/(pi*0.1^2) ~ 31.8 caps the gauss intensity, so 1000 is invalid
-        rc = main(["simulate", "--family", "gauss-dpp",
-                   "--intensity", "1000", "--scale", "0.1",
+        rc = main(["simulate", "--model", model_json(
+                       "gauss-dpp", intensity=1000.0, scale=0.1),
                    "--window", "0,1,0,1", "--output",
                    str(tmp_path / "x.csv")])
         assert rc == 2
@@ -141,8 +149,8 @@ class TestSimulate:
         # the 16.25 km torus expects 26,406 points: refused at once,
         # before any mode or matrix is drawn
         start = time.perf_counter()
-        rc = main(["simulate", "--family", "gauss-dpp",
-                   "--intensity", "1e-4", "--scale", "50",
+        rc = main(["simulate", "--model", model_json(
+                       "gauss-dpp", intensity=1e-4, scale=50.0),
                    "--window", "0,13000,0,13000", "--output",
                    str(tmp_path / "x.csv")])
         assert time.perf_counter() - start < 5.0
@@ -154,16 +162,16 @@ class TestSimulate:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv, code, parameter", [
-        (["simulate", "--family", "poisson", "--intensity", "inf",
+        (["simulate", "--model", model_json("poisson", intensity=math.inf),
           "--output", "{out}"], 2, "intensity"),
-        (["simulate", "--family", "poisson", "--intensity", "1e300",
+        (["simulate", "--model", model_json("poisson", intensity=1e300),
           "--output", "{out}"], 4, "intensity"),
-        (["simulate", "--family", "cauchy-dpp", "--intensity", "1e-4",
-          "--scale", "50", "--shape", "inf", "--output", "{out}"], 2,
-         "shape"),
-        (["simulate", "--family", "cauchy-dpp", "--intensity", "1e-4",
-          "--scale", "50", "--shape", "1e300", "--output", "{out}"], 4,
-         "shape"),
+        (["simulate", "--model", model_json(
+            "cauchy-dpp", intensity=1e-4, scale=50.0, shape=math.inf),
+          "--output", "{out}"], 2, "shape"),
+        (["simulate", "--model", model_json(
+            "cauchy-dpp", intensity=1e-4, scale=50.0, shape=1e300),
+          "--output", "{out}"], 4, "shape"),
         (["simulate", "--model", '{"model": "poisson", "params": '
           '{"intensity": "7e-7"}}', "--output", "{out}"], 2, "intensity"),
         (["simulate", "--model", '{"model": "poisson", "params": '
@@ -182,8 +190,9 @@ class TestSimulate:
           '{"intensity": 1e-6, "scale": 50.0, "shape": 1' + "0" * 400
           + '}}', "--output", "{out}"], 2, "shape"),
         # finite scales whose square passes the double range
-        (["simulate", "--family", "gauss-dpp", "--intensity", "1e-4",
-          "--scale", "1e200", "--output", "{out}"], 2, "scale"),
+        (["simulate", "--model", model_json(
+            "gauss-dpp", intensity=1e-4, scale=1e200),
+          "--output", "{out}"], 2, "scale"),
         (["simulate", "--model", '{"model": "cauchy-dpp", "params": '
           '{"intensity": 1e-6, "scale": 1' + "0" * 200 + ', "shape": 1.0}}',
           "--output", "{out}"], 2, "scale"),
@@ -203,11 +212,28 @@ class TestSimulate:
         assert parameter in err
         assert not out.exists()
 
+    def test_fit_simulate_gof_round_trip(self, pp_csv, tmp_path, capsys):
+        # the fit's record names the model to simulate, and the sidecar
+        # the model to test
+        fit, points = tmp_path / "fit.json", tmp_path / "sim.csv"
+        sidecar = points.with_suffix(".json")
+        for argv in (["fit", "--input", pp_csv[0], "--family", "poisson",
+                      "--output", str(fit)],
+                     ["simulate", "--model", f"@{fit}", "--seed", "3",
+                      "--output", str(points)],
+                     ["gof", "--input", str(points), "--model",
+                      f"@{sidecar}", "--statistics", "K", "--replicates",
+                      "19", "--grid-points", "32"]):
+            assert main(argv + ["--window", WINDOW_FLAG]) == 0, argv[0]
+        fitted, simulated = (json.loads(p.read_text()) for p in (fit, sidecar))
+        for key in ("model", "params"):
+            assert simulated[key] == fitted[key]
+
     def test_output_that_is_its_own_sidecar_exits_2(self, tmp_path, capsys):
         # the sidecar goes to <output>.json: a .json output would lose
         # the points to it
         out = tmp_path / "s.json"
-        rc = main(["simulate", "--family", "poisson", "--intensity", "1e-4",
+        rc = main(["simulate", "--model", POISSON,
                    "--window", WINDOW_FLAG, "--output", str(out)])
         assert rc == 2
         assert "sidecar would overwrite" in capsys.readouterr().err
@@ -364,8 +390,7 @@ class TestGof:
         path, pat = pp_csv
         bands = tmp_path / "bands"
         rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
-                   "--family", "poisson",
-                   "--intensity", repr(pat.n / AREA),
+                   "--model", model_json("poisson", intensity=pat.n / AREA),
                    "--statistics", "K,F",
                    "--replicates", "39", "--grid-points", "64",
                    "--seed", "1", "--bands-dir", str(bands)])
@@ -390,8 +415,7 @@ class TestGof:
     def test_pointwise_single_statistic(self, pp_csv, capsys):
         path, pat = pp_csv
         rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
-                   "--family", "poisson",
-                   "--intensity", repr(pat.n / AREA),
+                   "--model", model_json("poisson", intensity=pat.n / AREA),
                    "--statistics", "J",
                    "--replicates", "39", "--grid-points", "64",
                    "--seed", "1"])
@@ -411,8 +435,8 @@ class TestGof:
         printed = []
         for flags in ([], ["--r-max", "inf"]):
             assert main(["gof", "--input", path, "--window", WINDOW_FLAG,
-                         "--family", "poisson",
-                         "--intensity", repr(pat.n / AREA),
+                         "--model", model_json("poisson",
+                                               intensity=pat.n / AREA),
                          "--statistics", "K", "--replicates", "19",
                          "--grid-points", "64", "--seed", "1"] + flags) == 0
             printed.append(json.loads(capsys.readouterr().out))
@@ -444,7 +468,7 @@ class TestGof:
         monkeypatch.setattr(estimators, "estimate_F", spy)
         with pytest.warns(UserWarning, match="weak test"):
             rc = main(["gof", "--input", str(path), "--window", WINDOW_FLAG,
-                       "--family", "poisson", "--intensity", "1.2e-3",
+                       "--model", model_json("poisson", intensity=1.2e-3),
                        "--statistics", "F", "--replicates", "19",
                        "--grid-points", "32", "--seed", "3"])
         assert rc == 0
@@ -463,8 +487,7 @@ class TestGof:
 
         monkeypatch.setattr(estimators, "estimate_F", spy)
         rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
-                   "--family", "poisson",
-                   "--intensity", repr(pat.n / AREA),
+                   "--model", model_json("poisson", intensity=pat.n / AREA),
                    "--statistics", "K", "--replicates", "39",
                    "--grid-points", "32", "--seed", "1"])
         assert rc == 0
@@ -481,17 +504,19 @@ class TestGof:
     def test_bad_flags_exit_2(self, pp_csv, capsys, flags, message):
         path, pat = pp_csv
         rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
-                   "--family", "poisson",
-                   "--intensity", repr(pat.n / AREA)] + flags)
+                   "--model", model_json("poisson", intensity=pat.n / AREA)]
+                  + flags)
         assert rc == 2
         assert message in capsys.readouterr().err
 
     def test_model_flags_required_exits_2(self, pp_csv, capsys):
         path, _ = pp_csv
-        rc = main(["gof", "--input", path, "--window", WINDOW_FLAG,
-                   "--statistics", "K"])
-        assert rc == 2
-        assert "give either --model" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["gof", "--input", path, "--window", WINDOW_FLAG,
+                  "--statistics", "K"])
+        assert exc.value.code == 2
+        assert ("the following arguments are required: --model"
+                in capsys.readouterr().err)
 
 
 class TestIngest:
@@ -507,6 +532,22 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"data error [ingest]: {path}: no records left after "
             f"filtering\n")
+
+    def test_filter_without_its_column_exits_2(self, tmp_path, capsys):
+        # every row would read as technology "" and be dropped
+        path = tmp_path / "gsm.csv"
+        path.write_text("id,lon,lat,technology\n"
+                        "a,5.57,50.63,GSM\nb,5.58,50.64,GSM\n")
+        argv = ["ingest", "--input", str(path), "--output",
+                str(tmp_path / "p.csv"), "--technology", "GSM",
+                "--projection", "local-tangent"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: filters.technology needs the registry column "
+            "that holds it: set columns.technology (--technology-column)\n")
+        assert not (tmp_path / "p.csv").exists()
+        assert main(argv + ["--technology-column", "technology"]) == 0
+        assert "2 records projected" in capsys.readouterr().out
 
     def test_local_tangent_roundtrip(self, registry_csv, tmp_path, capsys):
         out = tmp_path / "points.csv"
@@ -641,10 +682,10 @@ class TestIngest:
      "data error [clip]: only 0 point(s)"),
     ("fit", ["--window", "5000,6000,5000,6000", "--family", "poisson"],
      "data error [clip]: only 0 point(s)"),
-    ("gof", ["--window", "5000,6000,5000,6000", "--family", "poisson",
-             "--intensity", "1e-4"], "data error [clip]: only 0 point(s)"),
-    ("gof", ["--min-points", "1000", "--family", "poisson",
-             "--intensity", "1e-4"], "data error [window]: auto window"),
+    ("gof", ["--window", "5000,6000,5000,6000", "--model", POISSON],
+     "data error [clip]: only 0 point(s)"),
+    ("gof", ["--min-points", "1000", "--model", POISSON],
+     "data error [window]: auto window"),
 ], ids=["stats", "fit", "gof", "gof-auto-window"])
 def test_loading_errors_name_their_stage(pp_csv, tmp_path, capsys, command,
                                          flags, message):
@@ -677,8 +718,8 @@ def test_left_out_flags_keep_the_config_defaults(pp_csv, registry_csv,
     required = {"ingest": ["--input", registry_csv],
                 "stats": ["--input", pp_csv[0]],
                 "fit": ["--input", pp_csv[0], "--family", "poisson"],
-                "gof": ["--input", pp_csv[0], "--family", "poisson",
-                        "--intensity", "1.5e-4"]}[command]
+                "gof": ["--input", pp_csv[0], "--model",
+                        model_json("poisson", intensity=1.5e-4)]}[command]
     runs = []
     for flags in ([], OLD_DEFAULTS[command]):
         out = tmp_path / f"out{len(runs)}.csv"
@@ -699,21 +740,30 @@ class TestStagesMatchThePipeline:
     SEED = "7"
     FAMILY = "beta-ginibre"
 
-    @pytest.fixture(scope="class")
-    def run(self, pp_csv, tmp_path_factory):
+    @staticmethod
+    def pipeline(pp_csv, tmp_path_factory, family, seed, **config):
         out = tmp_path_factory.mktemp("stages") / "out"
         config = {"window": {"kind": "rectangle", "x_min": 0.0,
                              "x_max": 1000.0, "y_min": 0.0, "y_max": 1000.0},
-                  "envelope": {"replicates": 19}}
+                  "envelope": {"replicates": 19}, **config}
         assert main(["pipeline", "--config", json.dumps(config),
                      "--input", pp_csv[0], "--planar", "--families",
-                     self.FAMILY, "--seed", self.SEED,
-                     "--out", str(out)]) == 0
+                     family, "--seed", seed, "--out", str(out)]) == 0
         return out, json.loads((out / "report.json").read_text())
 
-    def stage(self, pp_csv, argv):
+    @pytest.fixture(scope="class")
+    def run(self, pp_csv, tmp_path_factory):
+        return self.pipeline(pp_csv, tmp_path_factory, self.FAMILY, self.SEED)
+
+    @pytest.fixture(scope="class")
+    def ranged_run(self, pp_csv, tmp_path_factory):
+        """A run whose config sets the fit range."""
+        return self.pipeline(pp_csv, tmp_path_factory, "poisson", "3",
+                             grid_points=64, contrast={"r_max": 50.0})
+
+    def stage(self, pp_csv, argv, seed=SEED):
         return ([argv[0], "--input", pp_csv[0], "--window", WINDOW_FLAG,
-                 "--seed", self.SEED] + argv[1:])
+                 "--seed", seed] + argv[1:])
 
     def test_stats_prints_and_writes_the_pipeline_description(
             self, pp_csv, run, tmp_path, capsys):
@@ -737,21 +787,31 @@ class TestStagesMatchThePipeline:
         printed = json.loads(capsys.readouterr().out)
         assert printed == report["families"][self.FAMILY]["fit"]
 
-    def gof(self, pp_csv, run, tmp_path, capsys, *flags):
+    def gof(self, pp_csv, run, tmp_path, capsys, *flags, family=FAMILY,
+            seed=SEED):
         """What ``gof`` of the run's fitted model at the run's seed
         prints."""
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(run[1]["families"][self.FAMILY]["fit"]))
+        model.write_text(json.dumps(run[1]["families"][family]["fit"]))
         capsys.readouterr()
         assert main(self.stage(pp_csv, ["gof", "--model", f"@{model}",
-                                        "--replicates", "19", *flags])) == 0
+                                        "--replicates", "19", *flags],
+                               seed)) == 0
         return json.loads(capsys.readouterr().out)
 
-    def test_gof_prints_the_report_entry(self, pp_csv, run, tmp_path,
-                                         capsys):
-        entry = dict(run[1]["families"][self.FAMILY])
+    @pytest.mark.parametrize("run_name, family, seed, flags", [
+        ("run", FAMILY, SEED, []),
+        # the fit JSON carries the range, so no flag repeats it
+        ("ranged_run", "poisson", "3", ["--grid-points", "64"]),
+    ], ids=["fit-range", "contrast-r-max"])
+    def test_gof_prints_the_report_entry(self, pp_csv, request, tmp_path,
+                                         capsys, run_name, family, seed,
+                                         flags):
+        run = request.getfixturevalue(run_name)
+        entry = dict(run[1]["families"][family])
         fit = entry.pop("fit")
-        printed = self.gof(pp_csv, run, tmp_path, capsys)
+        printed = self.gof(pp_csv, run, tmp_path, capsys, *flags,
+                           family=family, seed=seed)
         assert printed.pop("model") == {"model": fit["model"],
                                         "params": fit["params"]}
         assert printed == entry
@@ -892,7 +952,9 @@ class TestReport:
          "families.beta-ginibre.fit.params.beta"),
         ({"families": {"beta-ginibre": {"fit": {"params": {
             "beta": 10**400}}}}}, "families.beta-ginibre.fit.params.beta"),
-    ], ids=["no-fit", "families-list", "beta-string", "beta-past-double"])
+        ({"model": "poisson", "params": {"intensity": 1e-4}}, "'families'"),
+    ], ids=["no-fit", "families-list", "beta-string", "beta-past-double",
+            "fit-record"])
     def test_malformed_field_exits_3(self, tmp_path, capsys, report, field):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(report))
@@ -1043,15 +1105,14 @@ def test_pipeline_on_disk_window_tests_all_four_families(tmp_path,
 
 
 BAD_NUMBERS = {
-    "simulate-seed": ["simulate", "--family", "poisson", "--intensity",
-                      "1e-4", "--window", WINDOW_FLAG, "--seed", "-1",
-                      "--output", "{out}"],
+    "simulate-seed": ["simulate", "--model", POISSON, "--window",
+                      WINDOW_FLAG, "--seed", "-1", "--output", "{out}"],
     "stats-seed": ["stats", "--input", "{input}", "--window", WINDOW_FLAG,
                    "--seed", "-1", "--output", "{out}"],
     "pipeline-seed": ["pipeline", "--families", "poisson", "--input",
                       "{input}", "--planar", "--seed", "-1"],
     "gof-replicates": ["gof", "--input", "{input}", "--window", WINDOW_FLAG,
-                       "--family", "poisson", "--intensity", "1.5e-4",
+                       "--model", model_json("poisson", intensity=1.5e-4),
                        "--replicates", "-1"],
     "pipeline-replicates": ["pipeline", "--input", "{input}", "--planar",
                             "--config", '{"envelope": {"replicates": -1}}'],
@@ -1073,9 +1134,9 @@ BAD_NUMBERS = {
                           WINDOW_FLAG, "--grid-points", "2000000000",
                           "--output", "{out}"],
     "gof-replicates-memory": ["gof", "--input", "{input}", "--window",
-                              WINDOW_FLAG, "--family", "poisson",
-                              "--intensity", "1.5e-4", "--replicates",
-                              "1000000000"],
+                              WINDOW_FLAG, "--model",
+                              model_json("poisson", intensity=1.5e-4),
+                              "--replicates", "1000000000"],
     "ingest-origin-nan": ["ingest", "--input", "{registry}", "--output",
                           "{out}", "--projection", "local-tangent",
                           "--origin-lon", "nan", "--origin-lat", "50.5"],
@@ -1117,6 +1178,8 @@ BAD_CONFIGS = {
     "envelope-mode": '{"envelope": {"mode": "pointwise"}}',
     "families-repeated": '{"families": ["poisson", "poisson", '
                          '"beta-ginibre"]}',
+    "filter-without-column": '{"projection": {"kind": "lambert-93"}, '
+                             '"filters": {"technology": "GSM"}}',
     "projection-parallel-inf": '{"projection": {"kind": '
                                '"lambert-conformal-conic", "origin_lon": 3, '
                                '"origin_lat": 46.5, "std_parallel_1": '
@@ -1136,8 +1199,9 @@ def test_bad_pipeline_configs_exit_2(pp_csv, registry_csv, capsys, config):
 
 
 @pytest.mark.parametrize("argv, unknown", [
-    (["gof", "--input", "{input}", "--family", "poisson", "--intensity",
-      "1.5e-4", "--mode", "global"], "--mode global"),
+    (["gof", "--input", "{input}", "--model",
+      model_json("poisson", intensity=1.5e-4), "--mode", "global"],
+     "--mode global"),
     (["stats", "--input", "{input}", "--output", "{out}", "--out", "x"],
      "--out x"),
 ], ids=["gof-mode", "stats-out"])
@@ -1181,7 +1245,7 @@ PIPELINE_CONFIG = json.dumps({
     "envelope": {"replicates": 19}})
 # argv, the JSON files it writes, and whether its stdout is JSON
 JSON_RUNS = {
-    "simulate": (["simulate", "--family", "poisson", "--intensity", "1e-4",
+    "simulate": (["simulate", "--model", POISSON,
                   "--window", WINDOW_FLAG, "--output", "{dir}/s.csv"],
                  ["s.json"], False),
     "stats": (["stats", "--input", "{input}", "--window", WINDOW_FLAG,
@@ -1190,7 +1254,7 @@ JSON_RUNS = {
              "--family", "poisson", "--output", "{dir}/fit.json"],
             ["fit.json"], True),
     "gof-r-max-inf": (["gof", "--input", "{input}", "--window", WINDOW_FLAG,
-                       "--family", "poisson", "--intensity", "1.5e-4",
+                       "--model", model_json("poisson", intensity=1.5e-4),
                        "--statistics", "K", "--replicates", "19",
                        "--grid-points", "64", "--r-max", "inf"], [], True),
     "ingest": (["ingest", "--input", "{registry}", "--output", "{dir}/p.csv",
